@@ -377,6 +377,9 @@ def cmd_shoot(args) -> dict:
         "adjoint_initial": ext.adjoint.states[0],
         "diagnostics": diag,
         "singular_arc": ext.singular_arc,
+        "residual_history": ext.residual_history,
+        "history_steps": ext.history_steps,
+        "newton_iterations": ext.newton_iterations,
     }
     csv = _traj_csv(ext.state.times, ext.state.states, ext.control, ext.adjoint.states)
     return _report("shoot", spec, results, args, csv)

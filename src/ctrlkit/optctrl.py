@@ -29,6 +29,7 @@ __all__ = [
     "lq_cost",
     "tracking_gains",
     "pmp_shoot",
+    "integrate_extremal",
     "hamiltonian_maximizer_box",
     "hamiltonian_maximizer_ball",
     "hamiltonian_maximizer_unconstrained",
@@ -307,6 +308,13 @@ class Extremal:
     residual_history: list
     tf: float
     singular_arc: bool = False
+    history_steps: list = field(default_factory=list)
+
+    @property
+    def newton_iterations(self) -> int:
+        """Accepted Newton steps: history entries that follow one on the same grid."""
+        s = self.history_steps
+        return sum(a == b for a, b in zip(s, s[1:]))
 
 
 def _hamiltonian(p: OcProblem, t, x, pv, p0, u):
@@ -349,7 +357,7 @@ def _switch_signs(switching, t, z, n, p0):
     return s
 
 
-def _event_step(rhs, maximizer, switching, t, z, h, n, p0):
+def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0=None):
     """RK4 step that locates bang-bang switching times by bisection.
 
     Bang-bang controls are piecewise constant, so each substep freezes the
@@ -357,16 +365,21 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0):
     the switching function then keeps the shooting map smooth in the initial
     adjoint.  The integration lands 1e-10 past each crossing so the new sign
     is resolved against the maximizer's tie-break.
+
+    `s0` are the switching signs at (t, z) when the caller already has them.
+    Returns the new state and its switching signs, or None for the signs
+    when the step ended on a landed crossing.
     """
     remaining = h
     for _ in range(12):
         u0 = np.atleast_1d(np.asarray(maximizer(t, z[:n], z[n:], p0), dtype=float))
         frozen = lambda tt, zz: rhs(tt, zz, u0)
-        s0 = _switch_signs(switching, t, z, n, p0)
+        if s0 is None:
+            s0 = _switch_signs(switching, t, z, n, p0)
         z_try = rk4_step(frozen, t, z, remaining)
         s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
         if not np.any(s0 * s1 < 0.0):
-            return z_try
+            return z_try, s1
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -379,12 +392,19 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0):
         z = rk4_step(frozen, t, z, step)
         t += step
         remaining -= step
+        s0 = None
         if remaining <= 0.0:
-            return z
-    return rk4_step(rhs, t, z, remaining)
+            return z, None
+    return rk4_step(rhs, t, z, remaining), None
 
 
-def _integrate_extremal(p: OcProblem, p_init, tf, steps, p0):
+def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = -1.0):
+    """Integrate the PMP Hamiltonian system from (x0, p_init) over [0, tf].
+
+    Uses `steps` fixed RK4 steps, with switch-time event location for
+    bang-bang maximizers.  Returns (times, Z) where Z[k] = (x(t_k), p(t_k)).
+    Raises RiccatiBlowup if the state leaves the finite range.
+    """
     n = p.dimension
     rhs = _ham_rhs(p, p0)
     switching = (
@@ -397,11 +417,12 @@ def _integrate_extremal(p: OcProblem, p_init, tf, steps, p0):
     Z = np.empty((steps + 1, 2 * n))
     z = np.concatenate([p.x0, p_init])
     Z[0] = z
+    signs = None
     for k in range(steps):
         if switching is None:
             z = rk4_step(rhs, times[k], z, h)
         else:
-            z = _event_step(rhs, p.maximizer, switching, times[k], z, h, n, p0)
+            z, signs = _event_step(rhs, p.maximizer, switching, times[k], z, h, n, p0, signs)
         if not np.all(np.isfinite(z)):
             raise RiccatiBlowup(f"extremal integration blew up at t={times[k + 1]:.6g}")
         Z[k + 1] = z
@@ -447,6 +468,24 @@ def pmp_shoot(
     the normalization ||p(0)||^2 = 1 to the residual and use a least-squares
     Newton step.
 
+    Newton runs on two grids.  A guess whose residual on the requested
+    `steps` grid is already below `tol` is returned at once.  Otherwise
+    Newton first runs on a coarse grid of `steps // 8` steps (skipped when
+    that is under 50 steps) until the coarse residual is below
+    max(tol, delta), where delta = ||r_fine - r_coarse|| at the guess is the
+    coarse grid's discretization floor, or until a step fails.  It then
+    continues on the requested grid, from the coarse iterate if that has the
+    smaller fine residual and from the guess otherwise.  `converged` means
+    the residual on the requested grid is below `tol`; each grid allows up
+    to `newton_iters` steps.
+
+    Newton steps are least-squares solves with singular values below
+    1e-10 sigma_max cut off: these directions of the finite-difference
+    Jacobian are noise, and the line search would otherwise halve along them
+    to no effect.  `residual_history` holds the residual norm of the start
+    and of every accepted iterate on each grid, coarse first;
+    `history_steps` gives the grid step count of each entry.
+
     Bang-bang maximizers are integrated with switch-time event location, so
     the shooting map stays smooth in the guess and the default
     finite-difference `jacobian_step` applies to them too.
@@ -456,51 +495,67 @@ def pmp_shoot(
     expect = n + (1 if p.horizon is None else 0)
     if z.shape[0] != expect:
         raise DimensionError(f"guess must have {expect} entries")
+    if jacobian_step is None:
+        jacobian_step = 1e-6
+    history, history_steps = [], []
 
-    def residual(zv):
+    def shoot(zv, grid):
+        """Residual at zv on a `grid`-step extremal, and that extremal (None if penalized)."""
         p_init = zv[:n]
         tf = float(zv[n]) if p.horizon is None else float(p.horizon)
         if tf <= 0:
             # Penalize nonpositive horizons smoothly so backtracking recovers.
-            return np.full(expect + (1 if p0 == 0.0 else 0), 1e6 * (1.0 - tf))
-        times, Z = _integrate_extremal(p, p_init, tf, steps, p0)
+            return np.full(expect + (1 if p0 == 0.0 else 0), 1e6 * (1.0 - tf)), None
+        times, Z = integrate_extremal(p, p_init, tf, grid, p0)
         r = _terminal_residual(p, tf, Z[-1, :n], Z[-1, n:], p0)
         if p0 == 0.0:
             r = np.concatenate([r, [p_init @ p_init - 1.0]])
-        return r
+        return r, (times, Z)
 
-    if jacobian_step is None:
-        jacobian_step = 1e-6
-    r = residual(z)
-    history = [float(np.linalg.norm(r))]
-    for _ in range(newton_iters):
-        if history[-1] < tol:
-            break
-        J = np.empty((r.shape[0], z.shape[0]))
-        for k in range(z.shape[0]):
-            h = jacobian_step * (1.0 + abs(z[k]))
-            e = np.zeros_like(z)
-            e[k] = h
-            J[:, k] = (residual(z + e) - r) / h
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        alpha = 1.0
-        improved = False
-        for _ in range(30):
-            r_new = residual(z + alpha * step)
-            if np.linalg.norm(r_new) < history[-1]:
-                z = z + alpha * step
-                r = r_new
-                history.append(float(np.linalg.norm(r)))
-                improved = True
+    def newton(z, shot, grid, target):
+        """Damped Newton on the `grid`-step shooting map until ||r|| < target or a step fails."""
+        history.append(float(np.linalg.norm(shot[0])))
+        history_steps.append(grid)
+        for _ in range(newton_iters):
+            if history[-1] < target:
                 break
-            alpha *= 0.5
-        if not improved:
-            break
+            r = shot[0]
+            J = np.empty((r.shape[0], z.shape[0]))
+            for k in range(z.shape[0]):
+                h = jacobian_step * (1.0 + abs(z[k]))
+                e = np.zeros_like(z)
+                e[k] = h
+                J[:, k] = (shoot(z + e, grid)[0] - r) / h
+            step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
+            alpha = 1.0
+            for _ in range(30):
+                trial = shoot(z + alpha * step, grid)
+                if np.linalg.norm(trial[0]) < history[-1]:
+                    z, shot = z + alpha * step, trial
+                    history.append(float(np.linalg.norm(trial[0])))
+                    history_steps.append(grid)
+                    break
+                alpha *= 0.5
+            else:
+                break
+        return z, shot
+
+    shot = shoot(z, steps)
+    coarse = steps // 8
+    if np.linalg.norm(shot[0]) >= tol and coarse >= 50:
+        coarse_shot = shoot(z, coarse)
+        # The grids' disagreement at the guess: coarse Newton gains nothing below it.
+        floor = float(np.linalg.norm(shot[0] - coarse_shot[0]))
+        z_coarse, _ = newton(z, coarse_shot, coarse, max(tol, floor))
+        if z_coarse is not z:  # newton hands back z itself when it took no step
+            trial = shoot(z_coarse, steps)
+            if np.linalg.norm(trial[0]) < np.linalg.norm(shot[0]):
+                z, shot = z_coarse, trial
+    z, (r, extremal) = newton(z, shot, steps, tol)
 
     converged = history[-1] < tol
-    p_init = z[:n]
     tf = float(z[n]) if p.horizon is None else float(p.horizon)
-    times, Z = _integrate_extremal(p, p_init, tf, steps, p0)
+    times, Z = extremal if extremal is not None else integrate_extremal(p, z[:n], tf, steps, p0)
     controls = np.empty((steps + 1, p.control_dim))
     hams = np.empty(steps + 1)
     for i, t in enumerate(times):
@@ -533,6 +588,7 @@ def pmp_shoot(
         hamiltonian_samples=hams,
         converged=converged,
         residual_history=history,
+        history_steps=history_steps,
         tf=tf,
         singular_arc=singular,
     )

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lincontrol import LtiSystem, LtvSystem, VectorField, VectorFieldSet
-from .optctrl import OcProblem, _integrate_extremal, hamiltonian_maximizer_box
+from .optctrl import OcProblem, hamiltonian_maximizer_box, integrate_extremal
 from .specpde import SemilinearPlant, semilinear_defaults
 
 __all__ = [
@@ -293,12 +293,12 @@ def zermelo_shooting_guess(
     pinit = np.array([-1.0, delta])
     target = -float(p.F(np.array([np.inf, 0.0]))[0])  # ell, since F = y - ell
     lo, hi = 0.0, t_max
-    _, Z = _integrate_extremal(p, pinit, hi, steps, -1.0)
+    _, Z = integrate_extremal(p, pinit, hi, steps, -1.0)
     if Z[-1, 1] < target:
         raise ValueError("t_max too small: trajectory does not reach the bank")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        _, Z = _integrate_extremal(p, pinit, mid, steps, -1.0)
+        _, Z = integrate_extremal(p, pinit, mid, steps, -1.0)
         if Z[-1, 1] >= target:
             hi = mid
         else:

@@ -112,6 +112,17 @@ class TestDeterminism:
         assert "elapsed" not in json.dumps(rep)
 
 
+class TestShootReport:
+    def test_results_carry_newton_history(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))
+        assert main(["shoot", spec("zermelo.json"), "--out", "z.json"]) == 0
+        res = json.loads((tmp_path / "z.json").read_text())["results"]
+        steps = res["history_steps"]
+        assert len(res["residual_history"]) == len(steps)
+        assert steps == sorted(steps) and steps[-1] == 2000
+        assert res["residual_history"][-1] == res["residual_norm"]
+        assert res["newton_iterations"] == len(steps) - len(set(steps))
+
 class TestCsv:
     def test_lq_csv_sibling_and_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))

@@ -8,6 +8,8 @@ import pytest
 
 import ctrlkit as ck
 from ctrlkit import LtiSystem
+from ctrlkit import optctrl
+from ctrlkit.numcore import rk4_step
 from ctrlkit.optctrl import LqProblem
 from ctrlkit import problems as pr
 
@@ -154,6 +156,144 @@ class TestShootingRobustness:
         e = ck.pmp_shoot(p, np.array([0.3, 0.1, 0.7]))
         hist = e.residual_history
         assert hist[-1] < hist[0]
+
+
+
+# Corpus shooting problems: builder, spec guess, and tf from single-grid
+# Newton at 2000 steps with the relative (brachistochrone, di_min_time) or
+# absolute (zermelo) tolerance the two-level Newton must stay within.
+CORPUS_SHOTS = {
+    "brachistochrone": (
+        lambda: pr.brachistochrone_free_y(1.0, 9.81),
+        [0.3, 0.1, 0.7],
+        0.8003048162399719,
+        1e-9 * 0.8003048162399719,
+    ),
+    "di_min_time": (
+        lambda: pr.double_integrator_min_time(np.array([1.0, 0.0])),
+        [-0.8, -1.2, 1.8],
+        1.9999999999990203,
+        1e-9 * 1.9999999999990203,
+    ),
+    "zermelo": (
+        pr.zermelo_min_drift,
+        [-1.0, 1.5e-05, 8.831888013091884],
+        8.831888083243829,
+        1e-7,
+    ),
+}
+
+
+def _count_grids(monkeypatch):
+    """Record the step count of every extremal integration pmp_shoot makes."""
+    grids = []
+    integrate = optctrl.integrate_extremal
+
+    def counting(p, p_init, tf, steps, p0=-1.0):
+        grids.append(steps)
+        return integrate(p, p_init, tf, steps, p0)
+
+    monkeypatch.setattr(optctrl, "integrate_extremal", counting)
+    return grids
+
+
+@pytest.fixture(scope="module")
+def corpus_shots():
+    """Each corpus problem shot at 2000 steps: (extremal, grids integrated)."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (build, guess, _, _) in CORPUS_SHOTS.items():
+            grids = _count_grids(mp)
+            out[name] = (ck.pmp_shoot(build(), np.array(guess), steps=2000), grids)
+            mp.undo()
+    return out
+
+
+class TestTwoLevelShooting:
+    @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+    def test_work_at_most_six_fine_sweeps(self, corpus_shots, name):
+        e, grids = corpus_shots[name]
+        assert e.converged
+        assert sum(grids) / 2000 <= 6.0
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+    def test_tf_matches_single_grid_newton(self, corpus_shots, name):
+        e, _ = corpus_shots[name]
+        assert abs(e.tf - CORPUS_SHOTS[name][2]) <= CORPUS_SHOTS[name][3]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+    def test_history_is_coarse_first_and_ends_on_requested_grid(self, corpus_shots, name):
+        e, _ = corpus_shots[name]
+        assert len(e.history_steps) == len(e.residual_history)
+        assert e.history_steps == sorted(e.history_steps)
+        assert set(e.history_steps) <= {250, 2000}
+        assert e.history_steps[-1] == 2000
+        assert e.residual_history[-1] < 1e-9
+        levels = len(set(e.history_steps))
+        assert e.newton_iterations == len(e.residual_history) - levels
+
+    def test_guess_meeting_tol_integrates_once(self, monkeypatch):
+        grids = _count_grids(monkeypatch)
+        guess = np.array(CORPUS_SHOTS["zermelo"][1])
+        e = ck.pmp_shoot(pr.zermelo_min_drift(), guess, steps=1000)
+        assert e.converged
+        assert grids == [1000]
+        assert e.history_steps == [1000]
+        assert e.newton_iterations == 0
+        assert np.array_equal(e.adjoint.states[0], guess[:2])
+
+    def test_abnormal_branch_reports_not_converged(self):
+        p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
+        e = ck.pmp_shoot(p, np.array([0.6, 0.8, 2.0]), p0=0.0)
+        assert e.residual.shape == (4,)
+        assert not e.converged
+        assert e.p0 == 0.0
+
+
+def _event_step_reference(rhs, maximizer, switching, t, z, h, n, p0):
+    """Event step as first written: switching signs evaluated at both ends."""
+    remaining = h
+    for _ in range(12):
+        u0 = np.atleast_1d(np.asarray(maximizer(t, z[:n], z[n:], p0), dtype=float))
+        frozen = lambda tt, zz: rhs(tt, zz, u0)
+        s0 = optctrl._switch_signs(switching, t, z, n, p0)
+        z_try = rk4_step(frozen, t, z, remaining)
+        s1 = optctrl._switch_signs(switching, t + remaining, z_try, n, p0)
+        if not np.any(s0 * s1 < 0.0):
+            return z_try
+        lo, hi = 0.0, remaining
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            z_mid = rk4_step(frozen, t, z, mid)
+            if np.any(s0 * optctrl._switch_signs(switching, t + mid, z_mid, n, p0) < 0.0):
+                hi = mid
+            else:
+                lo = mid
+        step = min(remaining, hi + 1e-10)
+        z = rk4_step(frozen, t, z, step)
+        t += step
+        remaining -= step
+        if remaining <= 0.0:
+            return z
+    return rk4_step(rhs, t, z, remaining)
+
+
+def test_event_location_reuses_signs_bit_for_bit():
+    p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
+    p_init, tf, steps = np.array([-0.8, -1.2]), 1.8, 2000
+    times, Z = ck.integrate_extremal(p, p_init, tf, steps, -1.0)
+
+    rhs = optctrl._ham_rhs(p, -1.0)
+    h = tf / steps
+    z = np.concatenate([p.x0, p_init])
+    ref = [z]
+    for k in range(steps):
+        z = _event_step_reference(rhs, p.maximizer, p.maximizer.switching, times[k], z, h, 2, -1.0)
+        ref.append(z)
+    assert np.array_equal(Z, np.array(ref))
+    # the guess's extremal crosses the switching curve
+    u = np.array([p.maximizer(t, x[:2], x[2:], -1.0)[0] for t, x in zip(times, Z)])
+    assert np.any(u[:-1] != u[1:])
 
 
 class TestMaximizers:
