@@ -357,7 +357,7 @@ def _switch_signs(switching, t, z, n, p0):
     return s
 
 
-def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0=None):
+def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0):
     """RK4 step that locates bang-bang switching times by bisection.
 
     Bang-bang controls are piecewise constant, so each substep freezes the
@@ -366,7 +366,7 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0=None):
     adjoint.  The integration lands 1e-10 past each crossing so the new sign
     is resolved against the maximizer's tie-break.
 
-    `s0` are the switching signs at (t, z) when the caller already has them.
+    `s0` are the switching signs at (t, z), or None if the caller has none.
     Returns the new state and its switching signs, or None for the signs
     when the step ended on a landed crossing.
     """
