@@ -357,7 +357,7 @@ def _switch_signs(switching, t, z, n, p0):
     return s
 
 
-def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0):
+def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
     """RK4 step that locates bang-bang switching times by bisection.
 
     Bang-bang controls are piecewise constant, so each substep freezes the
@@ -367,8 +367,9 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0):
     is resolved against the maximizer's tie-break.
 
     `s0` are the switching signs at (t, z), or None if the caller has none.
-    Returns the new state and its switching signs, or None for the signs
-    when the step ended on a landed crossing.
+    Returns the new state and its switching signs at `t_next`, the time the
+    caller's next step starts from.  The signs are None when the step ended
+    on a landed crossing or its end time is not exactly `t_next`.
     """
     remaining = h
     for _ in range(12):
@@ -379,7 +380,7 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0):
         z_try = rk4_step(frozen, t, z, remaining)
         s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
         if not np.any(s0 * s1 < 0.0):
-            return z_try, s1
+            return z_try, (s1 if t + remaining == t_next else None)
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -422,7 +423,9 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
         if switching is None:
             z = rk4_step(rhs, times[k], z, h)
         else:
-            z, signs = _event_step(rhs, p.maximizer, switching, times[k], z, h, n, p0, signs)
+            z, signs = _event_step(
+                rhs, p.maximizer, switching, times[k], z, h, n, p0, signs, times[k + 1]
+            )
         if not np.all(np.isfinite(z)):
             raise RiccatiBlowup(f"extremal integration blew up at t={times[k + 1]:.6g}")
         Z[k + 1] = z
@@ -471,13 +474,13 @@ def pmp_shoot(
     Newton runs on two grids.  A guess whose residual on the requested
     `steps` grid is already below `tol` is returned at once.  Otherwise
     Newton first runs on a coarse grid of `steps // 8` steps (skipped when
-    that is under 50 steps) until the coarse residual is below
+    `steps` < 8 leaves it empty) until the coarse residual is below
     max(tol, delta), where delta = ||r_fine - r_coarse|| at the guess is the
     coarse grid's discretization floor, or until a step fails.  It then
     continues on the requested grid, from the coarse iterate if that has the
     smaller fine residual and from the guess otherwise.  `converged` means
-    the residual on the requested grid is below `tol`; each grid allows up
-    to `newton_iters` steps.
+    the residual on the requested grid is below `tol`.  `newton_iters`
+    bounds the Newton iterations of both grids together.
 
     Newton steps are least-squares solves with singular values below
     1e-10 sigma_max cut off: these directions of the finite-difference
@@ -512,13 +515,17 @@ def pmp_shoot(
             r = np.concatenate([r, [p_init @ p_init - 1.0]])
         return r, (times, Z)
 
-    def newton(z, shot, grid, target):
-        """Damped Newton on the `grid`-step shooting map until ||r|| < target or a step fails."""
+    def newton(z, shot, grid, target, iters):
+        """Damped Newton on the `grid`-step shooting map until ||r|| < target or a step fails.
+
+        Runs at most `iters` iterations; returns the iterate, its shot and the
+        iterations run.
+        """
         history.append(float(np.linalg.norm(shot[0])))
         history_steps.append(grid)
-        for _ in range(newton_iters):
+        for it in range(iters):
             if history[-1] < target:
-                break
+                return z, shot, it
             r = shot[0]
             J = np.empty((r.shape[0], z.shape[0]))
             for k in range(z.shape[0]):
@@ -537,21 +544,22 @@ def pmp_shoot(
                     break
                 alpha *= 0.5
             else:
-                break
-        return z, shot
+                return z, shot, it + 1
+        return z, shot, iters
 
     shot = shoot(z, steps)
     coarse = steps // 8
-    if np.linalg.norm(shot[0]) >= tol and coarse >= 50:
+    used = 0
+    if np.linalg.norm(shot[0]) >= tol and coarse >= 1:
         coarse_shot = shoot(z, coarse)
         # The grids' disagreement at the guess: coarse Newton gains nothing below it.
         floor = float(np.linalg.norm(shot[0] - coarse_shot[0]))
-        z_coarse, _ = newton(z, coarse_shot, coarse, max(tol, floor))
+        z_coarse, _, used = newton(z, coarse_shot, coarse, max(tol, floor), newton_iters)
         if z_coarse is not z:  # newton hands back z itself when it took no step
             trial = shoot(z_coarse, steps)
             if np.linalg.norm(trial[0]) < np.linalg.norm(shot[0]):
                 z, shot = z_coarse, trial
-    z, (r, extremal) = newton(z, shot, steps, tol)
+    z, (r, extremal), _ = newton(z, shot, steps, tol, newton_iters - used)
 
     converged = history[-1] < tol
     tf = float(z[n]) if p.horizon is None else float(p.horizon)

@@ -123,6 +123,7 @@ class TestShootReport:
         assert res["residual_history"][-1] == res["residual_norm"]
         assert res["newton_iterations"] == len(steps) - len(set(steps))
 
+
 class TestCsv:
     def test_lq_csv_sibling_and_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))

@@ -1,5 +1,6 @@
 """Tests for Riccati LQ synthesis and PMP indirect shooting."""
 
+import dataclasses
 import math
 import time
 
@@ -158,7 +159,6 @@ class TestShootingRobustness:
         assert hist[-1] < hist[0]
 
 
-
 # Corpus shooting problems: builder, spec guess, and tf from single-grid
 # Newton at 2000 steps with the relative (brachistochrone, di_min_time) or
 # absolute (zermelo) tolerance the two-level Newton must stay within.
@@ -242,6 +242,25 @@ class TestTwoLevelShooting:
         assert e.newton_iterations == 0
         assert np.array_equal(e.adjoint.states[0], guess[:2])
 
+    @pytest.mark.parametrize("budget, converged", [(1, False), (3, False), (5, True)])
+    def test_newton_iters_bounds_both_grids_together(self, budget, converged):
+        build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=2000, newton_iters=budget)
+        assert e.newton_iterations == budget
+        assert e.converged == converged
+
+    def test_small_grid_still_takes_two_levels(self):
+        build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=200)
+        assert e.converged
+        assert set(e.history_steps) == {25, 200}
+
+    def test_grid_under_eight_steps_takes_one_level(self):
+        build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=4)
+        assert e.converged
+        assert set(e.history_steps) == {4}
+
     def test_abnormal_branch_reports_not_converged(self):
         p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
         e = ck.pmp_shoot(p, np.array([0.6, 0.8, 2.0]), p0=0.0)
@@ -278,9 +297,44 @@ def _event_step_reference(rhs, maximizer, switching, t, z, h, n, p0):
     return rk4_step(rhs, t, z, remaining)
 
 
-def test_event_location_reuses_signs_bit_for_bit():
+EVENT_TF, EVENT_STEPS = 1.8, 2000
+
+
+def _switch_between_step_ends():
+    """di_min_time whose switching function 1e5 (t - c) vanishes at c = t_k + h.
+
+    c lies one ulp above the grid time t_{k+1} = h (k + 1), so the signs at
+    the end of step k (0) and at the start of step k + 1 (-1) differ, and
+    only the latter sees the crossing inside step k + 1.
+    """
     p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
-    p_init, tf, steps = np.array([-0.8, -1.2]), 1.8, 2000
+    h = EVENT_TF / EVENT_STEPS
+    times = h * np.arange(EVENT_STEPS + 1)
+    k = next(k for k in range(EVENT_STEPS // 2, EVENT_STEPS) if times[k] + h > times[k + 1])
+    c = times[k] + h
+
+    def switching(t, x, pv, p0):
+        return np.array([1e5 * (t - c)])
+
+    def maximizer(t, x, pv, p0):
+        phi = switching(t, x, pv, p0)
+        u = np.sign(phi)
+        u[np.abs(phi) < 1e-12] = 0.0
+        return u
+
+    maximizer.switching = switching
+    maximizer.bang_bang = True
+    return dataclasses.replace(p, maximizer=maximizer)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: pr.double_integrator_min_time(np.array([1.0, 0.0])), _switch_between_step_ends],
+    ids=["di_min_time", "switch_between_step_ends"],
+)
+def test_event_location_reuses_signs_bit_for_bit(build):
+    p = build()
+    p_init, tf, steps = np.array([-0.8, -1.2]), EVENT_TF, EVENT_STEPS
     times, Z = ck.integrate_extremal(p, p_init, tf, steps, -1.0)
 
     rhs = optctrl._ham_rhs(p, -1.0)
