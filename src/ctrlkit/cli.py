@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import problems
-from .numcore import IntegrationBlowup
+from .numcore import DenseOutput, IntegrationBlowup
 from .lincontrol import (
     LtiSystem,
     LtvSystem,
@@ -153,17 +153,17 @@ def _tabulated_ltv(spec, path) -> LtvSystem:
     Bstack = _matrix(spec, "B", path)
     if Astack.ndim != 3 or Bstack.ndim != 3 or times.ndim != 1:
         raise SchemaError(f"{path}: ltv-tabulated needs 1D times and 3D A/B stacks")
-
-    def interp(stack):
-        def fun(t):
-            t = min(max(t, times[0]), times[-1])
-            i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
-            w = (t - times[i]) / (times[i + 1] - times[i])
-            return (1.0 - w) * stack[i] + w * stack[i + 1]
-
-        return fun
-
-    return LtvSystem(Astack.shape[1], Bstack.shape[2], interp(Astack), interp(Bstack))
+    if times.shape[0] < 2 or not np.all(np.diff(times) > 0):
+        raise SchemaError(f"{path}: ltv-tabulated needs >= 2 strictly increasing times")
+    if Astack.shape[0] != times.shape[0] or Bstack.shape[0] != times.shape[0]:
+        raise SchemaError(f"{path}: ltv-tabulated needs one A and one B per time")
+    # Tabulated data carry no derivatives: the dense output is piecewise linear.
+    return LtvSystem(
+        Astack.shape[1],
+        Bstack.shape[2],
+        DenseOutput(times, Astack),
+        DenseOutput(times, Bstack),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def cmd_shoot(args) -> dict:
     guess = spec.get("guess")
     if guess is None:
         raise SchemaError(f"{args.spec}: oc-problem requires a 'guess' vector")
-    ext = pmp_shoot(prob, np.asarray(guess, dtype=float), steps=args.steps)
+    ext = pmp_shoot(prob, np.asarray(guess, dtype=float), steps=args.steps, tol=args.tol)
     if not ext.converged:
         raise ShootingError(
             f"shooting did not converge (residual {ext.residual_history[-1]:.3e})",

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .numcore import (
+    DenseOutput,
     DimensionError,
     Trajectory,
     OdeProblem,
@@ -94,8 +95,9 @@ class LtvSystem:
     """Time-varying linear plant dx/dt = A(t) x + B(t) u + r(t).
 
     The evaluation callables must be stateless (they are invoked repeatedly
-    and possibly from concurrent contexts).  `B_derivative` is only consulted
-    by the time-varying Kalman test when available.
+    and possibly from concurrent contexts).  `B_derivative` is carried for
+    callers; nothing in ctrlkit reads it (the time-varying Kalman test
+    differentiates a Chebyshev fit of B instead).
     """
 
     n: int
@@ -280,6 +282,11 @@ def _transition_grid(sys, T: float, steps: int):
 
 def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
     """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt."""
+    return _gramian(sys, T, steps)[0]
+
+
+def _gramian(sys, T: float, steps: int):
+    """The Gramian report with the grid and R(T, t_i) it was assembled from."""
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if steps % 2 != 0:
@@ -295,7 +302,7 @@ def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
-    return GramianReport(T, G, w, C_T, C_T > 1e-12 * max(1.0, float(w[-1])))
+    return GramianReport(T, G, w, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +496,21 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     """Minimum-L2-norm control steering x0 to x1 in time T via the Gramian.
 
     Solves G_T psi = x1 - x*, with x* the free endpoint, and applies
-    u(t) = B(t)^T R(T, t)^T psi.  The closed system is re-simulated to
-    report the actual endpoint error.
+    u(t) = B(t)^T lambda(t) with the adjoint lambda(t) = R(T, t)^T psi.
+    Between grid nodes lambda is the cubic Hermite interpolant of its node
+    values and lambda' = -A(t)^T lambda, fourth order like the RK4 grid.
+    The closed system is re-simulated to report the actual endpoint error.
     """
     Afun, Bfun, rfun, n = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if steps % 2 != 0:
         steps += 1
-    rep = gramian(sys, T, steps)
+    rep, times, R = _gramian(sys, T, steps)
     if not rep.invertible:
         raise NotControllableError(
             f"Gramian is numerically singular (C_T = {rep.C_T:.3e})"
         )
-    times, R = _transition_grid(sys, T, steps)
     h = T / steps
     # Free endpoint x* = R(T,0) x0 + int_0^T R(T,t) r(t) dt.
     drift = np.empty((steps + 1, n))
@@ -512,21 +520,16 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     psi = np.linalg.solve(rep.G, x1 - x_star)
     cost = float(psi @ rep.G @ psi)
 
+    lam = psi @ np.asarray(R)  # row i is R(T, t_i)^T psi
+    lam_dot = np.empty_like(lam)
     samples = np.empty((steps + 1, np.asarray(Bfun(0.0)).shape[1]))
     for i, t in enumerate(times):
-        samples[i] = np.asarray(Bfun(t)).T @ R[i].T @ psi
+        lam_dot[i] = -np.asarray(Afun(t)).T @ lam[i]
+        samples[i] = np.asarray(Bfun(t)).T @ lam[i]
+    adjoint = DenseOutput(times, lam, lam_dot)
 
-    if isinstance(sys, LtiSystem):
-        A, B = sys.A, sys.B
-
-        def ufun(t):
-            return B.T @ expm((T - t) * A.T) @ psi
-
-    else:
-        traj = Trajectory(times, samples)
-
-        def ufun(t):
-            return traj.interp(t)
+    def ufun(t):
+        return np.asarray(Bfun(t)).T @ adjoint(t)
 
     law = ControlLaw("open_loop", ufun)
     endpoint = simulate_linear(sys, law, x0, T, steps).at_end()

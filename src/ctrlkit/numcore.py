@@ -1,15 +1,18 @@
 """Shared deterministic numerical kernels.
 
 Dense matrix exponential (Pade 13 with scaling and squaring), classical RK4
-integration on uniform grids, state-transition matrices, SVD-based numerical
-rank, and composite Simpson quadrature.  Everything here is a pure function
-of its inputs; all downstream modules build on these kernels so that results
-are bit-reproducible run to run.
+integration on uniform grids, dense output between grid nodes,
+state-transition matrices, SVD-based numerical rank, and composite Simpson
+quadrature.  Everything here is a pure function of its inputs; all
+downstream modules build on these kernels so that results are
+bit-reproducible run to run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +22,7 @@ __all__ = [
     "IntegrationBlowup",
     "GridError",
     "Trajectory",
+    "DenseOutput",
     "OdeProblem",
     "expm",
     "integrate",
@@ -75,10 +79,60 @@ class Trajectory:
         return self.states[-1]
 
     def interp(self, t: float) -> np.ndarray:
-        """Linear interpolation between grid nodes."""
-        return np.array(
-            [np.interp(t, self.times, self.states[:, k]) for k in range(self.dim)]
-        )
+        """Linear interpolation between grid nodes (clamped outside them)."""
+        return self._dense(t)
+
+    @cached_property
+    def _dense(self) -> "DenseOutput":
+        return DenseOutput(self.times, self.states)
+
+
+class DenseOutput:
+    """Dense output p(t) of a function sampled on a grid, y_k = y(t_k).
+
+    Given the exact derivatives y'(t_k) too, p is the piecewise-cubic Hermite
+    interpolant, accurate to O(h^4) like the RK4 sweep that made the samples
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  Given values alone it
+    is piecewise linear, (1 - w) y_k + w y_{k+1}.  Node values come back bit
+    for bit, t outside the grid is clamped to its ends, and the samples may
+    have any shape (axis 0 is time).
+    """
+
+    def __init__(self, times, values, derivatives=None):
+        t = np.asarray(times, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if t.ndim != 1 or t.shape[0] < 2 or y.shape[0] != t.shape[0]:
+            raise DimensionError("dense output needs >= 2 times and one sample per time")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("dense output times must be strictly increasing")
+        self._times = t.tolist()  # bisect on a list beats np.searchsorted per call
+        self._shape = y.shape[1:]
+        y = y.reshape(t.shape[0], -1)
+        if derivatives is None:
+            self._values = y
+            self._blocks = None
+            return
+        d = np.asarray(derivatives, dtype=float)
+        if d.shape[0] != t.shape[0] or d.shape[1:] != self._shape:
+            raise DimensionError("derivatives must have the shape of the values")
+        d = d.reshape(y.shape)
+        # Interval k holds (y_k, y'_k, y_k+1, y'_k+1): one dot product per call.
+        self._blocks = np.stack([y[:-1], d[:-1], y[1:], d[1:]], axis=1)
+
+    def __call__(self, t: float) -> np.ndarray:
+        g = self._times
+        t = min(max(t, g[0]), g[-1])
+        i = bisect_right(g, t, 1, len(g) - 1) - 1
+        h = g[i + 1] - g[i]
+        w = (t - g[i]) / h
+        if self._blocks is None:
+            p = (1.0 - w) * self._values[i] + w * self._values[i + 1]
+        else:
+            v = 1.0 - w
+            hwv = h * w * v
+            weights = (v * v * (1.0 + 2.0 * w), hwv * v, w * w * (3.0 - 2.0 * w), -hwv * w)
+            p = np.dot(weights, self._blocks[i])
+        return p.reshape(self._shape) if len(self._shape) != 1 else p
 
 
 @dataclass(frozen=True)
@@ -173,8 +227,10 @@ def expm(M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rk4_step(rhs, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, x)
+def rk4_step(rhs, t: float, x: np.ndarray, h: float, k1=None) -> np.ndarray:
+    """One classical RK4 step; `k1` is rhs(t, x) when the caller already has it."""
+    if k1 is None:
+        k1 = rhs(t, x)
     k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = rhs(t + h, x + h * k3)

@@ -1,4 +1,4 @@
-"""Optimal control: finite-horizon LQ via Riccati, tracking, and PMP shooting.
+"""Optimal control: finite-horizon LQ via Riccati, and PMP shooting.
 
 The LQ path integrates the matrix Riccati equation backward and returns the
 optimal state feedback.  The shooting path integrates the Hamiltonian system
@@ -10,11 +10,12 @@ Newton iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, Trajectory, rk4_step, simpson
+from .numcore import DenseOutput, DimensionError, Trajectory, rk4_step, simpson
 from .lincontrol import ControlLaw, LtiSystem, LtvSystem, _as_callables
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "riccati_solve",
     "lq_feedback",
     "lq_cost",
-    "tracking_gains",
     "pmp_shoot",
     "integrate_extremal",
     "hamiltonian_maximizer_box",
@@ -81,22 +81,26 @@ class LqProblem:
 class RiccatiSolution:
     grid: np.ndarray
     E: np.ndarray  # shape (nodes, n, n), symmetric at every node
+    dE: Optional[np.ndarray] = None  # E'(t) at every node, from the Riccati equation
 
     def at(self, t: float) -> np.ndarray:
-        """Linear interpolation of E between grid nodes."""
+        """E(t) between grid nodes: cubic Hermite with dE, linear without."""
         g = self.grid
         if t < g[0] - 1e-9 or t > g[-1] + 1e-9:
             raise ValueError(f"t={t} outside the Riccati grid [{g[0]}, {g[-1]}]")
-        t = min(max(t, g[0]), g[-1])
-        i = min(int(np.searchsorted(g, t, side="right")) - 1, len(g) - 2)
-        w = (t - g[i]) / (g[i + 1] - g[i])
-        return (1.0 - w) * self.E[i] + w * self.E[i + 1]
+        return self._dense(t)
+
+    @cached_property
+    def _dense(self) -> DenseOutput:
+        return DenseOutput(self.grid, self.E, self.dE)
 
 
 def _riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, T, steps):
+    """E and E' on the grid; E' at a node is the first RK4 stage leaving it."""
     n = Q.shape[0]
     grid = np.linspace(0.0, T, steps + 1)
     E = np.empty((steps + 1, n, n))
+    dE = np.empty((steps + 1, n * n))
     E[-1] = -Q
 
     def rhs(t, Eflat):
@@ -109,14 +113,17 @@ def _riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, T, steps):
     h = T / steps
     x = E[-1].ravel().copy()
     for k in range(steps, 0, -1):
-        x = rk4_step(rhs, grid[k], x, -h)
+        dE[k] = rhs(grid[k], x)
+        x = rk4_step(rhs, grid[k], x, -h, dE[k])
         Em = x.reshape(n, n)
         Em = 0.5 * (Em + Em.T)
         if np.linalg.norm(Em) > 1e8 or not np.all(np.isfinite(Em)):
             raise RiccatiBlowup(f"Riccati sweep blew up near t={grid[k - 1]:.6g}")
         E[k - 1] = Em
         x = Em.ravel()
-    return grid, E
+    dE[0] = rhs(grid[0], x)
+    dE = dE.reshape(steps + 1, n, n)
+    return grid, E, 0.5 * (dE + dE.transpose(0, 2, 1))
 
 
 def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
@@ -126,8 +133,7 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
     Ufun = _mat_fun(p.U)
     Uinvfun = lambda t: np.linalg.inv(Ufun(t))
     Q = np.atleast_2d(np.asarray(p.Q, dtype=float))
-    grid, E = _riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, p.T, steps)
-    return RiccatiSolution(grid, E)
+    return RiccatiSolution(*_riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, p.T, steps))
 
 
 def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> ControlLaw:
@@ -164,90 +170,6 @@ def lq_cost(p: LqProblem, law: ControlLaw, x0, steps: int = 2000):
     xT = traj.at_end()
     cost = simpson(running, p.T / steps) + float(xT @ Q @ xT)
     return cost, traj, np.asarray(controls)
-
-
-def _central4_vec(fun, z, k, h):
-    e = np.zeros_like(z)
-    e[k] = 1.0
-    return (
-        -fun(z + 2 * h * e)
-        + 8.0 * fun(z + h * e)
-        - 8.0 * fun(z - h * e)
-        + fun(z - 2 * h * e)
-    ) / (12.0 * h)
-
-
-def tracking_gains(
-    f: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    m: int,
-    xi: Trajectory,
-    W,
-    U,
-    Q,
-    steps: int = 1000,
-):
-    """LQ tracking of a reference trajectory xi of dx = f(t, x, u).
-
-    Linearizes f along (xi(t), 0), integrates the Riccati equation backward,
-    then the affine correction h backward (h' = -A'h - E(f(t,xi,0) - xi')
-    - E B U^-1 B' h, h(T) = 0).  Returns (RiccatiSolution, h grid values,
-    feedback law u(t, x) = U^-1 B' (E (x - xi) + h)).
-    """
-    n = xi.dim
-    T = float(xi.times[-1])
-    Wfun = _mat_fun(W)
-    Ufun = _mat_fun(U)
-    Qm = np.atleast_2d(np.asarray(Q, dtype=float))
-    xi_dot = np.gradient(xi.states, xi.times, axis=0)
-
-    def jacobians(t):
-        x = xi.interp(t)
-        u0 = np.zeros(m)
-        A = np.empty((n, n))
-        for k in range(n):
-            h = 1e-5 * max(1.0, abs(x[k]))
-            A[:, k] = _central4_vec(
-                lambda z: np.asarray(f(t, z, u0), dtype=float), x, k, h
-            )
-        B = np.empty((n, m))
-        for k in range(m):
-            B[:, k] = _central4_vec(
-                lambda w: np.asarray(f(t, x, w), dtype=float), u0, k, 1e-5
-            )
-        return A, B
-
-    Afun = lambda t: jacobians(t)[0]
-    Bfun = lambda t: jacobians(t)[1]
-    Uinvfun = lambda t: np.linalg.inv(Ufun(t))
-    grid, E = _riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Qm, T, steps)
-    sol = RiccatiSolution(grid, E)
-
-    def forcing(t):
-        x = xi.interp(t)
-        xd = np.array([np.interp(t, xi.times, xi_dot[:, k]) for k in range(n)])
-        return np.asarray(f(t, x, np.zeros(m)), dtype=float) - xd
-
-    def h_rhs(t, h):
-        A, B = jacobians(t)
-        Et = sol.at(t)
-        return -A.T @ h - Et @ forcing(t) - Et @ B @ Uinvfun(t) @ B.T @ h
-
-    hstep = T / steps
-    hvals = np.empty((steps + 1, n))
-    hvals[-1] = 0.0
-    hv = np.zeros(n)
-    for k in range(steps, 0, -1):
-        hv = rk4_step(h_rhs, grid[k], hv, -hstep)
-        hvals[k - 1] = hv
-
-    def law(t, x):
-        A, B = jacobians(t)
-        i = min(int(np.searchsorted(grid, min(max(t, 0.0), T), side="right")) - 1, steps - 1)
-        w = (t - grid[i]) / (grid[i + 1] - grid[i])
-        ht = (1.0 - w) * hvals[i] + w * hvals[i + 1]
-        return np.linalg.solve(Ufun(t), B.T @ (sol.at(t) @ (x - xi.interp(t)) + ht))
-
-    return sol, hvals, ControlLaw("feedback", law)
 
 
 # ---------------------------------------------------------------------------

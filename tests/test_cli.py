@@ -123,6 +123,52 @@ class TestShootReport:
         assert res["residual_history"][-1] == res["residual_norm"]
         assert res["newton_iterations"] == len(steps) - len(set(steps))
 
+    def test_tol_flag_stops_the_shoot(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))
+        argv = ["shoot", spec("brachistochrone.json"), "--steps", "400"]
+        assert main(argv + ["--tol=1e-3", "--out", "loose.json"]) == 0
+        assert main(argv + ["--out", "tight.json"]) == 0
+        loose = json.loads((tmp_path / "loose.json").read_text())
+        tight = json.loads((tmp_path / "tight.json").read_text())["results"]
+        assert loose["diagnostics"]["tol"] == 1e-3
+        res = loose["results"]
+        hist, steps = res["residual_history"], res["history_steps"]
+        assert 1e-9 < res["residual_norm"] < 1e-3
+        # On each grid Newton stops at the first residual below the flag.
+        for grid in set(steps):
+            level = [r for r, s in zip(hist, steps) if s == grid]
+            assert all(r >= 1e-3 for r in level[:-1])
+        assert res["newton_iterations"] < tight["newton_iterations"]
+
+
+class TestTabulatedLtv:
+    def tabulated(self, times):
+        # x1' = u, x2' = t x1: controllable, A(t) linear in t.
+        return {
+            "version": 1,
+            "kind": "ltv-tabulated",
+            "times": times,
+            "A": [[[0.0, 0.0], [t, 0.0]] for t in times],
+            "B": [[[1.0], [0.0]] for _ in times],
+        }
+
+    def test_analyze(self, tmp_path, capsys):
+        path = write_spec(tmp_path, self.tabulated([0.0, 0.5, 2.0]))
+        assert main(["analyze", path, "--t=1.0", "--T=2.0"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["ltv_kalman"]["satisfied"] is True
+        assert res["gramian"]["invertible"] is True
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 1.0], [1.0, 0.0]])
+    def test_bad_time_grid_is_input_error(self, tmp_path, times):
+        path = write_spec(tmp_path, self.tabulated(times))
+        assert main(["analyze", path, "--T=1.0"]) == 2
+
+    def test_stack_length_mismatch_is_input_error(self, tmp_path):
+        obj = self.tabulated([0.0, 1.0])
+        obj["B"] = obj["B"][:1]
+        assert main(["analyze", write_spec(tmp_path, obj), "--T=1.0"]) == 2
+
 
 class TestCsv:
     def test_lq_csv_sibling_and_format(self, tmp_path, monkeypatch):

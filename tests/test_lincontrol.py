@@ -1,6 +1,8 @@
 """Tests for linear controllability: Kalman/Hautus, Brunovski, Gramian, HUM,
 time-varying rank tests, and Lie-bracket rank."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,25 @@ class TestGramianAndHum:
         assert np.max(np.abs(u - (6.0 - 12.0 * res.times))) < 1e-6
         assert res.endpoint_error < 1e-6
         assert abs(res.cost - 12.0) < 1e-8
+
+    def test_ltv_hum_endpoint_is_fourth_order(self):
+        # Dubins: the control interpolates the adjoint R(T, t)^T psi by cubic
+        # Hermite, so the endpoint error keeps the RK4 order.
+        T = 2.0 * math.pi
+        sys = pr.dubins_linearized(T)
+        x1 = np.array([1.0, 0.0, 0.0])
+        errs = [
+            ck.hum_control_finite(sys, T, np.zeros(3), x1, steps).endpoint_error
+            for steps in (50, 100, 200)
+        ]
+        assert min(errs) > 1e-11  # well above roundoff
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
+    def test_control_at_nodes_is_the_sampled_control(self):
+        res = ck.hum_control_finite(pr.rlc(), 2.0, np.zeros(2), np.array([0.3, -0.2]), 200)
+        u = np.array([res.law(t) for t in res.times])
+        assert np.array_equal(u, res.samples)
 
     def test_gramian_cost_identity(self):
         # optimal cost equals psi . (x1 - x*) for steering from zero

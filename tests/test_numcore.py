@@ -1,4 +1,5 @@
-"""Tests for the numerical core: expm, RK4 integration, Simpson, rank."""
+"""Tests for the numerical core: expm, RK4 integration, dense output,
+Simpson, rank."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctrlkit import (
+    DenseOutput,
     DimensionError,
     IntegrationBlowup,
     OdeProblem,
@@ -172,3 +174,63 @@ class TestTransitionMatrix:
         # x' = t x -> Phi(t, 0) = exp(t^2 / 2)
         Phi = transition_matrix(lambda t: np.array([[t]]), 1.0, 0.0, steps=400)
         assert abs(Phi[0, 0] - math.exp(0.5)) < 1e-9
+
+
+def _cubic(t):
+    return np.stack([1.0 - 2.0 * t + 0.5 * t**3, 3.0 * t**2 - t**3], axis=-1)
+
+
+def _cubic_dot(t):
+    return np.stack([-2.0 + 1.5 * t**2, 6.0 * t - 3.0 * t**2], axis=-1)
+
+
+# A non-uniform grid, and one as the RK4 sweeps build it.
+GRIDS = [np.array([-1.0, -0.3, 0.2, 0.25, 1.1, 2.0]), np.linspace(0.0, 2.0, 2001)]
+
+
+class TestDenseOutput:
+    @pytest.mark.parametrize("g", GRIDS)
+    @pytest.mark.parametrize("with_derivatives", [False, True])
+    def test_node_values_bit_exact(self, g, with_derivatives):
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(g.size, 2, 2))
+        d = rng.normal(size=y.shape) if with_derivatives else None
+        dense = DenseOutput(g, y, d)
+        for k, t in enumerate(g):
+            assert np.array_equal(dense(t), y[k])
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_reproduces_a_cubic(self, g):
+        dense = DenseOutput(g, _cubic(g), _cubic_dot(g))
+        ts = np.random.default_rng(4).uniform(g[0], g[-1], 200)
+        got = np.array([dense(t) for t in ts])
+        assert np.max(np.abs(got - _cubic(ts))) < 1e-13
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_values_only_is_the_linear_formula(self, g):
+        y = np.random.default_rng(5).normal(size=(g.size, 3))
+        dense = DenseOutput(g, y)
+        for t in np.random.default_rng(6).uniform(g[0], g[-1], 200):
+            i = min(int(np.searchsorted(g, t, side="right")) - 1, len(g) - 2)
+            w = (t - g[i]) / (g[i + 1] - g[i])
+            assert np.array_equal(dense(t), (1.0 - w) * y[i] + w * y[i + 1])
+
+    def test_clamps_outside_the_grid(self):
+        g = GRIDS[0]
+        dense = DenseOutput(g, _cubic(g), _cubic_dot(g))
+        assert np.array_equal(dense(g[0] - 5.0), _cubic(g[0]))
+        assert np.array_equal(dense(g[-1] + 5.0), _cubic(g[-1]))
+
+    def test_scalar_samples_give_scalars(self):
+        g = np.linspace(0.0, 1.0, 5)
+        assert DenseOutput(g, g**2, 2.0 * g)(0.3).shape == ()
+
+    def test_rejects_bad_grids(self):
+        with pytest.raises(DimensionError):
+            DenseOutput([0.0], [[1.0]])
+        with pytest.raises(DimensionError):
+            DenseOutput([0.0, 1.0], [[1.0]])
+        with pytest.raises(DimensionError):
+            DenseOutput([0.0, 1.0], [[1.0], [2.0]], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            DenseOutput([0.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])

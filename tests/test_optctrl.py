@@ -37,6 +37,30 @@ class TestRiccati:
         got = np.array([sol.at(t)[0, 0] for t in ts])
         assert np.max(np.abs(got - exact)) < 1e-8
 
+    def test_closed_loop_cost_is_fourth_order(self):
+        # Hermite dense output of E keeps the RK4 order of the sweep; linear
+        # interpolation at the half-steps gave order 2.
+        p = scalar_lq()
+        errs = []
+        for steps in (50, 100, 200):
+            sol = ck.riccati_solve(p, steps)
+            cost, _, _ = ck.lq_cost(p, ck.lq_feedback(sol, p), np.array([1.0]), steps)
+            errs.append(abs(cost - math.tanh(2.0)))
+        assert min(errs) > 1e-11  # well above roundoff
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
+    def test_linear_fallback_without_derivatives(self):
+        sol = ck.riccati_solve(scalar_lq(), steps=200)
+        linear = optctrl.RiccatiSolution(sol.grid, sol.E)
+        g = sol.grid
+        t = 0.5 * (g[7] + g[8])
+        w = (t - g[7]) / (g[8] - g[7])
+        assert np.array_equal(linear.at(t), (1.0 - w) * sol.E[7] + w * sol.E[8])
+        # Between nodes Hermite keeps the 1e-10 node error of the sweep.
+        assert abs(sol.at(t)[0, 0] + math.tanh(2.0 - t)) < 1e-9
+        assert abs(linear.at(t)[0, 0] + math.tanh(2.0 - t)) > 1e-7
+
     def test_cost_equals_value(self):
         p = scalar_lq()
         sol = ck.riccati_solve(p, steps=2000)
