@@ -81,10 +81,10 @@ class LqProblem:
 class RiccatiSolution:
     grid: np.ndarray
     E: np.ndarray  # shape (nodes, n, n), symmetric at every node
-    dE: Optional[np.ndarray] = None  # E'(t) at every node, from the Riccati equation
+    dE: np.ndarray  # E'(t) at every node, from the Riccati equation
 
     def at(self, t: float) -> np.ndarray:
-        """E(t) between grid nodes: cubic Hermite with dE, linear without."""
+        """E(t) between grid nodes, cubic Hermite from E and dE."""
         g = self.grid
         if t < g[0] - 1e-9 or t > g[-1] + 1e-9:
             raise ValueError(f"t={t} outside the Riccati grid [{g[0]}, {g[-1]}]")

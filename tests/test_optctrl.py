@@ -10,7 +10,7 @@ import pytest
 import ctrlkit as ck
 from ctrlkit import LtiSystem
 from ctrlkit import optctrl
-from ctrlkit.numcore import rk4_step
+from ctrlkit.numcore import DenseOutput, rk4_step
 from ctrlkit.optctrl import LqProblem
 from ctrlkit import problems as pr
 
@@ -50,16 +50,14 @@ class TestRiccati:
         for coarse, fine in zip(errs, errs[1:]):
             assert math.log2(coarse / fine) >= 3.5
 
-    def test_linear_fallback_without_derivatives(self):
+    def test_between_nodes_hermite_beats_linear(self):
         sol = ck.riccati_solve(scalar_lq(), steps=200)
-        linear = optctrl.RiccatiSolution(sol.grid, sol.E)
+        linear = DenseOutput(sol.grid, sol.E)
         g = sol.grid
         t = 0.5 * (g[7] + g[8])
-        w = (t - g[7]) / (g[8] - g[7])
-        assert np.array_equal(linear.at(t), (1.0 - w) * sol.E[7] + w * sol.E[8])
         # Between nodes Hermite keeps the 1e-10 node error of the sweep.
         assert abs(sol.at(t)[0, 0] + math.tanh(2.0 - t)) < 1e-9
-        assert abs(linear.at(t)[0, 0] + math.tanh(2.0 - t)) > 1e-7
+        assert abs(linear(t)[0, 0] + math.tanh(2.0 - t)) > 1e-7
 
     def test_cost_equals_value(self):
         p = scalar_lq()
