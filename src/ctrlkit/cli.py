@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import problems
+from . import __version__, problems
 from .numcore import DenseOutput, IntegrationBlowup
 from .lincontrol import (
     LtiSystem,
@@ -53,8 +53,6 @@ from .specpde import (
     moment_heat_control,
     semilinear_stabilize,
 )
-
-VERSION = "0.1.0"
 
 _NUMERICAL_ERRORS = (
     NotControllableError,
@@ -106,6 +104,9 @@ def _load_spec(path: str, allowed_kinds) -> dict:
     kind = spec.get("kind")
     if kind not in allowed_kinds:
         raise SchemaError(f"{path}: kind {kind!r} not valid here; expected {sorted(allowed_kinds)}")
+    unknown = set(spec) - _FIELDS[kind]
+    if unknown:
+        raise SchemaError(f"{path}: unknown fields {sorted(unknown)} for kind {kind}")
     spec["_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
     return spec
 
@@ -123,28 +124,11 @@ _FIELDS = {
 }
 
 
-def _check_fields(spec: dict, path: str):
-    allowed = _FIELDS[spec["kind"]] | {"_digest"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise SchemaError(f"{path}: unknown fields {sorted(unknown)} for kind {spec['kind']}")
-
-
 def _matrix(spec, key, path):
     try:
         return np.array(spec[key], dtype=float)
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{path}: field {key!r} missing or not numeric")
-
-
-def _builtin_ltv(name: str, params: dict) -> LtvSystem:
-    if name == "dubins":
-        return problems.dubins_linearized(float(params.get("T", 2.0 * np.pi)))
-    if name == "rotating-frame":
-        return problems.rotating_frame()
-    if name == "triangular-ltv":
-        return problems.triangular_ltv()
-    raise SchemaError(f"unknown time-varying builtin {name!r}")
 
 
 def _tabulated_ltv(spec, path) -> LtvSystem:
@@ -173,64 +157,36 @@ def _tabulated_ltv(spec, path) -> LtvSystem:
 
 def cmd_analyze(args) -> dict:
     spec = _load_spec(args.spec, {"lti", "ltv-tabulated", "nonlinear-builtin"})
-    _check_fields(spec, args.spec)
-    results: dict = {}
-    tol = args.tol
     if spec["kind"] == "lti":
         sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
-        results.update(_analyze_lti(sys_, tol, args))
+        results = _analyze_lti(sys_, args)
     elif spec["kind"] == "ltv-tabulated":
-        sys_ = _tabulated_ltv(spec, args.spec)
-        results.update(_analyze_ltv(sys_, tol, args))
+        results = _analyze_ltv(_tabulated_ltv(spec, args.spec), args)
     else:
         name = spec.get("name")
-        params = spec.get("params", {}) or {}
-        if name in ("dubins", "rotating-frame", "triangular-ltv"):
-            results["builtin"] = name
-            results.update(_analyze_ltv(_builtin_ltv(name, params), tol, args))
-        elif name == "rlc":
-            results["builtin"] = name
-            results.update(_analyze_lti(problems.rlc(**params), tol, args))
-        elif name == "double-integrator":
-            results["builtin"] = name
-            results.update(_analyze_lti(problems.double_integrator(), tol, args))
-        elif name == "coupled-springs":
-            results["builtin"] = name
-            results.update(
-                _analyze_lti(
-                    problems.coupled_springs(
-                        float(params.get("k1", 1.0)), float(params.get("k2", 1.0))
-                    ),
-                    tol,
-                    args,
-                )
-            )
-        elif name == "pendulum":
-            results["builtin"] = name
-            f = problems.pendulum_dynamics(**params)
-            lin = linearize(f, np.zeros(4), np.zeros(1))
-            results.update(_analyze_lti(lin, tol, args))
-        elif name == "maxwell-bloch":
-            results["builtin"] = name
-            fam = int(params.get("family", 1))
-            first = float(params.get("first", 1.0))
-            cpar = float(params.get("c", 0.0))
-            xbar, ubar = problems.maxwell_bloch_equilibrium(fam, first, cpar)
-            f = problems.maxwell_bloch_dynamics()
-            lin = linearize(f, xbar, ubar)
-            results["equilibrium"] = {"x": xbar, "u": ubar}
-            results.update(_analyze_lti(lin, tol, args))
-        elif name == "heisenberg":
-            results["builtin"] = name
-            x = np.asarray(params.get("x", [0.0, 0.0, 0.0]), dtype=float)
-            rank, ok = larc_rank(problems.heisenberg_fields(), x, depth=2)
-            results["larc"] = {"rank": rank, "satisfied": ok}
-        else:
+        if name not in _ANALYZE_BUILTINS:
             raise SchemaError(f"{args.spec}: unknown builtin {name!r}")
+        results = {"builtin": name}
+        results.update(_ANALYZE_BUILTINS[name](spec.get("params", {}) or {}, args))
     return _report("analyze", spec, results, args)
 
 
-def _analyze_lti(sys_: LtiSystem, tol, args) -> dict:
+def _analyze_maxwell_bloch(params, args) -> dict:
+    xbar, ubar = problems.maxwell_bloch_equilibrium(
+        int(params.get("family", 1)), float(params.get("first", 1.0)), float(params.get("c", 0.0))
+    )
+    lin = linearize(problems.maxwell_bloch_dynamics(), xbar, ubar)
+    return {"equilibrium": {"x": xbar, "u": ubar}, **_analyze_lti(lin, args)}
+
+
+def _analyze_heisenberg(params, args) -> dict:
+    x = np.asarray(params.get("x", [0.0, 0.0, 0.0]), dtype=float)
+    rank, ok = larc_rank(problems.heisenberg_fields(), x, depth=2)
+    return {"larc": {"rank": rank, "satisfied": ok}}
+
+
+def _analyze_lti(sys_: LtiSystem, args) -> dict:
+    tol = args.tol
     rep = kalman_test(sys_, tol)
     ok, per_eig = hautus_test(sys_, tol)
     _, _, _, _, _, r = controllable_decomposition(sys_, tol)
@@ -254,13 +210,40 @@ def _analyze_lti(sys_: LtiSystem, tol, args) -> dict:
     return out
 
 
-def _analyze_ltv(sys_: LtvSystem, tol, args) -> dict:
-    rank, ok = ltv_kalman_test(sys_, args.t, depth=args.depth, tol=max(tol, 1e-7))
+def _analyze_ltv(sys_: LtvSystem, args) -> dict:
+    rank, ok = ltv_kalman_test(sys_, args.t, depth=args.depth, tol=max(args.tol, 1e-7))
     out = {"ltv_kalman": {"t": args.t, "depth": args.depth, "rank": rank, "satisfied": ok}}
     if args.T is not None:
         g = gramian(sys_, args.T, args.steps)
         out["gramian"] = {"T": g.horizon, "C_T": g.C_T, "invertible": g.invertible}
     return out
+
+
+# Builtin name -> (params, args) -> analyze results.
+_ANALYZE_BUILTINS = {
+    "dubins": lambda p, a: _analyze_ltv(
+        problems.dubins_linearized(float(p.get("T", 2.0 * np.pi))), a
+    ),
+    "rotating-frame": lambda p, a: _analyze_ltv(problems.rotating_frame(), a),
+    "triangular-ltv": lambda p, a: _analyze_ltv(problems.triangular_ltv(), a),
+    "rlc": lambda p, a: _analyze_lti(problems.rlc(**p), a),
+    "double-integrator": lambda p, a: _analyze_lti(problems.double_integrator(), a),
+    "coupled-springs": lambda p, a: _analyze_lti(
+        problems.coupled_springs(float(p.get("k1", 1.0)), float(p.get("k2", 1.0))), a
+    ),
+    "pendulum": lambda p, a: _analyze_lti(
+        linearize(problems.pendulum_dynamics(**p), np.zeros(4), np.zeros(1)), a
+    ),
+    "maxwell-bloch": _analyze_maxwell_bloch,
+    "heisenberg": _analyze_heisenberg,
+}
+
+# Builtin name -> params -> the LtiSystem whose poles stabilize places.
+_STABILIZE_BUILTINS = {
+    "pendulum": lambda p: problems.pendulum_linear(**p),
+    "double-integrator": lambda p: problems.double_integrator(),
+    "rlc": lambda p: problems.rlc(**p),
+}
 
 
 def cmd_stabilize(args) -> dict:
@@ -284,20 +267,13 @@ def cmd_stabilize(args) -> dict:
     if args.spec is None:
         raise SchemaError("stabilize needs a spec file or --routh")
     spec = _load_spec(args.spec, {"lti", "nonlinear-builtin"})
-    _check_fields(spec, args.spec)
     if spec["kind"] == "lti":
         sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
     else:
         name = spec.get("name")
-        params = spec.get("params", {}) or {}
-        if name == "pendulum":
-            sys_ = problems.pendulum_linear(**params)
-        elif name == "double-integrator":
-            sys_ = problems.double_integrator()
-        elif name == "rlc":
-            sys_ = problems.rlc(**params)
-        else:
+        if name not in _STABILIZE_BUILTINS:
             raise SchemaError(f"{args.spec}: builtin {name!r} not supported by stabilize")
+        sys_ = _STABILIZE_BUILTINS[name](spec.get("params", {}) or {})
     if args.poles is None:
         raise SchemaError("stabilize needs --poles when a spec is given")
     poles = [float(x) for x in args.poles.split(",")]
@@ -316,7 +292,6 @@ def cmd_stabilize(args) -> dict:
 
 def cmd_lq(args) -> dict:
     spec = _load_spec(args.spec, {"lq"})
-    _check_fields(spec, args.spec)
     sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
     prob = LqProblem(
         sys=sys_,
@@ -353,7 +328,6 @@ _OC_BUILDERS = {
 
 def cmd_shoot(args) -> dict:
     spec = _load_spec(args.spec, {"oc-problem"})
-    _check_fields(spec, args.spec)
     name = spec.get("name")
     if name not in _OC_BUILDERS:
         raise SchemaError(f"{args.spec}: unknown optimal control builtin {name!r}")
@@ -387,7 +361,6 @@ def cmd_shoot(args) -> dict:
 
 def cmd_pde(args) -> dict:
     spec = _load_spec(args.spec, {"spectral-1d"})
-    _check_fields(spec, args.spec)
     task = spec.get("task")
     L = float(spec.get("L", 1.0))
     N = int(spec.get("N", 8))
@@ -483,7 +456,7 @@ def _traj_csv(times, states, *extra) -> str:
 def _report(command: str, spec: dict, results: dict, args, csv: str | None = None) -> dict:
     report = {
         "command": command,
-        "tool_version": VERSION,
+        "tool_version": __version__,
         "input_digest": spec.get("_digest", ""),
         "diagnostics": {
             "tol": args.tol,
@@ -558,10 +531,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_flags(args) -> None:
+    if args.steps < 1:
+        raise SchemaError(f"--steps must be >= 1, got {args.steps}")
+    if not 0.0 < args.tol < 1.0:
+        raise SchemaError(f"--tol must lie in (0, 1), got {args.tol}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_flags(args)
         report = args.fn(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -21,10 +21,10 @@ from .numcore import (
     Trajectory,
     OdeProblem,
     expm,
+    fd_jacobian,
     integrate,
     numerical_rank,
     rk4_step,
-    simpson_matrix,
     simpson,
 )
 
@@ -95,9 +95,7 @@ class LtvSystem:
     """Time-varying linear plant dx/dt = A(t) x + B(t) u + r(t).
 
     The evaluation callables must be stateless (they are invoked repeatedly
-    and possibly from concurrent contexts).  `B_derivative` is carried for
-    callers; nothing in ctrlkit reads it (the time-varying Kalman test
-    differentiates a Chebyshev fit of B instead).
+    and possibly from concurrent contexts).
     """
 
     n: int
@@ -105,7 +103,6 @@ class LtvSystem:
     A: Callable[[float], np.ndarray]
     B: Callable[[float], np.ndarray]
     r: Optional[Callable[[float], np.ndarray]] = None
-    B_derivative: Optional[Callable[[float], np.ndarray]] = None
 
 
 @dataclass
@@ -181,8 +178,7 @@ def hautus_test(sys: LtiSystem, tol: float = 1e-9):
     ok = True
     for lam in eigs:
         M = np.hstack([lam * np.eye(sys.n) - sys.A, sys.B.astype(complex)])
-        sv = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.count_nonzero(sv > tol * sv[0])) if sv[0] > 0 else 0
+        rank = numerical_rank(M, tol)
         per_eig.append((complex(lam), rank))
         ok = ok and rank == sys.n
     return ok, per_eig
@@ -195,8 +191,8 @@ def controllable_decomposition(sys: LtiSystem, tol: float = 1e-9):
     P B = [[B1], [0]], where r is the controllable rank.
     """
     K = kalman_matrix(sys.A, sys.B)
-    U, sv, _ = np.linalg.svd(K)
-    r = int(np.count_nonzero(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    r = numerical_rank(K, tol)
+    U = np.linalg.svd(K)[0]
     # U's columns are orthonormal: the first r span the controllable subspace.
     P = U.T  # P^-1 = U
     Ab = P @ sys.A @ U
@@ -298,7 +294,7 @@ def _gramian(sys, T: float, steps: int):
     for i, t in enumerate(times):
         RB = R[i] @ np.asarray(Bfun(t), dtype=float)
         integrand[i] = RB @ RB.T
-    G = simpson_matrix(integrand, h)
+    G = simpson(integrand, h)
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
@@ -418,23 +414,11 @@ def lie_bracket(X: VectorField, Y: VectorField, x: np.ndarray) -> np.ndarray:
     ) @ np.asarray(Y.value(x))
 
 
-def _fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    f0 = np.asarray(fun(x))
-    J = np.empty((f0.shape[0], n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        J[:, k] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2 * h)
-    return J
-
-
 def _bracket_field(X: VectorField, Y: VectorField) -> VectorField:
     def value(x):
         return lie_bracket(X, Y, x)
 
-    return VectorField(value=value, jacobian=lambda x: _fd_jacobian(value, x))
+    return VectorField(value=value, jacobian=lambda x: fd_jacobian(value, x, 1e-5))
 
 
 def larc_rank(fields: VectorFieldSet, x: np.ndarray, depth: int = 3, tol: float = 1e-7):
@@ -516,7 +500,7 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     drift = np.empty((steps + 1, n))
     for i, t in enumerate(times):
         drift[i] = R[i] @ rfun(t)
-    x_star = R[0] @ x0 + simpson_matrix(drift, h)
+    x_star = R[0] @ x0 + simpson(drift, h)
     psi = np.linalg.solve(rep.G, x1 - x_star)
     cost = float(psi @ rep.G @ psi)
 

@@ -2,10 +2,10 @@
 
 Dense matrix exponential (Pade 13 with scaling and squaring), classical RK4
 integration on uniform grids, dense output between grid nodes,
-state-transition matrices, SVD-based numerical rank, and composite Simpson
-quadrature.  Everything here is a pure function of its inputs; all
-downstream modules build on these kernels so that results are
-bit-reproducible run to run.
+state-transition matrices, finite-difference Jacobians, SVD-based numerical
+rank, and composite Simpson quadrature.  Everything here is a pure function
+of its inputs; all downstream modules build on these kernels so that results
+are bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +28,10 @@ __all__ = [
     "integrate",
     "rk4_step",
     "transition_matrix",
+    "fd_jacobian",
     "numerical_rank",
     "simpson",
-    "simpson_matrix",
+    "simpson_weights",
 ]
 
 
@@ -286,15 +287,51 @@ def transition_matrix(A, t: float, s: float, steps: int = 200) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rank and quadrature
+# Finite differences, rank and quadrature
 # ---------------------------------------------------------------------------
 
 
+def fd_jacobian(fun, x, h, scheme: str = "central", f0=None) -> np.ndarray:
+    """Finite-difference Jacobian of `fun` at `x`; column k steps x_k by h_k.
+
+    `h` is a scalar or one step per coordinate.  Schemes: "forward",
+    (fun(x + h_k e_k) - f0) / h_k against the value f0 = fun(x) the caller
+    already has, first order; "central", second order; "central4", the
+    five-point stencil, fourth order.  A scalar `fun` gives a 1 x n row.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+    if scheme not in ("forward", "central", "central4"):
+        raise ValueError(f"unknown finite-difference scheme {scheme!r}")
+    if scheme == "forward" and f0 is None:
+        raise ValueError("the forward scheme needs f0 = fun(x)")
+    columns = []
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = h[k]
+
+        def f(s):
+            return np.atleast_1d(np.asarray(fun(x + s * e), dtype=float))
+
+        if scheme == "forward":
+            columns.append((f(1.0) - f0) / h[k])
+        elif scheme == "central":
+            columns.append((f(1.0) - f(-1.0)) / (2.0 * h[k]))
+        else:
+            columns.append((-f(2.0) + 8.0 * f(1.0) - 8.0 * f(-1.0) + f(-2.0)) / (12.0 * h[k]))
+    if not columns:  # no coordinates: an m x 0 Jacobian
+        return np.empty((np.atleast_1d(fun(x)).shape[0], 0))
+    return np.column_stack(columns)
+
+
 def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Number of singular values above rel_tol times the largest one."""
+    """Number of singular values above rel_tol times the largest one.
+
+    Complex matrices keep their imaginary part.
+    """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
@@ -303,23 +340,31 @@ def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def simpson(samples: Sequence[float], step: float) -> float:
-    """Composite Simpson rule on a uniform grid with an odd sample count."""
-    y = np.asarray(samples, dtype=float)
-    if y.shape[0] < 3 or y.shape[0] % 2 == 0:
-        raise GridError(f"Simpson needs an odd sample count >= 3, got {y.shape[0]}")
+def _check_simpson_grid(count: int, step: float) -> None:
+    if count < 3 or count % 2 == 0:
+        raise GridError(f"Simpson needs an odd sample count >= 3, got {count}")
     if step <= 0:
         raise GridError("step must be positive")
-    return float(step / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def simpson_matrix(samples: np.ndarray, step: float) -> np.ndarray:
-    """Simpson rule applied entrywise to a stack of matrices (axis 0 is time)."""
+def simpson(samples, step: float):
+    """Composite Simpson rule along axis 0 on a uniform grid, odd sample count.
+
+    Returns a float for 1-D samples and an array for a stack (e.g. of
+    matrices, integrated entrywise).
+    """
     y = np.asarray(samples, dtype=float)
-    if y.shape[0] < 3 or y.shape[0] % 2 == 0:
-        raise GridError(f"Simpson needs an odd sample count >= 3, got {y.shape[0]}")
-    if step <= 0:
-        raise GridError("step must be positive")
-    return step / 3.0 * (
+    _check_simpson_grid(y.shape[0], step)
+    total = step / 3.0 * (
         y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-1:2].sum(axis=0)
     )
+    return float(total) if y.ndim == 1 else total
+
+
+def simpson_weights(count: int, step: float) -> np.ndarray:
+    """Composite Simpson weights (h/3)(1, 4, 2, 4, ..., 2, 4, 1) for `count` nodes."""
+    _check_simpson_grid(count, step)
+    w = np.ones(count)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (step / 3.0)

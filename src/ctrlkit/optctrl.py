@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DenseOutput, DimensionError, Trajectory, rk4_step, simpson
+from .numcore import DenseOutput, DimensionError, Trajectory, fd_jacobian, rk4_step, simpson
 from .lincontrol import ControlLaw, LtiSystem, LtvSystem, _as_callables
 
 __all__ = [
@@ -258,15 +258,8 @@ def _ham_rhs(p: OcProblem, p0):
         if p.hamiltonian_dx is not None:
             dHdx = np.asarray(p.hamiltonian_dx(t, x, pv, p0, u), dtype=float)
         else:
-            dHdx = np.empty(n)
-            for k in range(n):
-                h = 1e-6 * (1.0 + abs(x[k]))
-                e = np.zeros(n)
-                e[k] = h
-                dHdx[k] = (
-                    _hamiltonian(p, t, x + e, pv, p0, u)
-                    - _hamiltonian(p, t, x - e, pv, p0, u)
-                ) / (2.0 * h)
+            H = lambda xv: _hamiltonian(p, t, xv, pv, p0, u)
+            dHdx = fd_jacobian(H, x, 1e-6 * (1.0 + np.abs(x)))[0]
         return np.concatenate([fx, -dHdx])
 
     return rhs
@@ -365,7 +358,8 @@ def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):
         Fv = np.atleast_1d(np.asarray(p.F(x_f), dtype=float))
         dF = np.atleast_2d(np.asarray(p.F_jacobian(x_f), dtype=float))
         pieces.append(Fv)
-        # Tangent basis of the manifold: null space of the gradient rows.
+        # Tangent basis of the manifold: null space of the gradient rows.  The
+        # count has an absolute floor, max(1, sigma_0), so it is not numerical_rank.
         _, sv, Vt = np.linalg.svd(dF)
         q = int(np.count_nonzero(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
         tangent = Vt[q:]
@@ -449,12 +443,8 @@ def pmp_shoot(
             if history[-1] < target:
                 return z, shot, it
             r = shot[0]
-            J = np.empty((r.shape[0], z.shape[0]))
-            for k in range(z.shape[0]):
-                h = jacobian_step * (1.0 + abs(z[k]))
-                e = np.zeros_like(z)
-                e[k] = h
-                J[:, k] = (shoot(z + e, grid)[0] - r) / h
+            h = jacobian_step * (1.0 + np.abs(z))
+            J = fd_jacobian(lambda zv: shoot(zv, grid)[0], z, h, "forward", r)
             step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
             alpha = 1.0
             for _ in range(30):

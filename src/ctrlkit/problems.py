@@ -157,21 +157,13 @@ def dubins_linearized(T: float) -> LtvSystem:
         )
 
     B = np.array([[0.0], [0.0], [1.0]])
-    return LtvSystem(
-        3, 1, A, lambda t: B, B_derivative=lambda t: np.zeros((3, 1))
-    )
+    return LtvSystem(3, 1, A, lambda t: B)
 
 
 def rotating_frame() -> LtvSystem:
     """x' = -y + u cos t, y' = x + u sin t; never controllable."""
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return LtvSystem(
-        2,
-        1,
-        lambda t: A,
-        lambda t: np.array([[np.cos(t)], [np.sin(t)]]),
-        B_derivative=lambda t: np.array([[-np.sin(t)], [np.cos(t)]]),
-    )
+    return LtvSystem(2, 1, lambda t: A, lambda t: np.array([[np.cos(t)], [np.sin(t)]]))
 
 
 def triangular_ltv() -> LtvSystem:
@@ -185,7 +177,7 @@ def triangular_ltv() -> LtvSystem:
         return np.array([[t, 1.0, 0.0], [0.0, t**3, 0.0], [0.0, 0.0, t**2]])
 
     B = np.array([[0.0], [1.0], [1.0]])
-    return LtvSystem(3, 1, A, lambda t: B, B_derivative=lambda t: np.zeros((3, 1)))
+    return LtvSystem(3, 1, A, lambda t: B)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
-from .numcore import DimensionError, expm, rk4_step, simpson
+from .numcore import DimensionError, expm, rk4_step, simpson, simpson_weights
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -278,29 +277,14 @@ def internal_wave_observation(
 
 
 def _wave_control_operator(basis: SineBasis, N: int):
-    """Input vector D of the boundary-controlled truncated wave in (a, b) form.
+    """Input vector d of the boundary-controlled truncated wave in (a, b) form.
 
-    With state Z = (a, b), the controlled system is dZ/dt = A Z + D u where
-    a_j' = omega_j b_j and b_j' = -omega_j a_j + d_j u,
+    With state Z = (a, b), the controlled system is dZ/dt = A Z + D u with
+    D = (0, d): a_j' = omega_j b_j and b_j' = -omega_j a_j + d_j u,
     d_j = (2/L)(j pi / L)(-1)^(j+1).
     """
     j = np.arange(1, N + 1)
-    d = (2.0 / basis.L) * (j * np.pi / basis.L) * (-1.0) ** (j + 1)
-    D = np.zeros(2 * N)
-    D[N:] = d
-    return D
-
-
-def _wave_rotation(basis: SineBasis, N: int, t: float) -> np.ndarray:
-    """Free group S(t) on Z = (a, b) as a block matrix of mode rotations."""
-    th = basis.omega[:N] * t
-    co, si = np.cos(th), np.sin(th)
-    S = np.zeros((2 * N, 2 * N))
-    S[:N, :N] = np.diag(co)
-    S[:N, N:] = np.diag(si)
-    S[N:, :N] = np.diag(-si)
-    S[N:, N:] = np.diag(co)
-    return S
+    return (2.0 / basis.L) * (j * np.pi / basis.L) * (-1.0) ** (j + 1)
 
 
 @dataclass
@@ -342,19 +326,17 @@ def hum_wave_boundary(
             "pass force=True to attempt anyway",
             float("nan"),
         )
+    if T <= 0.0:
+        raise IllPosedError(f"T={T}: the Gramian needs a positive horizon", 0.0)
     if steps % 2 != 0:
         steps += 1
-    D = _wave_control_operator(basis, N)
+    d = _wave_control_operator(basis, N)
     times = np.linspace(0.0, T, steps + 1)
     h = T / steps
-    # Columns w_i = S(T - t_i) D of the observation map.
-    w = np.empty((steps + 1, 2 * N))
-    for i, t in enumerate(times):
-        w[i] = _wave_rotation(basis, N, T - t) @ D
-    wts = np.ones(steps + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= h / 3.0
+    # Rows w_i = S(T - t_i) D = (sin, cos)(omega (T - t_i)) d of the observation map.
+    th = np.outer(T - times, basis.omega[:N])
+    w = np.hstack([np.sin(th) * d, np.cos(th) * d])
+    wts = simpson_weights(steps + 1, h)
     G = (w.T * wts) @ w
     G = 0.5 * (G + G.T)
     sv = np.linalg.svd(G, compute_uv=False)
@@ -364,12 +346,12 @@ def hum_wave_boundary(
             f"wave Gramian condition number {cond:.3e} exceeds {cond_limit:.1e}",
             float(sv[-1]),
         )
-    Z0 = np.concatenate([y0.a, y0.b])
+    free = wave_evolve(basis, y0, T)
+    S_T_y0 = np.concatenate([free.a, free.b])
     Z1 = np.concatenate([y1.a, y1.b])
-    target = Z1 - _wave_rotation(basis, N, T) @ Z0
-    z = np.linalg.solve(G, target)
+    z = np.linalg.solve(G, Z1 - S_T_y0)
     control = w @ z
-    endpoint_vec = _wave_rotation(basis, N, T) @ Z0 + (w.T * wts) @ control
+    endpoint_vec = S_T_y0 + (w.T * wts) @ control
     endpoint = WaveState(endpoint_vec[:N], endpoint_vec[N:])
     return HumWaveResult(
         z=WaveState(z[:N], z[N:]),
@@ -397,6 +379,8 @@ def biorthogonal_family(exponents: Sequence[float], T: float, K: int, dps: int =
     mpmath coefficient matrix (column k holds theta^k) and the Gram
     condition number as a float.
     """
+    import mpmath as mp  # imported here: only the moment method needs it
+
     mus = [mp.mpf(x) for x in exponents]
     if K > len(mus):
         raise DimensionError("K exceeds the number of exponents")
@@ -585,13 +569,14 @@ def damping_decay_experiment(
 class SemilinearPlant:
     """1D semilinear heat plant dt y = dxx y + f(y), y(t, L) = u(t).
 
-    n is the stabilized (finite-mode) count, N_sim the Galerkin simulation
-    size, gamma the weight of the finite-mode block in the composite
-    Lyapunov function.
+    f acts elementwise on arrays: the simulation applies it to the whole
+    space grid at once.  n is the stabilized (finite-mode) count, N_sim the
+    Galerkin simulation size, gamma the weight of the finite-mode block in
+    the composite Lyapunov function.
     """
 
     L: float
-    f: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     f_prime_0: float
     n: int
     N_sim: int
@@ -687,12 +672,8 @@ def semilinear_stabilize(
         space_nodes += 1
     xs = np.linspace(0.0, L, space_nodes)
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on grid
-    hx = L / (space_nodes - 1)
-    wts = np.ones(space_nodes)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= hx / 3.0
-    f_vec = np.vectorize(plant.f)
+    # <g, e_j> = int_0^L g e_j dx by Simpson on the grid, for every mode at once.
+    project = E.T * simpson_weights(space_nodes, L / (space_nodes - 1))
 
     z0 = np.zeros(Ns)
     y0_coeffs = np.asarray(y0_coeffs, dtype=float)
@@ -704,7 +685,7 @@ def semilinear_stabilize(
         X = np.concatenate([[u], z[:n]])
         v = float(Krow @ X)
         y_grid = E @ z + (xs / L) * u
-        fz = (E.T * wts) @ f_vec(y_grid)  # <f(y), e_j>
+        fz = project @ plant.f(y_grid)  # <f(y), e_j>
         dz = -mu * z + fz + b_all * v
         return np.concatenate([[v], dz])
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, OdeProblem, Trajectory, integrate
+from .numcore import DimensionError, OdeProblem, Trajectory, fd_jacobian, integrate
 from .lincontrol import (
     ControlLaw,
     LtiSystem,
@@ -214,17 +214,16 @@ def _refine_multi(sys: LtiSystem, K: np.ndarray, target: np.ndarray, iters: int 
     n, m = sys.n, sys.m
     alpha = target[1:]
     scale = max(1.0, float(np.max(np.abs(target))))
+
+    def residual(k):
+        return np.poly(sys.A + sys.B @ k.reshape(m, n))[1:] - alpha
+
     for _ in range(iters):
-        resid = np.poly(sys.A + sys.B @ K)[1:] - alpha
+        k = K.ravel()
+        resid = residual(k)
         if np.max(np.abs(resid)) < 1e-13 * scale:
             break
-        J = np.empty((n, n * m))
-        for idx in range(n * m):
-            i, j = divmod(idx, n)
-            h = 1e-6 * (1.0 + abs(K[i, j]))
-            Kp = K.copy()
-            Kp[i, j] += h
-            J[:, idx] = (np.poly(sys.A + sys.B @ Kp)[1:] - alpha - resid) / h
+        J = fd_jacobian(residual, k, 1e-6 * (1.0 + np.abs(k)), "forward", resid)
         step, *_ = np.linalg.lstsq(J, -resid, rcond=None)
         K = K + step.reshape(m, n)
     return K
@@ -415,17 +414,6 @@ def lyapunov_solve(A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _central4(fun, z: np.ndarray, k: int, h: float) -> np.ndarray:
-    e = np.zeros_like(z)
-    e[k] = 1.0
-    return (
-        -fun(z + 2 * h * e)
-        + 8.0 * fun(z + h * e)
-        - 8.0 * fun(z - h * e)
-        + fun(z - 2 * h * e)
-    ) / (12.0 * h)
-
-
 def linearize(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x_bar,
@@ -442,15 +430,8 @@ def linearize(
     res = float(np.linalg.norm(np.asarray(f(x_bar, u_bar), dtype=float)))
     if res > equilibrium_tol:
         raise EquilibriumError(res)
-    n, m = x_bar.shape[0], u_bar.shape[0]
-    A = np.empty((n, n))
-    for k in range(n):
-        h = 1e-5 * max(1.0, abs(x_bar[k]))
-        A[:, k] = _central4(lambda z: np.asarray(f(z, u_bar), dtype=float), x_bar, k, h)
-    B = np.empty((n, m))
-    for k in range(m):
-        h = 1e-5 * max(1.0, abs(u_bar[k]))
-        B[:, k] = _central4(lambda w: np.asarray(f(x_bar, w), dtype=float), u_bar, k, h)
+    A = fd_jacobian(lambda z: f(z, u_bar), x_bar, 1e-5 * np.maximum(1.0, np.abs(x_bar)), "central4")
+    B = fd_jacobian(lambda w: f(x_bar, w), u_bar, 1e-5 * np.maximum(1.0, np.abs(u_bar)), "central4")
     return LtiSystem(A, B)
 
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import ctrlkit
 from ctrlkit.cli import main
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -87,6 +88,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         rep = json.loads(out)
         assert rep["results"]["kalman"]["controllable"] is True
+        assert rep["tool_version"] == ctrlkit.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("flag", ["--steps=0", "--steps=-3"])
+    def test_nonpositive_steps_is_input_error(self, flag, capsys):
+        assert main(["analyze", spec("rlc.json"), flag]) == 2
+        assert "input error: --steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol=2", "--tol=nan", "--tol=0", "--tol=-1e-9"])
+    def test_tol_outside_unit_interval_is_input_error(self, flag, capsys):
+        assert main(["lq", spec("scalar_lq.json"), flag]) == 2
+        assert "input error: --tol" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
 """Tests for the numerical core: expm, RK4 integration, dense output,
-Simpson, rank."""
+finite differences, Simpson, rank."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 from ctrlkit import (
     DenseOutput,
     DimensionError,
+    GridError,
     IntegrationBlowup,
     OdeProblem,
     expm,
@@ -17,6 +18,7 @@ from ctrlkit import (
     simpson,
     transition_matrix,
 )
+from ctrlkit.numcore import fd_jacobian, simpson_weights
 
 
 class TestExpm:
@@ -140,6 +142,84 @@ class TestSimpson:
         with pytest.raises((ValueError, Exception)):
             simpson(np.array([0.0, 1.0]), 1.0)
 
+    def test_matrix_stack_is_the_entrywise_rule(self):
+        y = np.random.default_rng(4).standard_normal((21, 2, 3))
+        total = simpson(y, 0.05)
+        assert total.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert total[i, j] == pytest.approx(simpson(y[:, i, j], 0.05), rel=1e-14)
+
+    @pytest.mark.parametrize("count", [3, 5, 201])
+    def test_weights_give_the_rule(self, count):
+        y = np.cos(np.linspace(0.0, 2.0, count))
+        h = 2.0 / (count - 1)
+        w = simpson_weights(count, h)
+        assert w.shape == (count,)
+        assert w @ y == pytest.approx(simpson(y, h), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("count, step", [(4, 0.1), (1, 0.1), (5, 0.0), (5, -1.0)])
+    def test_weights_and_rule_reject_the_same_grids(self, count, step):
+        with pytest.raises(GridError) as rule:
+            simpson(np.ones(count), step)
+        with pytest.raises(GridError) as weights:
+            simpson_weights(count, step)
+        assert str(rule.value) == str(weights.value)
+
+
+class TestFdJacobian:
+    X = np.array([0.3, -0.4])
+
+    @staticmethod
+    def fun(x):
+        return np.array([np.sin(x[0]) * np.exp(x[1]), x[0] ** 2 * np.cos(x[1]), np.exp(x[0] * x[1])])
+
+    def exact(self):
+        x0, x1 = self.X
+        return np.array(
+            [
+                [np.cos(x0) * np.exp(x1), np.sin(x0) * np.exp(x1)],
+                [2 * x0 * np.cos(x1), -(x0**2) * np.sin(x1)],
+                [x1 * np.exp(x0 * x1), x0 * np.exp(x0 * x1)],
+            ]
+        )
+
+    @pytest.mark.parametrize("scheme, h, order", [
+        ("forward", 1e-3, 1.0),
+        ("central", 1e-2, 2.0),
+        ("central4", 1e-1, 4.0),
+    ])
+    def test_observed_order(self, scheme, h, order):
+        steps = h * np.array([1.0, 0.5])  # a different step per coordinate
+        errs = []
+        for k in range(3):
+            f0 = self.fun(self.X) if scheme == "forward" else None
+            J = fd_jacobian(self.fun, self.X, steps / 2**k, scheme, f0)
+            errs.append(np.max(np.abs(J - self.exact())))
+        observed = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(observed - order) < 0.15), observed
+
+    def test_forward_calls_fun_once_per_coordinate(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return self.fun(x)
+
+        fd_jacobian(fun, np.array([0.1, 0.2, 0.3]), 1e-6, "forward", np.zeros(3))
+        assert len(calls) == 3
+
+    def test_scalar_fun_gives_a_row(self):
+        J = fd_jacobian(lambda v: float(v @ v), self.X, 1e-5)
+        assert J.shape == (1, 2)
+        assert np.allclose(J[0], 2.0 * self.X, atol=1e-9)
+
+    def test_rejects_forward_without_f0_and_unknown_schemes(self):
+        with pytest.raises(ValueError):
+            fd_jacobian(self.fun, self.X, 1e-6, "forward")
+        with pytest.raises(ValueError):
+            fd_jacobian(self.fun, self.X, 1e-6, "backward")
+
 
 class TestNumericalRank:
     def test_full_rank(self):
@@ -158,6 +238,10 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 4))) == 0
+
+    def test_complex_matrix_keeps_its_imaginary_part(self):
+        # Row 2 is 1j times row 1; dropping the imaginary part gives rank 2.
+        assert numerical_rank(np.array([[1, 1j], [1j, -1]])) == 1
 
 
 class TestTransitionMatrix:

@@ -140,6 +140,13 @@ class TestHumWave:
         with pytest.raises(IllPosedError):
             hum_wave_boundary(basis, y0, target, 1.0)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_nonpositive_horizon_is_ill_posed_even_when_forced(self, T):
+        basis = SineBasis(1.0, 4)
+        y0 = WaveState(np.eye(4)[0], np.zeros(4))
+        with pytest.raises(IllPosedError):
+            hum_wave_boundary(basis, y0, WaveState(np.zeros(4), np.zeros(4)), T, force=True)
+
 
 class TestMomentMethod:
     def test_biorthogonality_residuals(self):

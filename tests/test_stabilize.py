@@ -123,6 +123,11 @@ class TestLinearize:
         assert np.allclose(sys.A, ref.A, atol=1e-6)
         assert np.allclose(sys.B, ref.B, atol=1e-6)
 
+    def test_without_inputs(self):
+        sys = ck.linearize(lambda x, u: np.array([x[1], -np.sin(x[0])]), np.zeros(2), np.zeros(0))
+        assert np.allclose(sys.A, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-9)
+        assert sys.B.shape == (2, 0)
+
     def test_rejects_non_equilibrium(self):
         f = pr.pendulum_dynamics()
         with pytest.raises(ck.EquilibriumError):
