@@ -34,7 +34,6 @@ from .lincontrol import (
 from .stabilize import hurwitz, linearize, pole_place, routh
 from .optctrl import (
     LqProblem,
-    RiccatiBlowup,
     ShootingError,
     check_extremal,
     lq_cost,
@@ -58,9 +57,8 @@ _NUMERICAL_ERRORS = (
     NotControllableError,
     IllPosedError,
     KTooLargeError,
-    RiccatiBlowup,
     ShootingError,
-    IntegrationBlowup,
+    IntegrationBlowup,  # RiccatiBlowup too
     np.linalg.LinAlgError,
 )
 
@@ -292,25 +290,23 @@ def cmd_stabilize(args) -> dict:
 
 def cmd_lq(args) -> dict:
     spec = _load_spec(args.spec, {"lq"})
-    sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
-    prob = LqProblem(
-        sys=sys_,
-        W=_matrix(spec, "W", args.spec),
-        U=_matrix(spec, "U", args.spec),
-        Q=_matrix(spec, "Q", args.spec),
-        T=float(spec.get("T", 1.0)),
-    )
+    A, B, W, U, Q, x0 = (_matrix(spec, k, args.spec) for k in ("A", "B", "W", "U", "Q", "x0"))
+    try:
+        prob = LqProblem(LtiSystem(A, B), W, U, Q, float(spec.get("T", 1.0)))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{args.spec}: {exc}")
+    x0 = x0.reshape(-1)
+    if x0.shape != (prob.sys.n,):
+        raise SchemaError(f"{args.spec}: x0 must have {prob.sys.n} entries, got {x0.size}")
     sol = riccati_solve(prob, args.steps)
     law = lq_feedback(sol, prob)
-    x0 = _matrix(spec, "x0", args.spec).reshape(-1)
     cost, traj, controls = lq_cost(prob, law, x0, args.steps)
     results = {
         "E0": sol.E[0],
         "closed_loop_cost": cost,
         "value_identity": float(x0 @ (-sol.E[0]) @ x0),
     }
-    csv = _traj_csv(traj.times, traj.states, controls)
-    return _report("lq", spec, results, args, csv)
+    return _report("lq", spec, results, args, (traj.times, traj.states, controls))
 
 
 _OC_BUILDERS = {
@@ -355,8 +351,8 @@ def cmd_shoot(args) -> dict:
         "history_steps": ext.history_steps,
         "newton_iterations": ext.newton_iterations,
     }
-    csv = _traj_csv(ext.state.times, ext.state.states, ext.control, ext.adjoint.states)
-    return _report("shoot", spec, results, args, csv)
+    columns = (ext.state.times, ext.state.states, ext.control, ext.adjoint.states)
+    return _report("shoot", spec, results, args, columns)
 
 
 def cmd_pde(args) -> dict:
@@ -365,7 +361,7 @@ def cmd_pde(args) -> dict:
     L = float(spec.get("L", 1.0))
     N = int(spec.get("N", 8))
     basis = SineBasis(L, N)
-    csv = None
+    columns = None
     if task == "wave-hum":
         T = float(spec.get("T", 2.0 * L))
         y0 = WaveState(
@@ -386,7 +382,7 @@ def cmd_pde(args) -> dict:
             "cost": res.cost,
             "control_l2_sq": res.control_l2_sq,
         }
-        csv = _traj_csv(res.times, res.control.reshape(-1, 1))
+        columns = (res.times, res.control.reshape(-1, 1))
     elif task == "moment":
         T = float(spec.get("T", 1.0))
         omega = IntervalUnion(spec.get("omega", [[0.0, L / 2.0]]))
@@ -409,7 +405,7 @@ def cmd_pde(args) -> dict:
             "C1": res.C1,
             "observability_value": res.observability_value,
         }
-        csv = _traj_csv(res.times, res.energy.reshape(-1, 1))
+        columns = (res.times, res.energy.reshape(-1, 1))
     elif task == "semilinear":
         plant = problems.semilinear_heat(
             L=L,
@@ -427,10 +423,10 @@ def cmd_pde(args) -> dict:
             "final_z_norm": float(np.linalg.norm(res.z[-1])),
             "V_monotone": bool(np.all(np.diff(res.V) <= 1e-9 * max(1.0, res.V[0]))),
         }
-        csv = _traj_csv(res.times, np.column_stack([res.u, res.z]), res.v.reshape(-1, 1))
+        columns = (res.times, np.column_stack([res.u, res.z]), res.v.reshape(-1, 1))
     else:
         raise SchemaError(f"{args.spec}: unknown pde task {task!r}")
-    return _report("pde", spec, results, args, csv)
+    return _report("pde", spec, results, args, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,8 @@ def _traj_csv(times, states, *extra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(command: str, spec: dict, results: dict, args, csv: str | None = None) -> dict:
+def _report(command: str, spec: dict, results: dict, args, columns=None) -> dict:
+    """The JSON report; `columns` are the `_traj_csv` arguments of its CSV, if any."""
     report = {
         "command": command,
         "tool_version": __version__,
@@ -464,12 +461,13 @@ def _report(command: str, spec: dict, results: dict, args, csv: str | None = Non
         },
         "results": _jsonable(results),
     }
-    report["_csv"] = csv
+    report["_columns"] = columns
     return report
 
 
 def _emit(report: dict, args) -> None:
-    csv = report.pop("_csv", None)
+    columns = report.pop("_columns", None)
+    csv = _traj_csv(*columns) if columns is not None and args.format == "csv" else None
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out_dir = os.environ.get("CTRL_OUT_DIR", ".")
     if args.out:
@@ -478,11 +476,11 @@ def _emit(report: dict, args) -> None:
             path = os.path.join(out_dir, path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if csv is not None and args.format == "csv":
+        if csv is not None:
             with open(os.path.splitext(path)[0] + ".csv", "w", encoding="utf-8") as fh:
                 fh.write(csv)
     else:
-        if csv is not None and args.format == "csv":
+        if csv is not None:
             sys.stdout.write(csv)
         else:
             sys.stdout.write(text)

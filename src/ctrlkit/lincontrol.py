@@ -247,54 +247,57 @@ def _as_callables(sys):
 
 
 def _transition_grid(sys, T: float, steps: int):
-    """R(T, t_i) on the uniform grid t_i = i T / steps, i = 0..steps."""
+    """R(T, t_i) on the uniform grid t_i = i T / steps, i = 0..steps.
+
+    LTI: powers of expm(h A).  LTV: one RK4 step of d/dt R(T, t) = -R(T, t) A(t)
+    per grid step, backward from R(T, T) = I.
+    """
     h = T / steps
     times = h * np.arange(steps + 1)
+    R = [None] * (steps + 1)
+    R[steps] = np.eye(sys.n)
     if isinstance(sys, LtiSystem):
         Eh = expm(h * sys.A)
-        R = [None] * (steps + 1)
-        R[steps] = np.eye(sys.n)
         for i in range(steps - 1, -1, -1):
             R[i] = R[i + 1] @ Eh
         return times, R
-    # Time-varying: propagate Phi(t) = R(t, 0) forward, then R(T, t) = Phi(T) Phi(t)^-1.
-    n = sys.n
-    substeps = 4
 
-    def rhs(tau, flat):
-        return (np.asarray(sys.A(tau)) @ flat.reshape(n, n)).ravel()
+    def rhs(tau, Rm):
+        return -Rm @ np.asarray(sys.A(tau))
 
-    Phi = [np.eye(n)]
-    x = Phi[0].ravel()
-    for i in range(steps):
-        hh = h / substeps
-        for j in range(substeps):
-            x = rk4_step(rhs, times[i] + j * hh, x, hh)
-        Phi.append(x.reshape(n, n).copy())
-    PhiT = Phi[steps]
-    R = [np.linalg.solve(Phi[i].T, PhiT.T).T for i in range(steps + 1)]
+    for i in range(steps - 1, -1, -1):
+        R[i] = rk4_step(rhs, times[i + 1], R[i + 1], -h)
     return times, R
 
 
 def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
-    """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt."""
-    return _gramian(sys, T, steps)[0]
+    """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt.
+
+    Exact for an LtiSystem, where `steps` is unused; Simpson on a `steps`
+    grid for an LtvSystem.
+    """
+    return _gramian(sys, T, steps, with_grid=False)[0]
 
 
-def _gramian(sys, T: float, steps: int):
-    """The Gramian report with the grid and R(T, t_i) it was assembled from."""
+def _gramian(sys, T: float, steps: int, with_grid: bool = True):
+    """The Gramian report, the grid and R(T, t_i) on it (None for an LtiSystem without `with_grid`).
+
+    LTI: G_T = F22^T F12 from F = expm(T [[-A, BB^T], [0, A^T]]) (Van Loan,
+    IEEE TAC 23(3), 1978).  LTV: Simpson's rule over R(T, t_i) B(t_i).
+    """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if steps % 2 != 0:
         steps += 1  # Simpson needs an odd node count
-    Afun, Bfun, _, n = _as_callables(sys)
-    times, R = _transition_grid(sys, T, steps)
-    h = T / steps
-    integrand = np.empty((steps + 1, n, n))
-    for i, t in enumerate(times):
-        RB = R[i] @ np.asarray(Bfun(t), dtype=float)
-        integrand[i] = RB @ RB.T
-    G = simpson(integrand, h)
+    lti = isinstance(sys, LtiSystem)
+    times, R = _transition_grid(sys, T, steps) if with_grid or not lti else (None, None)
+    if lti:
+        n = sys.n
+        F = expm(T * np.block([[-sys.A, sys.B @ sys.B.T], [np.zeros((n, n)), sys.A.T]]))
+        G = F[n:, n:].T @ F[:n, n:]
+    else:
+        RB = np.array([R[i] @ np.asarray(sys.B(t), dtype=float) for i, t in enumerate(times)])
+        G = simpson(RB @ RB.transpose(0, 2, 1), T / steps)
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
@@ -485,31 +488,23 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     values and lambda' = -A(t)^T lambda, fourth order like the RK4 grid.
     The closed system is re-simulated to report the actual endpoint error.
     """
-    Afun, Bfun, rfun, n = _as_callables(sys)
+    Afun, Bfun, rfun, _ = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if steps % 2 != 0:
         steps += 1
     rep, times, R = _gramian(sys, T, steps)
     if not rep.invertible:
-        raise NotControllableError(
-            f"Gramian is numerically singular (C_T = {rep.C_T:.3e})"
-        )
-    h = T / steps
+        raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
     # Free endpoint x* = R(T,0) x0 + int_0^T R(T,t) r(t) dt.
-    drift = np.empty((steps + 1, n))
-    for i, t in enumerate(times):
-        drift[i] = R[i] @ rfun(t)
-    x_star = R[0] @ x0 + simpson(drift, h)
+    drift = np.array([R[i] @ rfun(t) for i, t in enumerate(times)])
+    x_star = R[0] @ x0 + simpson(drift, T / steps)
     psi = np.linalg.solve(rep.G, x1 - x_star)
     cost = float(psi @ rep.G @ psi)
 
     lam = psi @ np.asarray(R)  # row i is R(T, t_i)^T psi
-    lam_dot = np.empty_like(lam)
-    samples = np.empty((steps + 1, np.asarray(Bfun(0.0)).shape[1]))
-    for i, t in enumerate(times):
-        lam_dot[i] = -np.asarray(Afun(t)).T @ lam[i]
-        samples[i] = np.asarray(Bfun(t)).T @ lam[i]
+    lam_dot = np.array([-np.asarray(Afun(t)).T @ l for t, l in zip(times, lam)])
+    samples = np.array([np.asarray(Bfun(t)).T @ l for t, l in zip(times, lam)])
     adjoint = DenseOutput(times, lam, lam_dot)
 
     def ufun(t):

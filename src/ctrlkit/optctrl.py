@@ -1,6 +1,7 @@
 """Optimal control: finite-horizon LQ via Riccati, and PMP shooting.
 
-The LQ path integrates the matrix Riccati equation backward and returns the
+The LQ path takes constant data, steps the matrix Riccati equation backward
+exactly with one propagator of the linear Hamiltonian flow, and returns the
 optimal state feedback.  The shooting path integrates the Hamiltonian system
 of the maximum principle forward with a pluggable Hamiltonian maximizer and
 drives the terminal/transversality/free-time residuals to zero with a damped
@@ -15,8 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DenseOutput, DimensionError, Trajectory, fd_jacobian, rk4_step, simpson
-from .lincontrol import ControlLaw, LtiSystem, LtvSystem, _as_callables
+from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
+from .numcore import fd_jacobian, rk4_step, simpson
+from .lincontrol import ControlLaw, LtiSystem, simulate_linear
 
 __all__ = [
     "LqProblem",
@@ -37,8 +39,8 @@ __all__ = [
 ]
 
 
-class RiccatiBlowup(RuntimeError):
-    """Raised when the backward Riccati sweep exceeds the norm guard."""
+class RiccatiBlowup(IntegrationBlowup):
+    """Raised when the Riccati solution or an extremal leaves the finite range at `time`."""
 
 
 class ShootingError(RuntimeError):
@@ -58,23 +60,43 @@ class ShootingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _mat_fun(M):
-    """Accept either a constant matrix or a callable t -> matrix."""
-    if callable(M):
-        return lambda t: np.atleast_2d(np.asarray(M(t), dtype=float))
-    Mc = np.atleast_2d(np.asarray(M, dtype=float))
-    return lambda t: Mc
-
-
 @dataclass(frozen=True)
 class LqProblem:
-    """Minimize int_0^T x'W x + u'U u dt + x(T)'Q x(T) subject to dx = Ax + Bu."""
+    """Minimize int_0^T x'W x + u'U u dt + x(T)'Q x(T) subject to dx = Ax + Bu.
 
-    sys: object  # LtiSystem | LtvSystem
-    W: object  # matrix or t -> matrix, PSD
-    U: object  # matrix or t -> matrix, PD
+    Constant data, checked here: an LtiSystem, n x n W and Q, a symmetric positive
+    definite m x m U and a finite T > 0.  A violation raises ValueError.
+    """
+
+    sys: LtiSystem
+    W: np.ndarray
+    U: np.ndarray
     Q: np.ndarray
     T: float
+
+    def __post_init__(self):
+        if not isinstance(self.sys, LtiSystem):
+            raise TypeError("LqProblem needs an LtiSystem")
+        n, m = self.sys.n, self.sys.m
+        W, U, Q = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (self.W, self.U, self.Q))
+        if W.shape != (n, n) or Q.shape != (n, n):
+            raise DimensionError(f"W and Q must be {n} x {n}")
+        if U.shape != (m, m):
+            raise DimensionError(f"U must be {m} x {m}")
+        if not all(np.all(np.isfinite(M)) for M in (W, U, Q)):
+            raise ValueError("W, U and Q must be finite")
+        if not np.allclose(U, U.T, rtol=1e-12, atol=0.0) or np.linalg.eigvalsh(U)[0] <= 0.0:
+            raise ValueError("U must be symmetric positive definite")
+        T = float(self.T)
+        if not (np.isfinite(T) and T > 0.0):
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
+        for name, value in (("W", W), ("U", U), ("Q", Q), ("T", T)):
+            object.__setattr__(self, name, value)
+
+
+def _check_in_grid(grid: np.ndarray, t: float) -> None:
+    if t < grid[0] - 1e-9 or t > grid[-1] + 1e-9:
+        raise ValueError(f"t={t} outside the Riccati grid [{grid[0]}, {grid[-1]}]")
 
 
 @dataclass(frozen=True)
@@ -85,9 +107,7 @@ class RiccatiSolution:
 
     def at(self, t: float) -> np.ndarray:
         """E(t) between grid nodes, cubic Hermite from E and dE."""
-        g = self.grid
-        if t < g[0] - 1e-9 or t > g[-1] + 1e-9:
-            raise ValueError(f"t={t} outside the Riccati grid [{g[0]}, {g[-1]}]")
+        _check_in_grid(self.grid, t)
         return self._dense(t)
 
     @cached_property
@@ -95,55 +115,49 @@ class RiccatiSolution:
         return DenseOutput(self.grid, self.E, self.dE)
 
 
-def _riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, T, steps):
-    """E and E' on the grid; E' at a node is the first RK4 stage leaving it."""
-    n = Q.shape[0]
-    grid = np.linspace(0.0, T, steps + 1)
-    E = np.empty((steps + 1, n, n))
-    dE = np.empty((steps + 1, n * n))
-    E[-1] = -Q
-
-    def rhs(t, Eflat):
-        Em = Eflat.reshape(n, n)
-        A = Afun(t)
-        B = Bfun(t)
-        dE = Wfun(t) - A.T @ Em - Em @ A - Em @ B @ Uinvfun(t) @ B.T @ Em
-        return dE.ravel()
-
-    h = T / steps
-    x = E[-1].ravel().copy()
-    for k in range(steps, 0, -1):
-        dE[k] = rhs(grid[k], x)
-        x = rk4_step(rhs, grid[k], x, -h, dE[k])
-        Em = x.reshape(n, n)
-        Em = 0.5 * (Em + Em.T)
-        if np.linalg.norm(Em) > 1e8 or not np.all(np.isfinite(Em)):
-            raise RiccatiBlowup(f"Riccati sweep blew up near t={grid[k - 1]:.6g}")
-        E[k - 1] = Em
-        x = Em.ravel()
-    dE[0] = rhs(grid[0], x)
-    dE = dE.reshape(steps + 1, n, n)
-    return grid, E, 0.5 * (dE + dE.transpose(0, 2, 1))
-
-
 def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
-    """Backward RK4 sweep of E' = W - A'E - EA - EBU^-1B'E, E(T) = -Q."""
-    Afun, Bfun, _, n = _as_callables(p.sys)
-    Wfun = _mat_fun(p.W)
-    Ufun = _mat_fun(p.U)
-    Uinvfun = lambda t: np.linalg.inv(Ufun(t))
-    Q = np.atleast_2d(np.asarray(p.Q, dtype=float))
-    return RiccatiSolution(*_riccati_sweep(Afun, Bfun, Wfun, Uinvfun, Q, p.T, steps))
+    """E' = W - A'E - EA - ESE, E(T) = -Q, S = BU^-1B', exact at the grid nodes.
+
+    E = Y X^-1 for the linear flow (X, Y)' = M (X, Y) with the Hamiltonian
+    matrix M = [[A, S], [W, -A']], so one propagator P = expm(-h M) steps E
+    back exactly by the Moebius map E_k-1 = (P21 + P22 E_k)(P11 + P12 E_k)^-1
+    (Davison & Maki, IEEE TAC 18(1), 1973).  E' at the nodes is the Riccati
+    right-hand side.  RiccatiBlowup marks a conjugate point: det X, which the
+    exact flow starts at 1, reaching 0 within a step, or |E| above 1e8.
+    """
+    A, B = p.sys.A, p.sys.B
+    n = p.sys.n
+    S = B @ np.linalg.solve(p.U, B.T)
+    P = expm(-(p.T / steps) * np.block([[A, S], [p.W, -A.T]]))
+    P_left, P_right = P[:, :n], P[:, n:]
+    grid = np.linspace(0.0, p.T, steps + 1)
+    E = np.empty((steps + 1, n, n))
+    E[-1] = -p.Q
+    for k in range(steps, 0, -1):
+        XY = P_left + P_right @ E[k]  # (X, Y) stacked
+        if np.linalg.det(XY[:n]) > 0.0:  # det X falls from 1 to 0 or below only past a pole
+            Em = np.linalg.solve(XY[:n].T, XY[n:].T)
+            Em = 0.5 * (Em + Em.T)
+            if np.linalg.norm(Em) <= 1e8:  # False for a non-finite Em too
+                E[k - 1] = Em
+                continue
+        raise RiccatiBlowup(grid[k - 1], f"Riccati solution blew up near t={grid[k - 1]:.6g}")
+    dE = p.W - A.T @ E - E @ A - E @ S @ E
+    return RiccatiSolution(grid, E, 0.5 * (dE + dE.transpose(0, 2, 1)))
 
 
 def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> ControlLaw:
-    """Optimal LQ state feedback u(t) = U(t)^-1 B(t)^T E(t) x(t)."""
-    _, Bfun, _, _ = _as_callables(p.sys)
-    Ufun = _mat_fun(p.U)
+    """Optimal LQ state feedback u(t) = K(t) x(t), K = U^-1 B^T E.
+
+    K is the cubic Hermite dense output of its node values and of K' =
+    U^-1 B^T E', formed once on the Riccati grid.
+    """
+    G = np.linalg.solve(p.U, p.sys.B.T)
+    gain = DenseOutput(sol.grid, G @ sol.E, G @ sol.dE)
 
     def law(t, x):
-        B = Bfun(t)
-        return np.linalg.solve(Ufun(t), B.T @ sol.at(t) @ x)
+        _check_in_grid(sol.grid, t)
+        return gain(t) @ x
 
     return ControlLaw("feedback", law)
 
@@ -153,23 +167,15 @@ def lq_cost(p: LqProblem, law: ControlLaw, x0, steps: int = 2000):
 
     Returns (cost, trajectory, control samples).
     """
-    from .lincontrol import simulate_linear
-
     if steps % 2 != 0:
         steps += 1
-    Wfun = _mat_fun(p.W)
-    Ufun = _mat_fun(p.U)
     traj = simulate_linear(p.sys, law, x0, p.T, steps)
-    running = np.empty(steps + 1)
-    controls = []
-    for i, (t, x) in enumerate(zip(traj.times, traj.states)):
-        u = law(t, x)
-        controls.append(u)
-        running[i] = float(x @ Wfun(t) @ x + u @ Ufun(t) @ u)
-    Q = np.atleast_2d(np.asarray(p.Q, dtype=float))
+    X = traj.states
+    controls = np.array([law(t, x) for t, x in zip(traj.times, X)])
+    running = np.sum((X @ p.W) * X, axis=1) + np.sum((controls @ p.U) * controls, axis=1)
     xT = traj.at_end()
-    cost = simpson(running, p.T / steps) + float(xT @ Q @ xT)
-    return cost, traj, np.asarray(controls)
+    cost = simpson(running, p.T / steps) + float(xT @ p.Q @ xT)
+    return cost, traj, controls
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +348,7 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
                 rhs, p.maximizer, switching, times[k], z, h, n, p0, signs, times[k + 1]
             )
         if not np.all(np.isfinite(z)):
-            raise RiccatiBlowup(f"extremal integration blew up at t={times[k + 1]:.6g}")
+            raise RiccatiBlowup(float(times[k + 1]))
         Z[k + 1] = z
     return times, Z
 
@@ -558,12 +564,11 @@ def hamiltonian_maximizer_ball(r: float, fields: Sequence[Callable]):
 
 
 def hamiltonian_maximizer_unconstrained(B, U):
-    """Stationary maximizer for quadratic-in-u cost: u = U^-1 B^T p (p0 = -1)."""
-    Bfun = _mat_fun(B)
-    Ufun = _mat_fun(U)
+    """Stationary maximizer for quadratic-in-u cost: u = U^-1 B^T p (p0 = -1), constant B, U."""
+    gain = np.linalg.solve(np.atleast_2d(U), np.atleast_2d(B).T)
 
     def maximizer(t, x, p, p0):
-        return np.linalg.solve(Ufun(t), Bfun(t).T @ p)
+        return gain @ p
 
     return maximizer
 

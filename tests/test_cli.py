@@ -100,6 +100,23 @@ class TestExitCodes:
         assert main(["lq", spec("scalar_lq.json"), flag]) == 2
         assert "input error: --tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("U", [[0.0]], "positive definite"),
+            ("T", -1.0, "horizon T"),
+            ("x0", [1.0, 0.0], "x0 must have 1 entries"),
+            ("W", [[1.0, 0.0], [0.0, 1.0]], "W and Q must be 1 x 1"),
+        ],
+    )
+    def test_bad_lq_data_is_input_error(self, field, value, message, tmp_path, capsys):
+        with open(spec("scalar_lq.json")) as fh:
+            obj = json.load(fh)
+        obj[field] = value
+        assert main(["lq", write_spec(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err and "Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

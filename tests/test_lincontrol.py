@@ -135,6 +135,21 @@ class TestGramianAndHum:
         )
         assert rep.invertible
 
+    def test_van_loan_gramian_is_exact(self):
+        rep = ck.gramian(pr.double_integrator(), 1.0)
+        exact = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
+        assert np.max(np.abs(rep.G - exact)) <= 1e-14
+
+    def test_ltv_gramian_is_fourth_order(self):
+        # Dubins: one backward RK4 step per grid step for R(T, t), then Simpson.
+        T = 2.0 * math.pi
+        sys = pr.dubins_linearized(T)
+        ref = ck.gramian(sys, T, 1600).G
+        errs = [np.max(np.abs(ck.gramian(sys, T, steps).G - ref)) for steps in (50, 100, 200)]
+        assert min(errs) > 1e-11  # well above roundoff
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
     def test_hum_recovers_minimum_norm_control(self):
         sys = pr.double_integrator()
         res = ck.hum_control_finite(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]))

@@ -97,8 +97,39 @@ class TestRiccati:
             Q=np.array([[0.0]]),
             T=10.0,
         )
-        with pytest.raises((ck.RiccatiBlowup, Exception)):
+        with pytest.raises(ck.RiccatiBlowup) as info:
             ck.riccati_solve(p, steps=2000)
+        # E(t) = -sqrt(10) tan(sqrt(10) (T - t)) has its pole at T - pi / (2 sqrt(10)).
+        pole = 10.0 - math.pi / (2.0 * math.sqrt(10.0))
+        assert abs(info.value.time - pole) <= 10.0 / 2000
+
+    def test_moebius_step_is_exact(self):
+        # The propagator steps the flow exactly: rounding error only, 10 steps.
+        sol = ck.riccati_solve(scalar_lq(), steps=10)
+        assert np.max(np.abs(sol.E[:, 0, 0] + np.tanh(2.0 - sol.grid))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("W", np.eye(2)),
+            ("Q", np.ones((1, 2))),
+            ("U", np.eye(2)),
+            ("U", np.array([[0.0]])),
+            ("U", np.array([[-1.0]])),
+            ("U", np.array([[np.nan]])),
+            ("T", -1.0),
+            ("T", 0.0),
+            ("T", math.inf),
+        ],
+    )
+    def test_problem_data_are_validated(self, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(scalar_lq(), **{field: value})
+
+    def test_nonsymmetric_u_is_rejected(self):
+        sys = LtiSystem(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            LqProblem(sys, np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros((2, 2)), 1.0)
 
 
 class TestBrachistochrone:
