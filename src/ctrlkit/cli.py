@@ -246,7 +246,9 @@ _STABILIZE_BUILTINS = {
 
 def cmd_stabilize(args) -> dict:
     if args.routh is not None:
-        coeffs = [float(x) for x in args.routh.split(",")]
+        coeffs = _numbers(args.routh, "--routh")
+        if coeffs[0] == 0.0:
+            raise SchemaError("--routh needs a nonzero leading coefficient")
         rep = routh(coeffs)
         minors, hur = hurwitz(coeffs) if coeffs[0] > 0 else (np.array([]), False)
         results = {
@@ -274,7 +276,7 @@ def cmd_stabilize(args) -> dict:
         sys_ = _STABILIZE_BUILTINS[name](spec.get("params", {}) or {})
     if args.poles is None:
         raise SchemaError("stabilize needs --poles when a spec is given")
-    poles = [float(x) for x in args.poles.split(",")]
+    poles = _numbers(args.poles, "--poles")
     if len(poles) != sys_.n:
         raise SchemaError(f"expected {sys_.n} poles, got {len(poles)}")
     target = np.poly(poles)
@@ -360,7 +362,10 @@ def cmd_pde(args) -> dict:
     task = spec.get("task")
     L = float(spec.get("L", 1.0))
     N = int(spec.get("N", 8))
-    basis = SineBasis(L, N)
+    try:
+        basis = SineBasis(L, N)
+    except ValueError as exc:
+        raise SchemaError(f"{args.spec}: {exc}")
     columns = None
     if task == "wave-hum":
         T = float(spec.get("T", 2.0 * L))
@@ -474,11 +479,14 @@ def _emit(report: dict, args) -> None:
         path = args.out
         if not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if csv is not None:
-            with open(os.path.splitext(path)[0] + ".csv", "w", encoding="utf-8") as fh:
-                fh.write(csv)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            if csv is not None:
+                with open(os.path.splitext(path)[0] + ".csv", "w", encoding="utf-8") as fh:
+                    fh.write(csv)
+        except OSError as exc:
+            raise SchemaError(f"cannot write the report: {exc}")
     else:
         if csv is not None:
             sys.stdout.write(csv)
@@ -529,11 +537,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numbers(text: str, flag: str) -> list:
+    """The finite numbers of a comma-separated flag value."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise SchemaError(f"{flag} needs comma-separated numbers, got {text!r}")
+    if not all(np.isfinite(values)):
+        raise SchemaError(f"{flag} needs finite numbers, got {text!r}")
+    return values
+
+
 def _check_flags(args) -> None:
     if args.steps < 1:
         raise SchemaError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.tol < 1.0:
         raise SchemaError(f"--tol must lie in (0, 1), got {args.tol}")
+    T = getattr(args, "T", None)  # analyze only
+    if T is not None and not 0.0 < T < np.inf:
+        raise SchemaError(f"--T must be positive and finite, got {T}")
 
 
 def main(argv=None) -> int:
@@ -541,14 +563,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_flags(args)
-        report = args.fn(args)
+        _emit(args.fn(args), args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 

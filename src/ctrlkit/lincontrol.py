@@ -24,7 +24,7 @@ from .numcore import (
     fd_jacobian,
     integrate,
     numerical_rank,
-    rk4_step,
+    rk4_sweep,
     simpson,
 )
 
@@ -250,24 +250,19 @@ def _transition_grid(sys, T: float, steps: int):
     """R(T, t_i) on the uniform grid t_i = i T / steps, i = 0..steps.
 
     LTI: powers of expm(h A).  LTV: one RK4 step of d/dt R(T, t) = -R(T, t) A(t)
-    per grid step, backward from R(T, T) = I.
+    per grid step, backward from R(T, T) = I at the last node.
     """
     h = T / steps
     times = h * np.arange(steps + 1)
-    R = [None] * (steps + 1)
-    R[steps] = np.eye(sys.n)
     if isinstance(sys, LtiSystem):
         Eh = expm(h * sys.A)
+        R = np.empty((steps + 1, sys.n, sys.n))
+        R[steps] = np.eye(sys.n)
         for i in range(steps - 1, -1, -1):
             R[i] = R[i + 1] @ Eh
         return times, R
-
-    def rhs(tau, Rm):
-        return -Rm @ np.asarray(sys.A(tau))
-
-    for i in range(steps - 1, -1, -1):
-        R[i] = rk4_step(rhs, times[i + 1], R[i + 1], -h)
-    return times, R
+    R = rk4_sweep(lambda tau, Rm: -Rm @ np.asarray(sys.A(tau)), times[::-1], np.eye(sys.n), -h)
+    return times, R[::-1]
 
 
 def gramian(sys, T: float, steps: int = 2000) -> GramianReport:

@@ -27,6 +27,7 @@ __all__ = [
     "expm",
     "integrate",
     "rk4_step",
+    "rk4_sweep",
     "transition_matrix",
     "fd_jacobian",
     "numerical_rank",
@@ -228,33 +229,41 @@ def expm(M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rk4_step(rhs, t: float, x: np.ndarray, h: float, k1=None) -> np.ndarray:
-    """One classical RK4 step; `k1` is rhs(t, x) when the caller already has it."""
-    if k1 is None:
-        k1 = rhs(t, x)
+def rk4_step(rhs, t: float, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of size h (either sign) from (t, x)."""
+    k1 = rhs(t, x)
     k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = rhs(t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
+    """The state at every node of `times`, one fixed RK4 step per interval.
+
+    Step k starts at times[k] with the signed step h, so a reversed grid
+    with h < 0 sweeps backward.  States may have any shape (axis 0 of the
+    result is time).  `step(t, x, t_next)`, when given, replaces the RK4
+    step.  Raises IntegrationBlowup(times[k + 1]) on a non-finite state.
+    """
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((len(times),) + x.shape)
+    states[0] = x
+    for k in range(len(times) - 1):
+        x = rk4_step(rhs, times[k], x, h) if step is None else step(times[k], x, times[k + 1])
+        if not np.isfinite(x).all():
+            raise IntegrationBlowup(float(times[k + 1]))
+        states[k + 1] = x
+    return states
+
+
 def integrate(problem: OdeProblem) -> Trajectory:
     """Integrate an OdeProblem with classical RK4; returns all grid nodes."""
     h = (problem.t1 - problem.t0) / problem.steps
     times = problem.t0 + h * np.arange(problem.steps + 1)
-    states = np.empty((problem.steps + 1, problem.dimension))
-    x = np.asarray(problem.x0, dtype=float).copy()
-    states[0] = x
-    for k in range(problem.steps):
-        x = rk4_step(problem.rhs, times[k], x, h)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationBlowup(float(times[k + 1]))
-        states[k + 1] = x
-    # RK4 can accumulate a representable but astronomically large state just
-    # before overflow; the finiteness check above is the only guard needed.
+    states = rk4_sweep(problem.rhs, times, problem.x0, h)
     if problem.t1 < problem.t0:
-        order = np.argsort(times)
-        return Trajectory(times[order], states[order])
+        return Trajectory(times[::-1], states[::-1])
     return Trajectory(times, states)
 
 
@@ -271,19 +280,8 @@ def transition_matrix(A, t: float, s: float, steps: int = 200) -> np.ndarray:
     if t == s:
         return np.eye(n)
     h = (t - s) / steps
-    R = np.eye(n)
-
-    def rhs(tau, Rflat):
-        return (np.asarray(A(tau)) @ Rflat.reshape(n, n)).ravel()
-
-    x = R.ravel()
-    tau = s
-    for k in range(steps):
-        x = rk4_step(rhs, tau, x, h)
-        tau = s + (k + 1) * h
-        if not np.all(np.isfinite(x)):
-            raise IntegrationBlowup(tau)
-    return x.reshape(n, n)
+    times = s + h * np.arange(steps + 1)
+    return rk4_sweep(lambda tau, R: np.asarray(A(tau)) @ R, times, np.eye(n), h)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import fd_jacobian, rk4_step, simpson
+from .numcore import fd_jacobian, rk4_step, rk4_sweep, simpson
 from .lincontrol import ControlLaw, LtiSystem, simulate_linear
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 
 
 class RiccatiBlowup(IntegrationBlowup):
-    """Raised when the Riccati solution or an extremal leaves the finite range at `time`."""
+    """Raised when the Riccati solution leaves the finite range at `time`."""
 
 
 class ShootingError(RuntimeError):
@@ -325,7 +325,7 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
 
     Uses `steps` fixed RK4 steps, with switch-time event location for
     bang-bang maximizers.  Returns (times, Z) where Z[k] = (x(t_k), p(t_k)).
-    Raises RiccatiBlowup if the state leaves the finite range.
+    Raises IntegrationBlowup if the state leaves the finite range.
     """
     n = p.dimension
     rhs = _ham_rhs(p, p0)
@@ -336,21 +336,17 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
     )
     h = tf / steps
     times = h * np.arange(steps + 1)
-    Z = np.empty((steps + 1, 2 * n))
-    z = np.concatenate([p.x0, p_init])
-    Z[0] = z
-    signs = None
-    for k in range(steps):
-        if switching is None:
-            z = rk4_step(rhs, times[k], z, h)
-        else:
-            z, signs = _event_step(
-                rhs, p.maximizer, switching, times[k], z, h, n, p0, signs, times[k + 1]
-            )
-        if not np.all(np.isfinite(z)):
-            raise RiccatiBlowup(float(times[k + 1]))
-        Z[k + 1] = z
-    return times, Z
+    z0 = np.concatenate([p.x0, p_init])
+    if switching is None:
+        return times, rk4_sweep(rhs, times, z0, h)
+    signs = None  # switching signs at the start of the next step, when known
+
+    def step(t, z, t_next):
+        nonlocal signs
+        z, signs = _event_step(rhs, p.maximizer, switching, t, z, h, n, p0, signs, t_next)
+        return z
+
+    return times, rk4_sweep(rhs, times, z0, h, step)
 
 
 def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):

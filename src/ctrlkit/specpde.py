@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, expm, rk4_step, simpson, simpson_weights
+from .numcore import DimensionError, expm, rk4_sweep, simpson, simpson_weights
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -694,25 +694,13 @@ def semilinear_stabilize(
     steps = max(steps, int(np.ceil(T_sim * float(mu[-1]) / 2.5)))
     h = T_sim / steps
     times = h * np.arange(steps + 1)
-    states = np.empty((steps + 1, Ns + 1))
-    states[0] = np.concatenate([[0.0], z0])
-    for i in range(steps):
-        states[i + 1] = rk4_step(rhs, times[i], states[i], h)
-    u_samples = states[:, 0]
-    z_samples = states[:, 1:]
-    v_samples = np.array(
-        [float(Krow @ np.concatenate([[s[0]], s[1 : n + 1]])) for s in states]
-    )
+    states = rk4_sweep(rhs, times, np.concatenate([[0.0], z0]), h)
+    X = states[:, : n + 1]  # the model coordinates (u, z_1..z_n)
+    v_samples = np.array([float(Krow @ x) for x in X])
     V = np.array(
         [
-            plant.gamma
-            * float(
-                np.concatenate([[s[0]], s[1 : n + 1]])
-                @ P
-                @ np.concatenate([[s[0]], s[1 : n + 1]])
-            )
-            - 0.5 * float(lam_all @ s[1:] ** 2)
-            for s in states
+            plant.gamma * float(x @ P @ x) - 0.5 * float(lam_all @ s[1:] ** 2)
+            for x, s in zip(X, states)
         ]
     )
     return SemilinearResult(
@@ -723,8 +711,8 @@ def semilinear_stabilize(
         a=a,
         b=b,
         times=times,
-        u=u_samples,
-        z=z_samples,
+        u=states[:, 0],
+        z=states[:, 1:],
         v=v_samples,
         V=V,
     )

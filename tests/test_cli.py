@@ -117,6 +117,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "input error" in err and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("task, N", [("wave-hum", 0), ("semilinear", -3)])
+    def test_nonpositive_mode_count_is_input_error(self, task, N, tmp_path, capsys):
+        obj = {"version": 1, "kind": "spectral-1d", "task": task, "N": N}
+        assert main(["pde", write_spec(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "N >= 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--T=-1", "--T=0", "--T=inf", "--T=nan"])
+    def test_bad_gramian_horizon_is_input_error(self, flag, capsys):
+        assert main(["analyze", spec("rlc.json"), flag]) == 2
+        assert "input error: --T" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--routh=1,abc"], "--routh needs comma-separated numbers"),
+            (["--routh=0,1"], "nonzero leading coefficient"),
+            ([spec("pendulum.json"), "--poles=-1,nan,-1,-1"], "--poles needs finite numbers"),
+        ],
+    )
+    def test_bad_polynomial_flags_are_input_errors(self, argv, message, capsys):
+        assert main(["stabilize", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+
+    def test_out_into_missing_directory_is_input_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "r.json")
+        assert main(["analyze", spec("rlc.json"), "--out", out]) == 2
+        assert "input error: cannot write the report" in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -11,9 +11,13 @@ from ctrlkit import (
     DimensionError,
     GridError,
     IntegrationBlowup,
+    LtvSystem,
+    OcProblem,
     OdeProblem,
     expm,
+    gramian,
     integrate,
+    integrate_extremal,
     numerical_rank,
     simpson,
     transition_matrix,
@@ -115,16 +119,48 @@ class TestIntegrate:
         assert abs(traj.interp(0.5)[0] - math.exp(-0.5)) < 1e-6
 
     def test_blowup_detection(self):
-        p = OdeProblem(
-            dimension=1,
-            rhs=lambda t, x: x * x,
-            t0=0.0,
-            x0=np.array([5.0]),
-            t1=2.0,
-            steps=2000,
-        )
-        with pytest.raises(IntegrationBlowup):
-            integrate(p)
+        """Every fixed-grid sweep raises at the first node with a non-finite state.
+
+        x' = 1e8 x over 20 steps of 0.05 multiplies x by about 2.6e25 per
+        step, so it overflows on step 13: t = 0.65 forward, 0.35 backward.
+        """
+        fast = lambda t: np.array([[1e8]])
+
+        def ones(t, x, p, p0):
+            return np.ones(1)
+
+        def bang_bang(t, x, p, p0):
+            return np.ones(1)
+
+        bang_bang.bang_bang = True
+        bang_bang.switching = ones  # no sign change: one plain step per node
+
+        def extremal(maximizer):
+            oc = OcProblem(
+                1, 1, lambda t, x, u: 1e8 * x, maximizer, [1.0],
+                terminal_kind="free", hamiltonian_dx=lambda t, x, p, p0, u: 1e8 * p,
+            )
+            return integrate_extremal(oc, np.array([1.0]), 1.0, 20)
+
+        cases = [
+            # x' = x^2 from 5 has its pole at t = 0.2.
+            (lambda: integrate(OdeProblem(1, lambda t, x: x * x, 0.0, [5.0], 2.0, 2000)), 0.203),
+            # matrix-valued state
+            (lambda: transition_matrix(lambda t: np.diag([1e8, 1.0]), 1.0, 0.0, steps=20), 0.65),
+            # reversed grid
+            (lambda: integrate(OdeProblem(1, lambda t, x: -1e8 * x, 1.0, [1.0], 0.0, 20)), 0.35),
+            # LTV Gramian: R(T, t) swept backward from T = 1
+            (lambda: gramian(LtvSystem(1, 1, fast, lambda t: np.eye(1)), 1.0, 20), 0.35),
+            (lambda: extremal(ones), 0.65),
+            (lambda: extremal(bang_bang), 0.65),
+        ]
+        for run, time in cases:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                IntegrationBlowup
+            ) as info:
+                run()
+            assert type(info.value) is IntegrationBlowup
+            assert info.value.time == pytest.approx(time, abs=1e-12)
 
 
 class TestSimpson:
