@@ -53,6 +53,11 @@ from .specpde import (
     semilinear_stabilize,
 )
 
+
+class NonFiniteResult(ArithmeticError):
+    """Raised when a result to be written is infinite or NaN (exit code 3)."""
+
+
 _NUMERICAL_ERRORS = (
     NotControllableError,
     IllPosedError,
@@ -60,6 +65,7 @@ _NUMERICAL_ERRORS = (
     ShootingError,
     IntegrationBlowup,  # RiccatiBlowup too
     np.linalg.LinAlgError,
+    ArithmeticError,  # NonFiniteResult, overflow, and expm of an overflowed matrix
 )
 
 
@@ -100,7 +106,7 @@ def _load_spec(path: str, allowed_kinds) -> dict:
     if spec.get("version") != 1:
         raise SchemaError(f"{path}: missing or unsupported 'version' (expected 1)")
     kind = spec.get("kind")
-    if kind not in allowed_kinds:
+    if not isinstance(kind, str) or kind not in allowed_kinds:
         raise SchemaError(f"{path}: kind {kind!r} not valid here; expected {sorted(allowed_kinds)}")
     unknown = set(spec) - _FIELDS[kind]
     if unknown:
@@ -110,7 +116,7 @@ def _load_spec(path: str, allowed_kinds) -> dict:
 
 
 _FIELDS = {
-    "lti": {"version", "kind", "A", "B", "r"},
+    "lti": {"version", "kind", "A", "B"},
     "ltv-tabulated": {"version", "kind", "times", "A", "B"},
     "nonlinear-builtin": {"version", "kind", "name", "params"},
     "spectral-1d": {
@@ -122,11 +128,61 @@ _FIELDS = {
 }
 
 
-def _matrix(spec, key, path):
+def _matrix(spec, key, path, default=None, what="field") -> np.ndarray:
+    """spec[key] (or `default`) as a float array whose entries are all finite."""
+    value = spec.get(key, default)
     try:
-        return np.array(spec[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"{path}: field {key!r} missing or not numeric")
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or value is None:
+        raise SchemaError(f"{path}: {what} {key!r} missing or not numeric")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}: {what} {key!r} must be finite")
+    return arr
+
+
+def _vector(spec, key, path, default, lengths) -> np.ndarray:
+    """A 1-D field whose length lies in the range `lengths`."""
+    v = _matrix(spec, key, path, default)
+    if v.ndim != 1 or v.shape[0] not in lengths:
+        count = lengths.start if len(lengths) == 1 else f"{lengths.start} to {lengths.stop - 1}"
+        raise SchemaError(f"{path}: field {key!r} must be a vector of {count} numbers")
+    return v
+
+
+def _number(spec, key, path, default, kind=""):
+    """A number field, `kind` "positive" or "whole" if not empty; None if both it and `default` are."""
+    if default is None and spec.get(key) is None:
+        return None
+    x = _matrix(spec, key, path, default)
+    if x.ndim != 0 or (kind == "positive" and not x > 0.0) or (kind == "whole" and x != int(x)):
+        raise SchemaError(f"{path}: field {key!r} must be a {(kind + ' number').strip()}")
+    return int(x) if kind == "whole" else float(x)
+
+
+def _construct(path, build, *args, **kwargs):
+    """build(*args, **kwargs) on spec data: the object's own checks are input errors."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{path}: {exc}")
+
+
+def _lti(spec, path) -> LtiSystem:
+    return _construct(path, LtiSystem, _matrix(spec, "A", path), _matrix(spec, "B", path))
+
+
+def _builtin(table, spec, path):
+    """The `table` entry of the spec's builtin `name`, and its finite `params`."""
+    name, params = spec.get("name"), spec.get("params") or {}
+    if not isinstance(name, str) or name not in table:
+        raise SchemaError(f"{path}: builtin {name!r} unknown here; expected {sorted(table)}")
+    if not isinstance(params, dict):
+        raise SchemaError(f"{path}: field 'params' must be an object")
+    for key in params:
+        _matrix(params, key, path, what="params")
+    return table[name], params
 
 
 def _tabulated_ltv(spec, path) -> LtvSystem:
@@ -156,29 +212,37 @@ def _tabulated_ltv(spec, path) -> LtvSystem:
 def cmd_analyze(args) -> dict:
     spec = _load_spec(args.spec, {"lti", "ltv-tabulated", "nonlinear-builtin"})
     if spec["kind"] == "lti":
-        sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
-        results = _analyze_lti(sys_, args)
+        results = _analyze_lti(_lti(spec, args.spec), args)
     elif spec["kind"] == "ltv-tabulated":
         results = _analyze_ltv(_tabulated_ltv(spec, args.spec), args)
     else:
-        name = spec.get("name")
-        if name not in _ANALYZE_BUILTINS:
-            raise SchemaError(f"{args.spec}: unknown builtin {name!r}")
-        results = {"builtin": name}
-        results.update(_ANALYZE_BUILTINS[name](spec.get("params", {}) or {}, args))
+        (build, analyze), params = _builtin(_ANALYZE_BUILTINS, spec, args.spec)
+        results = {"builtin": spec["name"]}
+        results.update(analyze(_construct(args.spec, build, params), args))
     return _report("analyze", spec, results, args)
 
 
-def _analyze_maxwell_bloch(params, args) -> dict:
-    xbar, ubar = problems.maxwell_bloch_equilibrium(
+def _maxwell_bloch(params):
+    """The Maxwell-Bloch equilibrium (x, u) of the params' family."""
+    return problems.maxwell_bloch_equilibrium(
         int(params.get("family", 1)), float(params.get("first", 1.0)), float(params.get("c", 0.0))
     )
+
+
+def _analyze_maxwell_bloch(equilibrium, args) -> dict:
+    xbar, ubar = equilibrium
     lin = linearize(problems.maxwell_bloch_dynamics(), xbar, ubar)
     return {"equilibrium": {"x": xbar, "u": ubar}, **_analyze_lti(lin, args)}
 
 
-def _analyze_heisenberg(params, args) -> dict:
+def _heisenberg_point(params) -> np.ndarray:
     x = np.asarray(params.get("x", [0.0, 0.0, 0.0]), dtype=float)
+    if x.shape != (3,):
+        raise ValueError("params 'x' must have 3 entries")
+    return x
+
+
+def _analyze_heisenberg(x, args) -> dict:
     rank, ok = larc_rank(problems.heisenberg_fields(), x, depth=2)
     return {"larc": {"rank": rank, "satisfied": ok}}
 
@@ -217,23 +281,24 @@ def _analyze_ltv(sys_: LtvSystem, args) -> dict:
     return out
 
 
-# Builtin name -> (params, args) -> analyze results.
+# Builtin name -> (params -> the object analyzed, (object, args) -> analyze results).
+# Only the first runs under _construct, so only its errors are input errors.
 _ANALYZE_BUILTINS = {
-    "dubins": lambda p, a: _analyze_ltv(
-        problems.dubins_linearized(float(p.get("T", 2.0 * np.pi))), a
+    "dubins": (lambda p: problems.dubins_linearized(float(p.get("T", 2.0 * np.pi))), _analyze_ltv),
+    "rotating-frame": (lambda p: problems.rotating_frame(), _analyze_ltv),
+    "triangular-ltv": (lambda p: problems.triangular_ltv(), _analyze_ltv),
+    "rlc": (lambda p: problems.rlc(**p), _analyze_lti),
+    "double-integrator": (lambda p: problems.double_integrator(), _analyze_lti),
+    "coupled-springs": (
+        lambda p: problems.coupled_springs(float(p.get("k1", 1.0)), float(p.get("k2", 1.0))),
+        _analyze_lti,
     ),
-    "rotating-frame": lambda p, a: _analyze_ltv(problems.rotating_frame(), a),
-    "triangular-ltv": lambda p, a: _analyze_ltv(problems.triangular_ltv(), a),
-    "rlc": lambda p, a: _analyze_lti(problems.rlc(**p), a),
-    "double-integrator": lambda p, a: _analyze_lti(problems.double_integrator(), a),
-    "coupled-springs": lambda p, a: _analyze_lti(
-        problems.coupled_springs(float(p.get("k1", 1.0)), float(p.get("k2", 1.0))), a
+    "pendulum": (
+        lambda p: linearize(problems.pendulum_dynamics(**p), np.zeros(4), np.zeros(1)),
+        _analyze_lti,
     ),
-    "pendulum": lambda p, a: _analyze_lti(
-        linearize(problems.pendulum_dynamics(**p), np.zeros(4), np.zeros(1)), a
-    ),
-    "maxwell-bloch": _analyze_maxwell_bloch,
-    "heisenberg": _analyze_heisenberg,
+    "maxwell-bloch": (_maxwell_bloch, _analyze_maxwell_bloch),
+    "heisenberg": (_heisenberg_point, _analyze_heisenberg),
 }
 
 # Builtin name -> params -> the LtiSystem whose poles stabilize places.
@@ -268,12 +333,10 @@ def cmd_stabilize(args) -> dict:
         raise SchemaError("stabilize needs a spec file or --routh")
     spec = _load_spec(args.spec, {"lti", "nonlinear-builtin"})
     if spec["kind"] == "lti":
-        sys_ = LtiSystem(_matrix(spec, "A", args.spec), _matrix(spec, "B", args.spec))
+        sys_ = _lti(spec, args.spec)
     else:
-        name = spec.get("name")
-        if name not in _STABILIZE_BUILTINS:
-            raise SchemaError(f"{args.spec}: builtin {name!r} not supported by stabilize")
-        sys_ = _STABILIZE_BUILTINS[name](spec.get("params", {}) or {})
+        build, params = _builtin(_STABILIZE_BUILTINS, spec, args.spec)
+        sys_ = _construct(args.spec, build, params)
     if args.poles is None:
         raise SchemaError("stabilize needs --poles when a spec is given")
     poles = _numbers(args.poles, "--poles")
@@ -326,15 +389,12 @@ _OC_BUILDERS = {
 
 def cmd_shoot(args) -> dict:
     spec = _load_spec(args.spec, {"oc-problem"})
-    name = spec.get("name")
-    if name not in _OC_BUILDERS:
-        raise SchemaError(f"{args.spec}: unknown optimal control builtin {name!r}")
-    params = spec.get("params", {}) or {}
-    prob = _OC_BUILDERS[name](params)
-    guess = spec.get("guess")
-    if guess is None:
-        raise SchemaError(f"{args.spec}: oc-problem requires a 'guess' vector")
-    ext = pmp_shoot(prob, np.asarray(guess, dtype=float), steps=args.steps, tol=args.tol)
+    build, params = _builtin(_OC_BUILDERS, spec, args.spec)
+    prob = _construct(args.spec, build, params)
+    # p(0), then t_f when the horizon is free.
+    entries = prob.dimension + (prob.horizon is None)
+    guess = _vector(spec, "guess", args.spec, None, range(entries, entries + 1))
+    ext = pmp_shoot(prob, guess, steps=args.steps, tol=args.tol)
     if not ext.converged:
         raise ShootingError(
             f"shooting did not converge (residual {ext.residual_history[-1]:.3e})",
@@ -359,27 +419,23 @@ def cmd_shoot(args) -> dict:
 
 def cmd_pde(args) -> dict:
     spec = _load_spec(args.spec, {"spectral-1d"})
+    path = args.spec
     task = spec.get("task")
-    L = float(spec.get("L", 1.0))
-    N = int(spec.get("N", 8))
-    try:
-        basis = SineBasis(L, N)
-    except ValueError as exc:
-        raise SchemaError(f"{args.spec}: {exc}")
+    L = _number(spec, "L", path, 1.0)
+    N = _number(spec, "N", path, 8, "whole")
+    if N > 1000:  # bounds the memory of every task
+        raise SchemaError(f"{path}: field 'N' must be at most 1000, got {N}")
+    basis = _construct(path, SineBasis, L, N)
     columns = None
     if task == "wave-hum":
-        T = float(spec.get("T", 2.0 * L))
-        y0 = WaveState(
-            np.asarray(spec.get("y0_a", [1.0] + [0.0] * (N - 1)), dtype=float),
-            np.asarray(spec.get("y0_b", [0.0] * N), dtype=float),
+        T = _number(spec, "T", path, 2.0 * L, "positive")
+        e1, zero = [1.0] + [0.0] * (N - 1), [0.0] * N
+        a0, b0, a1, b1 = (
+            _vector(spec, key, path, default, range(N, N + 1))
+            for key, default in (("y0_a", e1), ("y0_b", zero), ("y1_a", zero), ("y1_b", zero))
         )
-        y1 = WaveState(
-            np.asarray(spec.get("y1_a", [0.0] * N), dtype=float),
-            np.asarray(spec.get("y1_b", [0.0] * N), dtype=float),
-        )
-        res = hum_wave_boundary(
-            basis, y0, y1, T, steps=args.steps, force=bool(spec.get("force", False))
-        )
+        force = bool(spec.get("force", False))
+        res = hum_wave_boundary(basis, WaveState(a0, b0), WaveState(a1, b1), T, args.steps, force)
         results = {
             "task": task,
             "endpoint_error": res.endpoint_error,
@@ -389,9 +445,13 @@ def cmd_pde(args) -> dict:
         }
         columns = (res.times, res.control.reshape(-1, 1))
     elif task == "moment":
-        T = float(spec.get("T", 1.0))
-        omega = IntervalUnion(spec.get("omega", [[0.0, L / 2.0]]))
-        y0 = np.asarray(spec.get("y0", [1.0] + [0.0] * (N - 1)), dtype=float)
+        if abs(L - np.pi) > 1e-12:
+            raise SchemaError(f"{path}: the moment task needs L = pi, got {L}")
+        T = _number(spec, "T", path, 1.0, "positive")
+        omega = _intervals(spec, path, [[0.0, L / 2.0]])
+        if omega.measure <= 0.0:
+            raise SchemaError(f"{path}: field 'omega' must have positive measure")
+        y0 = _vector(spec, "y0", path, [1.0] + [0.0] * (N - 1), range(N, 1001))
         res = moment_heat_control(basis, omega, y0, T, N)
         results = {
             "task": task,
@@ -400,9 +460,8 @@ def cmd_pde(args) -> dict:
             "denominators": res.denominators,
         }
     elif task == "damping":
-        T = float(spec.get("T", 10.0))
-        omega_spec = spec.get("omega")
-        omega = IntervalUnion(omega_spec) if omega_spec else None
+        T = _number(spec, "T", path, 10.0, "positive")
+        omega = _intervals(spec, path, None) if spec.get("omega") else None
         res = damping_decay_experiment(basis, omega, T, samples=args.steps)
         results = {
             "task": task,
@@ -412,15 +471,17 @@ def cmd_pde(args) -> dict:
         }
         columns = (res.times, res.energy.reshape(-1, 1))
     elif task == "semilinear":
-        plant = problems.semilinear_heat(
-            L=L,
-            c=float(spec.get("c", 12.0)),
-            n=spec.get("n"),
-            N_sim=N,
-            gamma=spec.get("gamma"),
-        )
-        y0 = np.asarray(spec.get("y0", [0.01]), dtype=float)
-        res = semilinear_stabilize(plant, y0, float(spec.get("T_sim", 10.0)), args.steps)
+        c = _number(spec, "c", path, 12.0)
+        if c * L * L > (N * np.pi) ** 2:
+            raise SchemaError(f"{path}: c = {c} makes all N = {N} simulated modes unstable")
+        T_sim = _number(spec, "T_sim", path, 10.0, "positive")
+        # RK4 stability takes T_sim mu_N / 2.5 steps of N + 1 values each.
+        if T_sim * (N * np.pi) ** 2 * (N + 1) > 2.5e7 * L * L:
+            raise SchemaError(f"{path}: T_sim = {T_sim} needs an RK4 grid of more than 1e7 values")
+        n, gamma = _number(spec, "n", path, None, "whole"), _number(spec, "gamma", path, None)
+        plant = _construct(path, problems.semilinear_heat, L=L, c=c, n=n, N_sim=N, gamma=gamma)
+        y0 = _vector(spec, "y0", path, [0.01], range(N + 1))
+        res = semilinear_stabilize(plant, y0, T_sim, args.steps)
         results = {
             "task": task,
             "K": res.K,
@@ -430,8 +491,12 @@ def cmd_pde(args) -> dict:
         }
         columns = (res.times, np.column_stack([res.u, res.z]), res.v.reshape(-1, 1))
     else:
-        raise SchemaError(f"{args.spec}: unknown pde task {task!r}")
+        raise SchemaError(f"{path}: unknown pde task {task!r}")
     return _report("pde", spec, results, args, columns)
+
+
+def _intervals(spec, path, default) -> IntervalUnion:
+    return _construct(path, IntervalUnion, _matrix(spec, "omega", path, default).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +537,13 @@ def _report(command: str, spec: dict, results: dict, args, columns=None) -> dict
 
 def _emit(report: dict, args) -> None:
     columns = report.pop("_columns", None)
+    if columns is not None and not all(np.isfinite(c).all() for c in columns):
+        raise NonFiniteResult("the trajectory has non-finite values")
     csv = _traj_csv(*columns) if columns is not None and args.format == "csv" else None
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # strict JSON has no Infinity or NaN
+        raise NonFiniteResult("the report has non-finite numbers")
     out_dir = os.environ.get("CTRL_OUT_DIR", ".")
     if args.out:
         path = args.out
@@ -553,13 +623,20 @@ def _check_flags(args) -> None:
         raise SchemaError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.tol < 1.0:
         raise SchemaError(f"--tol must lie in (0, 1), got {args.tol}")
-    T = getattr(args, "T", None)  # analyze only
-    if T is not None and not 0.0 < T < np.inf:
-        raise SchemaError(f"--T must be positive and finite, got {T}")
+    if args.cmd == "analyze":
+        if args.T is not None and not 0.0 < args.T < np.inf:
+            raise SchemaError(f"--T must be positive and finite, got {args.T}")
+        if not np.isfinite(args.t):
+            raise SchemaError(f"--t must be finite, got {args.t}")
+        if args.depth < 1:
+            raise SchemaError(f"--depth must be >= 1, got {args.depth}")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (code 2) or --help (0)
+        return exc.code
     t0 = time.perf_counter()
     try:
         _check_flags(args)

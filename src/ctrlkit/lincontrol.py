@@ -58,11 +58,10 @@ class NotControllableError(RuntimeError):
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """Autonomous linear plant dx/dt = A x + B u + r."""
+    """Autonomous linear plant dx/dt = A x + B u."""
 
     A: np.ndarray
     B: np.ndarray
-    r: Optional[np.ndarray] = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -75,11 +74,6 @@ class LtiSystem:
             raise DimensionError("B must have as many rows as A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        if self.r is not None:
-            r = np.asarray(self.r, dtype=float).reshape(-1)
-            if r.shape[0] != A.shape[0]:
-                raise DimensionError("drift r must have length n")
-            object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -92,7 +86,7 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class LtvSystem:
-    """Time-varying linear plant dx/dt = A(t) x + B(t) u + r(t).
+    """Time-varying linear plant dx/dt = A(t) x + B(t) u.
 
     The evaluation callables must be stateless (they are invoked repeatedly
     and possibly from concurrent contexts).
@@ -102,7 +96,6 @@ class LtvSystem:
     m: int
     A: Callable[[float], np.ndarray]
     B: Callable[[float], np.ndarray]
-    r: Optional[Callable[[float], np.ndarray]] = None
 
 
 @dataclass
@@ -237,13 +230,11 @@ def brunovski_form(sys: LtiSystem, tol: float = 1e-9):
 
 
 def _as_callables(sys):
-    """Uniform (A(t), B(t), r(t), n) view over LtiSystem / LtvSystem."""
+    """Uniform (A(t), B(t), n) view over LtiSystem / LtvSystem."""
     if isinstance(sys, LtiSystem):
         A, B = sys.A, sys.B
-        rvec = sys.r if sys.r is not None else np.zeros(sys.n)
-        return (lambda t: A), (lambda t: B), (lambda t: rvec), sys.n
-    rfun = sys.r if sys.r is not None else (lambda t: np.zeros(sys.n))
-    return sys.A, sys.B, (lambda t: np.asarray(rfun(t), dtype=float)), sys.n
+        return (lambda t: A), (lambda t: B), sys.n
+    return sys.A, sys.B, sys.n
 
 
 def _transition_grid(sys, T: float, steps: int):
@@ -419,12 +410,13 @@ def _bracket_field(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(value=value, jacobian=lambda x: fd_jacobian(value, x, 1e-5))
 
 
-def larc_rank(fields: VectorFieldSet, x: np.ndarray, depth: int = 3, tol: float = 1e-7):
+def larc_rank(fields: VectorFieldSet, x: np.ndarray, depth: int = 3):
     """Lie algebra rank condition: rank of iterated brackets evaluated at x.
 
     Brackets are generated breadth-first as [f_i, w] with w from the previous
     level (left-normed words span the Lie algebra).  Jacobians of generated
-    brackets come from central finite differences of the bracket map.
+    brackets come from central finite differences of the bracket map.  The
+    rank tolerance is 1e-7, relative to the largest singular value.
     Returns (rank, satisfied).
     """
     if depth < 1:
@@ -442,7 +434,7 @@ def larc_rank(fields: VectorFieldSet, x: np.ndarray, depth: int = 3, tol: float 
                 vectors.append(np.asarray(bf.value(x), dtype=float))
         level = nxt
     M = np.column_stack(vectors)
-    rank = numerical_rank(M, tol)
+    rank = numerical_rank(M, 1e-7)
     return rank, rank == fields.dimension
 
 
@@ -463,13 +455,13 @@ class HumControl:
 
 
 def simulate_linear(sys, law: ControlLaw, x0, T: float, steps: int) -> Trajectory:
-    """RK4 simulation of dx/dt = A(t) x + B(t) u + r(t) under a control law."""
-    Afun, Bfun, rfun, n = _as_callables(sys)
+    """RK4 simulation of dx/dt = A(t) x + B(t) u under a control law."""
+    Afun, Bfun, n = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
 
     def rhs(t, x):
         u = law(t, x)
-        return np.asarray(Afun(t)) @ x + np.asarray(Bfun(t)) @ u + rfun(t)
+        return np.asarray(Afun(t)) @ x + np.asarray(Bfun(t)) @ u
 
     return integrate(OdeProblem(n, rhs, 0.0, x0, T, steps))
 
@@ -477,13 +469,13 @@ def simulate_linear(sys, law: ControlLaw, x0, T: float, steps: int) -> Trajector
 def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     """Minimum-L2-norm control steering x0 to x1 in time T via the Gramian.
 
-    Solves G_T psi = x1 - x*, with x* the free endpoint, and applies
+    Solves G_T psi = x1 - R(T, 0) x0, the gap to the free endpoint, and applies
     u(t) = B(t)^T lambda(t) with the adjoint lambda(t) = R(T, t)^T psi.
     Between grid nodes lambda is the cubic Hermite interpolant of its node
     values and lambda' = -A(t)^T lambda, fourth order like the RK4 grid.
     The closed system is re-simulated to report the actual endpoint error.
     """
-    Afun, Bfun, rfun, _ = _as_callables(sys)
+    Afun, Bfun, _ = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if steps % 2 != 0:
@@ -491,10 +483,7 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     rep, times, R = _gramian(sys, T, steps)
     if not rep.invertible:
         raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
-    # Free endpoint x* = R(T,0) x0 + int_0^T R(T,t) r(t) dt.
-    drift = np.array([R[i] @ rfun(t) for i, t in enumerate(times)])
-    x_star = R[0] @ x0 + simpson(drift, T / steps)
-    psi = np.linalg.solve(rep.G, x1 - x_star)
+    psi = np.linalg.solve(rep.G, x1 - R[0] @ x0)
     cost = float(psi @ rep.G @ psi)
 
     lam = psi @ np.asarray(R)  # row i is R(T, t_i)^T psi

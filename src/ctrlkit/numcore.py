@@ -186,12 +186,16 @@ _THETA13 = 5.371920351148152
 
 
 def expm(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with a Pade 13 approximant."""
+    """Matrix exponential via scaling-and-squaring with a Pade 13 approximant.
+
+    Non-finite entries, which only an overflow upstream produces, raise
+    FloatingPointError.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expm requires a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError("expm requires finite entries")
+        raise FloatingPointError("expm requires finite entries")
     n = M.shape[0]
     norm1 = np.linalg.norm(M, 1)
     s = 0

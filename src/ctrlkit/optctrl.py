@@ -201,8 +201,6 @@ class OcProblem:
     maximizer: Callable
     x0: np.ndarray
     f0: Optional[Callable] = None
-    g: Optional[Callable] = None
-    g_t: Optional[Callable] = None
     g_x: Optional[Callable] = None
     terminal_kind: str = "fixed"
     x1: Optional[np.ndarray] = None
@@ -220,6 +218,8 @@ class OcProblem:
         if self.terminal_kind == "manifold" and (self.F is None or self.F_jacobian is None):
             raise ValueError("manifold terminal condition requires F and F_jacobian")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        if self.x0.shape != (self.dimension,):
+            raise DimensionError(f"x0 must have {self.dimension} entries")
         if self.x1 is not None:
             object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
 
@@ -367,9 +367,8 @@ def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):
         tangent = Vt[q:]
         pieces.append(tangent @ (p_f - p0 * gx))
     if p.horizon is None:
-        gt = float(p.g_t(t_f, x_f)) if p.g_t is not None else 0.0
         u_f = np.atleast_1d(np.asarray(p.maximizer(t_f, x_f, p_f, p0), dtype=float))
-        pieces.append(np.array([_hamiltonian(p, t_f, x_f, p_f, p0, u_f) + p0 * gt]))
+        pieces.append(np.array([_hamiltonian(p, t_f, x_f, p_f, p0, u_f)]))
     return np.concatenate(pieces)
 
 
@@ -380,7 +379,6 @@ def pmp_shoot(
     newton_iters: int = 50,
     tol: float = 1e-9,
     p0: float = -1.0,
-    jacobian_step: Optional[float] = None,
 ) -> Extremal:
     """Damped-Newton single shooting on the PMP boundary value problem.
 
@@ -408,16 +406,14 @@ def pmp_shoot(
     `history_steps` gives the grid step count of each entry.
 
     Bang-bang maximizers are integrated with switch-time event location, so
-    the shooting map stays smooth in the guess and the default
-    finite-difference `jacobian_step` applies to them too.
+    the shooting map stays smooth in the guess and the forward-difference
+    Jacobian, with step 1e-6 (1 + |z|), applies to them too.
     """
     n = p.dimension
     z = np.asarray(guess, dtype=float).copy()
     expect = n + (1 if p.horizon is None else 0)
     if z.shape[0] != expect:
         raise DimensionError(f"guess must have {expect} entries")
-    if jacobian_step is None:
-        jacobian_step = 1e-6
     history, history_steps = [], []
 
     def shoot(zv, grid):
@@ -445,7 +441,7 @@ def pmp_shoot(
             if history[-1] < target:
                 return z, shot, it
             r = shot[0]
-            h = jacobian_step * (1.0 + np.abs(z))
+            h = 1e-6 * (1.0 + np.abs(z))
             J = fd_jacobian(lambda zv: shoot(zv, grid)[0], z, h, "forward", r)
             step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
             alpha = 1.0
@@ -584,6 +580,5 @@ def check_extremal(e: Extremal, p: OcProblem) -> dict:
         ),
     }
     if p.horizon is None:
-        gt = float(p.g_t(e.tf, e.state.at_end())) if p.g_t is not None else 0.0
-        diag["free_time_residual"] = float(abs(hams[-1] + e.p0 * gt))
+        diag["free_time_residual"] = float(abs(hams[-1]))
     return diag

@@ -10,7 +10,7 @@ predator-prey, Heisenberg fields, and the double integrator.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -144,7 +144,9 @@ def maxwell_bloch_equilibrium(family: int, first: float, c: float):
 
 
 def dubins_linearized(T: float) -> LtvSystem:
-    """Linearization of the Dubins car along its circular reference loop."""
+    """Linearization of the Dubins car along its circular reference loop of period T > 0."""
+    if not T > 0:
+        raise ValueError(f"the loop period T must be positive, got {T}")
 
     def A(t):
         w = 2.0 * np.pi * t / T
@@ -226,22 +228,15 @@ def predator_prey():
 # ---------------------------------------------------------------------------
 
 
-def zermelo_min_drift(
-    c: Optional[Callable[[float], float]] = None,
-    c_prime: Optional[Callable[[float], float]] = None,
-    v: float = 1.0,
-    ell: float = 1.0,
-) -> OcProblem:
+def zermelo_min_drift(v: float = 1.0, ell: float = 1.0) -> OcProblem:
     """Zermelo navigation: reach the bank y = ell minimizing the drift x(t_f).
 
-    State (x, y), control the heading angle u; x' = v cos u + c(y),
-    y' = v sin u; terminal cost g = x, free final time.
+    State (x, y), control the heading angle u; x' = v cos u + c(y) with the
+    current c(y) = 1 + y^2, y' = v sin u; terminal cost g = x (so g_x = e_1),
+    free final time.
     """
-    if c is None:
-        c = lambda y: 1.0 + y * y
-        c_prime = lambda y: 2.0 * y
-    if c_prime is None:
-        raise ValueError("c_prime must accompany a custom current profile")
+    c = lambda y: 1.0 + y * y
+    c_prime = lambda y: 2.0 * y
 
     def f(t, x, u):
         ang = float(u[0])
@@ -261,7 +256,6 @@ def zermelo_min_drift(
         f=f,
         maximizer=maximizer,
         x0=np.zeros(2),
-        g=lambda t, x: x[0],
         g_x=lambda t, x: np.array([1.0, 0.0]),
         terminal_kind="manifold",
         F=lambda x: np.array([x[1] - ell]),
@@ -271,26 +265,25 @@ def zermelo_min_drift(
     )
 
 
-def zermelo_shooting_guess(
-    p: OcProblem, delta: float = 4e-5, t_max: float = 20.0, steps: int = 1000
-) -> np.ndarray:
+def zermelo_shooting_guess(p: OcProblem, delta: float = 4e-5) -> np.ndarray:
     """Shooting guess (p_x(0), p_y(0), t_f) for `zermelo_min_drift`.
 
     The minimal-drift extremal leaves y = 0 along an unstable manifold (the
     exact solution has p_y(0) = 0 and infinite transit time), so a blind
     Newton start stalls.  Instead fix p_x(0) = -1 and a small p_y(0) = delta
     (the Hamiltonian stays at delta^2/2 along the flow) and bisect the final
-    time so that the trajectory lands on the far bank.
+    time in [0, 20] on 1000-step extremals so that the trajectory lands on
+    the far bank.
     """
     pinit = np.array([-1.0, delta])
     target = -float(p.F(np.array([np.inf, 0.0]))[0])  # ell, since F = y - ell
-    lo, hi = 0.0, t_max
-    _, Z = integrate_extremal(p, pinit, hi, steps, -1.0)
+    lo, hi = 0.0, 20.0
+    _, Z = integrate_extremal(p, pinit, hi, 1000, -1.0)
     if Z[-1, 1] < target:
-        raise ValueError("t_max too small: trajectory does not reach the bank")
+        raise ValueError("trajectory does not reach the bank by t = 20")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        _, Z = integrate_extremal(p, pinit, mid, steps, -1.0)
+        _, Z = integrate_extremal(p, pinit, mid, 1000, -1.0)
         if Z[-1, 1] >= target:
             hi = mid
         else:

@@ -232,21 +232,16 @@ def optimal_interval_union(j: int, measure: float, L: float) -> IntervalUnion:
 def _sin_product_integrals(omega: IntervalUnion, basis: SineBasis, N: int) -> np.ndarray:
     """S[j-1, k-1] = int_omega sin(j pi x/L) sin(k pi x/L) dx, closed form."""
     L = basis.L
-    S = np.empty((N, N))
-    for j in range(1, N + 1):
-        for k in range(j, N + 1):
-            if j == k:
-                val = sin2_mass(omega, j, basis)
-            else:
-                wm = (j - k) * np.pi / L
-                wp = (j + k) * np.pi / L
-                val = 0.0
-                for lo, hi in omega.intervals:
-                    val += 0.5 * (
-                        (np.sin(wm * hi) - np.sin(wm * lo)) / wm
-                        - (np.sin(wp * hi) - np.sin(wp * lo)) / wp
-                    )
-            S[j - 1, k - 1] = S[k - 1, j - 1] = val
+    S = np.diag([sin2_mass(omega, j, basis) for j in range(1, N + 1)])
+    r, c = np.triu_indices(N, 1)  # the pairs j = r + 1 < k = c + 1
+    wm = (r - c) * np.pi / L
+    wp = (r + c + 2) * np.pi / L
+    val = 0.0
+    for lo, hi in omega.intervals:
+        val = val + 0.5 * (
+            (np.sin(wm * hi) - np.sin(wm * lo)) / wm - (np.sin(wp * hi) - np.sin(wp * lo)) / wp
+        )
+    S[r, c] = S[c, r] = val
     return S
 
 
@@ -307,7 +302,6 @@ def hum_wave_boundary(
     T: float,
     steps: int = 2000,
     force: bool = False,
-    cond_limit: float = 1e12,
 ) -> HumWaveResult:
     """Minimal-L2 boundary control steering the truncated wave y0 -> y1.
 
@@ -315,7 +309,8 @@ def hum_wave_boundary(
     (a, b) coefficients, solves G z = y1 - S(T) y0, and applies
     u(t) = D' S(T-t)' z.  The same Simpson grid is reused for the Gramian,
     the control norm, and the re-simulated endpoint, so those identities are
-    exact up to round-off.
+    exact up to round-off.  A Gramian condition number above 1e12 raises
+    IllPosedError.
     """
     N = y0.N
     if y1.N != N:
@@ -341,9 +336,9 @@ def hum_wave_boundary(
     G = 0.5 * (G + G.T)
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if cond > cond_limit:
+    if cond > 1e12:
         raise IllPosedError(
-            f"wave Gramian condition number {cond:.3e} exceeds {cond_limit:.1e}",
+            f"wave Gramian condition number {cond:.3e} exceeds 1.0e+12",
             float(sv[-1]),
         )
     free = wave_evolve(basis, y0, T)
@@ -371,10 +366,10 @@ def hum_wave_boundary(
 # ---------------------------------------------------------------------------
 
 
-def biorthogonal_family(exponents: Sequence[float], T: float, K: int, dps: int = 80):
+def biorthogonal_family(exponents: Sequence[float], T: float, K: int):
     """Family theta^k(t) = sum_i c_ik exp(-mu_i t) biorthogonal to exp(-mu_j t).
 
-    Solves the K x K exponential Gram system in mpmath working precision
+    Solves the K x K exponential Gram system in 80-digit mpmath precision
     (the condition number grows super-exponentially in K).  Returns the
     mpmath coefficient matrix (column k holds theta^k) and the Gram
     condition number as a float.
@@ -386,6 +381,7 @@ def biorthogonal_family(exponents: Sequence[float], T: float, K: int, dps: int =
         raise DimensionError("K exceeds the number of exponents")
     if len(set(float(m) for m in mus)) != len(mus):
         raise ValueError("exponents must be distinct")
+    dps = 80
     with mp.workdps(dps):
         Tm = mp.mpf(T)
 
@@ -418,9 +414,6 @@ def biorthogonal_family(exponents: Sequence[float], T: float, K: int, dps: int =
 
 @dataclass
 class MomentControlResult:
-    times: np.ndarray
-    xs: np.ndarray
-    u_field: np.ndarray  # u(t_i, x_j)
     mode_coeffs: Callable  # t -> per-mode control coefficients g_k(t)
     final_modes: np.ndarray  # y_j(T) of the controlled modes, j = 1..N
     max_final: float
@@ -433,8 +426,6 @@ def moment_heat_control(
     y0_coeffs,
     T: float,
     N: int,
-    steps: int = 4000,
-    space_nodes: int = 201,
 ) -> MomentControlResult:
     """Null control of the first N heat modes on (0, pi) by the moment method.
 
@@ -443,7 +434,7 @@ def moment_heat_control(
     y_j' = -j^2 y_j + int_omega u(t, x) sin(j x) dx.  The surviving mode
     amplitudes y_j(T) of the controlled system come from the closed-form
     solution of these linear mode equations, so they are exact up to
-    rounding; `steps` only sets the time grid of `u_field`.
+    rounding.
     """
     if abs(basis.L - np.pi) > 1e-12:
         raise ValueError("the moment construction uses the L = pi convention")
@@ -467,24 +458,13 @@ def moment_heat_control(
         """g_k(t): coefficient of sin(k x) in u(t, .)."""
         return scale * (np.exp(-mu_arr * (T - t)) @ Cf)
 
-    if steps % 2 != 0:
-        steps += 1
-    times = np.linspace(0.0, T, steps + 1)
-    g_samples = mode_coeffs(times[:, None])
-
     # y_j' = -mu_j y_j + sum_k S[j,k] g_k(t) in closed form: every forcing term
     # is an exponential, and int_0^T e^{-(mu_j + mu_i)(T - t)} dt is the
     # exponential Gram matrix of the biorthogonal family.
     s = mu_arr[:, None] + mu_arr[None, :]
     gram = -np.expm1(-s * T) / s
     y = np.exp(-mu_arr * T) * a0[:N] + (S * (gram @ Cf)) @ scale
-    xs = np.linspace(0.0, basis.L, space_nodes)
-    sines = np.sin(np.outer(xs, np.arange(1, N + 1)))
-    u_field = g_samples @ sines.T
     return MomentControlResult(
-        times=times,
-        xs=xs,
-        u_field=u_field,
         mode_coeffs=mode_coeffs,
         final_modes=y,
         max_final=float(np.max(np.abs(y))),
@@ -511,19 +491,18 @@ def damping_decay_experiment(
     damping: Optional[IntervalUnion],
     T_fit: float,
     samples: int = 400,
-    y0: Optional[WaveState] = None,
 ) -> DampingResult:
     """Energy decay of the internally damped truncated wave.
 
-    Simulates dZ/dt = M Z with M the Galerkin matrix of the damped wave
-    (damping operator B_jk = (2/L) int_omega sin sin), steps with the exact
-    matrix exponential of M, fits log E(t) by least squares for delta, and
-    reports C1 = max_t E(t) e^(delta t) / E(0).  The observability value is
-    the conservative integral int_0^T ||B^(1/2) dt phi||^2 dt.
+    Simulates dZ/dt = M Z from a = (1, ..., 1), b = 0, with M the Galerkin
+    matrix of the damped wave (damping operator B_jk = (2/L) int_omega sin
+    sin), steps with the exact matrix exponential of M, fits log E(t) by
+    least squares for delta, and reports C1 = max_t E(t) e^(delta t) / E(0).
+    The observability value is the conservative integral
+    int_0^T ||B^(1/2) dt phi||^2 dt.
     """
     N = basis.N
-    if y0 is None:
-        y0 = WaveState(np.ones(N), np.zeros(N))
+    y0 = WaveState(np.ones(N), np.zeros(N))
     if samples % 2 != 0:
         samples += 1
     om = basis.omega
@@ -644,7 +623,6 @@ def semilinear_stabilize(
     y0_coeffs,
     T_sim: float,
     steps: int = 2000,
-    space_nodes: int = 201,
 ) -> SemilinearResult:
     """Finite-mode boundary stabilization of the semilinear heat equation.
 
@@ -653,7 +631,11 @@ def semilinear_stabilize(
     N_sim-mode Galerkin truncation of the true nonlinear system under
     v = K X_n, u' = v, u(0) = 0 (z = y - (x/L) u substitution), recording
     the composite Lyapunov function V = gamma X'PX - (1/2) sum lambda_j z_j^2.
+    The nonlinearity is projected on the modes by Simpson's rule on 201
+    space nodes.  T_sim must be positive: the heat flow is not reversible.
     """
+    if not T_sim > 0:
+        raise ValueError(f"T_sim must be positive, got {T_sim}")
     A, B, a, b, lam_n = semilinear_matrices(plant)
     n = plant.n
     target = np.poly(-np.ones(n + 1))  # (s+1)^(n+1)
@@ -668,8 +650,7 @@ def semilinear_stabilize(
     lam_all = plant.f_prime_0 - mu
     I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
     b_all = -I_all / L
-    if space_nodes % 2 == 0:
-        space_nodes += 1
+    space_nodes = 201
     xs = np.linspace(0.0, L, space_nodes)
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on grid
     # <g, e_j> = int_0^L g e_j dx by Simpson on the grid, for every mode at once.

@@ -418,17 +418,17 @@ def linearize(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x_bar,
     u_bar,
-    equilibrium_tol: float = 1e-8,
 ) -> LtiSystem:
     """Linearize dx/dt = f(x, u) at an equilibrium (x_bar, u_bar).
 
-    Jacobians by 4th-order central differences with step 1e-5 scaled by the
-    coordinate magnitude.
+    Raises EquilibriumError when ||f(x_bar, u_bar)|| exceeds 1e-8.  Jacobians
+    by 4th-order central differences with step 1e-5 scaled by the coordinate
+    magnitude.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.atleast_1d(np.asarray(u_bar, dtype=float))
     res = float(np.linalg.norm(np.asarray(f(x_bar, u_bar), dtype=float)))
-    if res > equilibrium_tol:
+    if res > 1e-8:
         raise EquilibriumError(res)
     A = fd_jacobian(lambda z: f(z, u_bar), x_bar, 1e-5 * np.maximum(1.0, np.abs(x_bar)), "central4")
     B = fd_jacobian(lambda w: f(x_bar, w), u_bar, 1e-5 * np.maximum(1.0, np.abs(u_bar)), "central4")

@@ -2,12 +2,14 @@
 and the CSV trajectory format."""
 
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ctrlkit
@@ -141,6 +143,44 @@ class TestExitCodes:
         assert main(["stabilize", *argv]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "command, name, change, flags, message",
+        [
+            ("analyze", "double_integrator.json", {"A": [[1.0, 2.0]]}, [], "A must be square"),
+            ("analyze", "double_integrator.json", {"A": [[math.nan, 1.0], [0.0, 0.0]]}, [], "'A' must be finite"),
+            ("analyze", "double_integrator.json", {"r": [0.0, 0.0]}, [], "unknown fields ['r']"),
+            ("analyze", "rlc.json", {"params": {"Q": 1.0}}, [], "unexpected keyword argument 'Q'"),
+            ("analyze", "triangular_ltv.json", {}, ["--depth=-1"], "--depth must be >= 1"),
+            ("shoot", "zermelo.json", {"params": {"v": "a"}}, [], "params 'v' missing or not numeric"),
+            ("shoot", "zermelo.json", {"guess": [-1.0, 1.5e-5]}, [], "'guess' must be a vector of 3 numbers"),
+            ("pde", "wave_hum.json", {"y0_a": [1.0, 0.0]}, [], "'y0_a' must be a vector of 8 numbers"),
+            ("pde", "wave_hum.json", {"T": math.inf}, [], "'T' must be finite"),
+            ("pde", "wave_hum.json", {"N": "a"}, [], "'N' missing or not numeric"),
+            ("pde", "moment_heat.json", {"L": 1.0}, [], "the moment task needs L = pi"),
+            ("pde", "damping.json", {"T": -1.0}, [], "'T' must be a positive number"),
+            ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
+        ],
+    )
+    def test_malformed_spec_is_input_error(self, command, name, change, flags, message, tmp_path, capsys):
+        with open(spec(name)) as fh:
+            obj = json.load(fh)
+        obj.update(change)
+        assert main([command, write_spec(tmp_path, obj), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["report", "csv"])
+    def test_non_finite_result_is_numerical_failure(self, fmt, tmp_path, capsys):
+        # The states stay finite, but |z| and the Lyapunov function overflow.
+        with open(spec("semilinear.json")) as fh:
+            obj = json.load(fh)
+        obj["y0"] = [1e300]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["pde", write_spec(tmp_path, obj), f"--format={fmt}"]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err and "non-finite" in captured.err
+        assert captured.out == ""
 
     def test_out_into_missing_directory_is_input_error(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "r.json")

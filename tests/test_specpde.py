@@ -10,6 +10,7 @@ from ctrlkit import problems as pr
 from ctrlkit.lincontrol import kalman_matrix
 from ctrlkit.specpde import (
     IllPosedError,
+    _sin_product_integrals,
     IntervalUnion,
     SineBasis,
     WaveState,
@@ -173,10 +174,9 @@ class TestMomentMethod:
         basis = SineBasis(L, 4)
         omega = IntervalUnion([[0.0, L / 2.0]])
         y0 = np.array([1.0, -0.5, 0.3, 0.2])
-        # y_j(T) in closed form: only rounding survives, at any step count.
-        for steps in (10, 4000):
-            res = moment_heat_control(basis, omega, y0, 1.0, 4, steps=steps)
-            assert res.max_final <= 1e-13
+        # y_j(T) in closed form: only rounding survives.
+        res = moment_heat_control(basis, omega, y0, 1.0, 4)
+        assert res.max_final <= 1e-13
 
     def test_rejects_empty_overlap(self):
         # an interval where every mode mass vanishes cannot happen for
@@ -202,6 +202,36 @@ class TestDamping:
         basis = SineBasis(1.0, 16)
         res = damping_decay_experiment(basis, None, 8.0)
         assert np.max(np.abs(res.energy - res.energy[0])) < 1e-10
+
+
+class TestSinProductIntegrals:
+    @staticmethod
+    def loop(omega, basis, N):
+        """The double loop over mode pairs that the array expressions replace."""
+        L = basis.L
+        S = np.empty((N, N))
+        for j in range(1, N + 1):
+            for k in range(j, N + 1):
+                if j == k:
+                    val = sin2_mass(omega, j, basis)
+                else:
+                    wm = (j - k) * np.pi / L
+                    wp = (j + k) * np.pi / L
+                    val = 0.0
+                    for lo, hi in omega.intervals:
+                        val += 0.5 * (
+                            (np.sin(wm * hi) - np.sin(wm * lo)) / wm
+                            - (np.sin(wp * hi) - np.sin(wp * lo)) / wp
+                        )
+                S[j - 1, k - 1] = S[k - 1, j - 1] = val
+        return S
+
+    @pytest.mark.parametrize("L", [1.0, math.pi])
+    def test_bit_identical_to_the_loop(self, L):
+        basis = SineBasis(L, 16)
+        omega = IntervalUnion([[0.1 * L, 0.35 * L], [0.55 * L, 0.9 * L]])
+        S = _sin_product_integrals(omega, basis, 16)
+        assert S.tobytes() == self.loop(omega, basis, 16).tobytes()
 
 
 class TestSemilinear:
@@ -252,3 +282,9 @@ class TestSemilinear:
         res = semilinear_stabilize(plant, y0, T_sim=1.0)
         M = res.A_n + res.B_n @ res.K.reshape(1, -1)
         assert np.max(np.abs(np.linalg.eigvals(M).real + 1.0)) < 1e-4
+
+    @pytest.mark.parametrize("T_sim", [0.0, -1.0, float("nan")])
+    def test_nonpositive_horizon_is_rejected(self, T_sim):
+        # Backward in time the heat flow blows up instead of decaying.
+        with pytest.raises(ValueError, match="T_sim must be positive"):
+            semilinear_stabilize(pr.semilinear_heat(n=1), [0.01], T_sim=T_sim)
