@@ -61,7 +61,7 @@ class Trajectory:
     """A sampled path: strictly increasing times, one state vector per node."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
+    states: np.ndarray  # shape (len(times), state dimension)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -72,10 +72,6 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
     def at_end(self) -> np.ndarray:
         return self.states[-1]

@@ -364,12 +364,11 @@ def semilinear_heat(
     gamma: Optional[float] = None,
 ) -> SemilinearPlant:
     """Semilinear heat plant with the linear-rate nonlinearity f(y) = c y."""
-    f = lambda y: c * y
-    n_def, N_def, g_def = semilinear_defaults(L, f, c, gamma)
+    n_def, N_def, g_def = semilinear_defaults(L, c, gamma)
     n_val = n if n is not None else n_def
     return SemilinearPlant(
         L=L,
-        f=f,
+        f=lambda y: c * y,
         f_prime_0=c,
         n=n_val,
         N_sim=N_sim if N_sim is not None else max(2 * n_val, N_def),

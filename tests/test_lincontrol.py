@@ -195,10 +195,23 @@ class TestTimeVarying:
             assert ok and rank == 3
 
     def test_rotating_frame_fails_rank_test(self):
+        # B_1 = A B - dB/dt vanishes identically, so sigma_2 / sigma_1 is
+        # rounding alone (below 5e-11 at these t) and the rank stays 1 also at
+        # a relative tolerance of 1e-9.
         sys = pr.rotating_frame()
-        for t in (0.0, 0.5, 1.0, 2.0, 5.0):
-            rank, ok = ck.ltv_kalman_test(sys, t, depth=3)
-            assert not ok
+        for tol in (1e-6, 1e-9):
+            for t in (0.0, 0.5, 1.0, 2.0, 5.0):
+                rank, ok = ck.ltv_kalman_test(sys, t, depth=3, tol=tol)
+                assert rank == 1 and not ok
+
+    def test_rank_from_derivatives_alone(self):
+        # A = 0 and B(t) = (1, t, t^2): B_k = (-1)^k d^kB/dt^k, so depth 1 spans
+        # two directions and depth 2 adds the constant third one, (0, 0, 2).
+        sys = ck.LtvSystem(3, 1, lambda t: np.zeros((3, 3)), lambda t: np.array([1.0, t, t * t]))
+        for t in (0.0, 1.0, 3.0):
+            assert ck.ltv_kalman_test(sys, t, depth=1) == (2, False)
+            for depth in (2, 3):
+                assert ck.ltv_kalman_test(sys, t, depth=depth) == (3, True)
 
     @pytest.mark.parametrize("T", [1.0, 5.0])
     def test_rotating_frame_singular_gramian(self, T):

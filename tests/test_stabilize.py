@@ -87,6 +87,25 @@ class TestPolePlace:
             K = ck.pole_place(sys, target)
             assert np.max(np.abs(np.poly(sys.A + sys.B @ K) - target)) < 1e-8
 
+    def test_multi_input_repeated_and_complex_targets(self):
+        # Repeated or complex targets with m >= 2 skip the robust eigenstructure
+        # assignment: only the chain reduction, its refinement and the seeded
+        # retries place them.
+        f = pr.maxwell_bloch_dynamics()
+        mb = ck.linearize(f, *pr.maxwell_bloch_equilibrium(2, 1.0, 0.0))
+        cases = [(mb, [-1.0, -1.0, -1.0]), (mb, [-1.0 + 1.0j, -1.0 - 1.0j, -2.0])]
+        for sys, _ in random_controllable_pairs(31, 40, 6, 3):
+            if sys.m < 2:
+                continue
+            n = sys.n
+            pairs = [-1.0 - k / 2 + s * 1j for k in range(n // 2) for s in (1, -1)]
+            cases += [(sys, [-1.0] * n), (sys, pairs + [-1.0 - (n - 1) / 2] * (n % 2))]
+        for sys, poles in cases:
+            target = np.poly(poles).real
+            K = ck.pole_place(sys, target)
+            err = np.max(np.abs(np.poly(sys.A + sys.B @ K) - target))
+            assert err <= 1e-8 * max(1.0, np.max(np.abs(target)))
+
     def test_rejects_uncontrollable(self):
         sys = LtiSystem(np.eye(2), np.array([[1.0], [0.0]]))
         with pytest.raises(NotControllableError):
