@@ -296,15 +296,28 @@ def _gramian(sys, T: float, steps: int, with_grid: bool = True):
 
 
 # The B_k recursion holds its local models as values on 17 first-kind Chebyshev
-# points of [-1, 1].  _CHEB_DIFF is d/ds on those values; each diagonal entry
-# is minus its row's off-diagonal sum, so constants differentiate to exactly 0
-# (tenfold less rounding in three nested derivatives).  _CHEB_CENTRE reads s = 0.
+# points of [-1, 1].
 _CHEB_DEG = 16
 _CHEB_NODES = np.cos(np.pi * (2 * np.arange(_CHEB_DEG + 1) + 1) / (2 * (_CHEB_DEG + 1)))
-_CHEB_FIT = np.linalg.inv(C.chebvander(_CHEB_NODES, _CHEB_DEG))
-_CHEB_DIFF = C.chebvander(_CHEB_NODES, _CHEB_DEG - 1) @ C.chebder(_CHEB_FIT)
-_CHEB_DIFF[np.diag_indices(_CHEB_DEG + 1)] -= _CHEB_DIFF.sum(axis=1)
-_CHEB_CENTRE = C.chebvander(0.0, _CHEB_DEG)[0] @ _CHEB_FIT
+
+
+def _cheb_model(s):
+    """Chebyshev fit, d/ds and the weights that read s = 0, for values at the nodes s.
+
+    Each diagonal entry of d/ds is minus its row's off-diagonal sum, so
+    constants differentiate to exactly 0 (tenfold less rounding in three
+    nested derivatives).
+    """
+    fit = np.linalg.inv(C.chebvander(s, _CHEB_DEG))
+    diff = C.chebvander(s, _CHEB_DEG - 1) @ C.chebder(fit)
+    diff[np.diag_indices(_CHEB_DEG + 1)] -= diff.sum(axis=1)
+    return fit, diff, C.chebvander(0.0, _CHEB_DEG)[0] @ fit
+
+
+def _resolved(fit, values) -> bool:
+    """Whether the Chebyshev coefficients of `values` decay to a relative tail of 1e-13."""
+    c = np.abs(np.tensordot(fit, values, axes=1))
+    return c[-4:].max() <= 1e-13 * c.max()
 
 
 def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6):
@@ -312,20 +325,33 @@ def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6)
 
     Implements B_0 = B, B_{k+1} = A B_k - dB_k/dt via local polynomial models
     of A(.) and B(.) around t, so the repeated differentiation stays accurate.
-    The models interpolate on Chebyshev points of [t - rho, t + rho].
-    Returns (rank, satisfied).
+    The models interpolate on Chebyshev points of [t - rho, t + rho], at the
+    nodes tau = t + rho s as they round, so that rounding is no error of the
+    model at large |t|.  rho starts at 0.1 and halves until the models are
+    resolved: the last 4 Chebyshev coefficients of A and of B are within
+    1e-13 of their largest (a plateau check in the style of Aurentz &
+    Trefethen, ACM TOMS 43(4), 2017).  Below rho = 1e3 ulps of max(1, |t|)
+    the nodes are too coarse to resolve anything, and FloatingPointError is
+    raised instead of a rank.  Returns (rank, satisfied).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    rho = 0.1 * max(1.0, abs(t))
-    taus = t + rho * _CHEB_NODES
-    A = np.array([np.asarray(sys.A(tau), dtype=float).reshape(sys.n, sys.n) for tau in taus])
-    Bk = np.array([np.asarray(sys.B(tau), dtype=float).reshape(sys.n, sys.m) for tau in taus])
-    D = _CHEB_DIFF / rho
-    blocks = [np.tensordot(_CHEB_CENTRE, Bk, axes=1)]
+    rho, floor = 0.1, 1e3 * np.spacing(max(1.0, abs(t)))
+    while True:
+        if rho < floor:
+            raise FloatingPointError(f"no local model of A and B is resolved at t={t:.6g}")
+        taus = t + rho * _CHEB_NODES
+        fit, diff, centre = _cheb_model((taus - t) / rho)
+        A = np.array([np.asarray(sys.A(tau), dtype=float).reshape(sys.n, sys.n) for tau in taus])
+        Bk = np.array([np.asarray(sys.B(tau), dtype=float).reshape(sys.n, sys.m) for tau in taus])
+        if _resolved(fit, A) and _resolved(fit, Bk):
+            break
+        rho *= 0.5
+    D = diff / rho
+    blocks = [np.tensordot(centre, Bk, axes=1)]
     for _ in range(depth):
         Bk = A @ Bk - np.tensordot(D, Bk, axes=1)
-        blocks.append(np.tensordot(_CHEB_CENTRE, Bk, axes=1))
+        blocks.append(np.tensordot(centre, Bk, axes=1))
     rank = numerical_rank(np.hstack(blocks), tol)
     return rank, rank == sys.n
 

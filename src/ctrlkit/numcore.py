@@ -244,15 +244,18 @@ def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
     Step k starts at times[k] with the signed step h, so a reversed grid
     with h < 0 sweeps backward.  States may have any shape (axis 0 of the
     result is time).  `step(t, x, t_next)`, when given, replaces the RK4
-    step.  Raises IntegrationBlowup(times[k + 1]) on a non-finite state.
+    step and gets `x0` as it is, so it may carry the state as a list of
+    floats.  Times are handed out as Python floats.  Raises
+    IntegrationBlowup(times[k + 1]) on a non-finite state.
     """
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((len(times),) + x.shape)
+    x = np.asarray(x0, dtype=float) if step is None else x0
+    states = np.empty((len(times),) + np.shape(x))
     states[0] = x
+    times = np.asarray(times, dtype=float).tolist()
     for k in range(len(times) - 1):
         x = rk4_step(rhs, times[k], x, h) if step is None else step(times[k], x, times[k + 1])
         if not np.isfinite(x).all():
-            raise IntegrationBlowup(float(times[k + 1]))
+            raise IntegrationBlowup(times[k + 1])
         states[k + 1] = x
     return states
 

@@ -10,6 +10,7 @@ Newton iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import fd_jacobian, rk4_step, rk4_sweep, simpson
+from .numcore import fd_jacobian, rk4_sweep, simpson
 from .lincontrol import ControlLaw, LtiSystem, simulate_linear
 
 __all__ = [
@@ -193,6 +194,11 @@ class OcProblem:
     The maximizer returns argmax_u H(t, x, p, p0, u).  `hamiltonian_dx`,
     when provided, supplies the analytic dH/dx and avoids finite
     differencing the Hamiltonian (worth it for tight runtimes).
+
+    `f`, `f0`, `maximizer`, `hamiltonian_dx` and a maximizer's `switching`
+    get x and p as sequences of floats: lists while the extremal is
+    integrated, 1-D arrays at its endpoints.  They return sequences of
+    floats (`f0` a float); tuples or lists keep the integration fast.
     """
 
     dimension: int
@@ -253,29 +259,56 @@ def _hamiltonian(p: OcProblem, t, x, pv, p0, u):
 
 
 def _ham_rhs(p: OcProblem, p0):
+    """(t, z, u=None) -> z' = (f, -dH/dx) on a list z = (x, p) of floats, as a list."""
     n = p.dimension
 
     def rhs(t, z, u=None):
         x = z[:n]
         pv = z[n:]
         if u is None:
-            u = np.atleast_1d(np.asarray(p.maximizer(t, x, pv, p0), dtype=float))
-        fx = np.asarray(p.f(t, x, u), dtype=float)
+            u = p.maximizer(t, x, pv, p0)
         if p.hamiltonian_dx is not None:
-            dHdx = np.asarray(p.hamiltonian_dx(t, x, pv, p0, u), dtype=float)
+            dHdx = p.hamiltonian_dx(t, x, pv, p0, u)
         else:
             H = lambda xv: _hamiltonian(p, t, xv, pv, p0, u)
-            dHdx = fd_jacobian(H, x, 1e-6 * (1.0 + np.abs(x)))[0]
-        return np.concatenate([fx, -dHdx])
+            dHdx = fd_jacobian(H, x, 1e-6 * (1.0 + np.abs(x)))[0].tolist()
+        return [*p.f(t, x, u), *(-d for d in dHdx)]
 
     return rhs
 
 
+def _rk4(rhs, t, z, h):
+    """numcore.rk4_step on a list of floats: the same operations in the same order."""
+    a = 0.5 * h
+    k1 = rhs(t, z)
+    k2 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k1)])
+    k3 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k2)])
+    k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
+    b = h / 6.0
+    return [
+        zi + b * (c1 + 2.0 * c2 + 2.0 * c3 + c4) for zi, c1, c2, c3, c4 in zip(z, k1, k2, k3, k4)
+    ]
+
+
+def _sign(v):
+    """np.sign(v) with the measure-zero tie |v| < 1e-12 broken to 0."""
+    if abs(v) < 1e-12:
+        return 0.0
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else v  # v is NaN in the last case
+
+
 def _switch_signs(switching, t, z, n, p0):
-    phi = np.atleast_1d(switching(t, z[:n], z[n:], p0))
-    s = np.sign(phi)
-    s[np.abs(phi) < 1e-12] = 0.0
-    return s
+    return [_sign(v) for v in switching(t, z[:n], z[n:], p0)]
+
+
+def _dot(a, b):
+    """<a, b> of two float sequences, summed left to right."""
+    return sum(ai * bi for ai, bi in zip(a, b))
+
+
+def _crossed(s0, s1):
+    """Whether some switching function changed sign between two sign lists."""
+    return any(a * b < 0.0 for a, b in zip(s0, s1))
 
 
 def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
@@ -294,38 +327,40 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
     """
     remaining = h
     for _ in range(12):
-        u0 = np.atleast_1d(np.asarray(maximizer(t, z[:n], z[n:], p0), dtype=float))
+        u0 = maximizer(t, z[:n], z[n:], p0)
         frozen = lambda tt, zz: rhs(tt, zz, u0)
         if s0 is None:
             s0 = _switch_signs(switching, t, z, n, p0)
-        z_try = rk4_step(frozen, t, z, remaining)
+        z_try = _rk4(frozen, t, z, remaining)
         s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
-        if not np.any(s0 * s1 < 0.0):
+        if not _crossed(s0, s1):
             return z_try, (s1 if t + remaining == t_next else None)
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            z_mid = rk4_step(frozen, t, z, mid)
-            if np.any(s0 * _switch_signs(switching, t + mid, z_mid, n, p0) < 0.0):
+            z_mid = _rk4(frozen, t, z, mid)
+            if _crossed(s0, _switch_signs(switching, t + mid, z_mid, n, p0)):
                 hi = mid
             else:
                 lo = mid
         step = min(remaining, hi + 1e-10)
-        z = rk4_step(frozen, t, z, step)
+        z = _rk4(frozen, t, z, step)
         t += step
         remaining -= step
         s0 = None
         if remaining <= 0.0:
             return z, None
-    return rk4_step(rhs, t, z, remaining), None
+    return _rk4(rhs, t, z, remaining), None
 
 
 def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = -1.0):
     """Integrate the PMP Hamiltonian system from (x0, p_init) over [0, tf].
 
     Uses `steps` fixed RK4 steps, with switch-time event location for
-    bang-bang maximizers.  Returns (times, Z) where Z[k] = (x(t_k), p(t_k)).
-    Raises IntegrationBlowup if the state leaves the finite range.
+    bang-bang maximizers.  The flow runs on lists of Python floats, which
+    cost far less per operation than arrays of 2n entries.  Returns (times,
+    Z) where Z[k] = (x(t_k), p(t_k)).  Raises IntegrationBlowup if the state
+    leaves the finite range.
     """
     n = p.dimension
     rhs = _ham_rhs(p, p0)
@@ -336,9 +371,9 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
     )
     h = tf / steps
     times = h * np.arange(steps + 1)
-    z0 = np.concatenate([p.x0, p_init])
+    z0 = np.concatenate([p.x0, p_init]).tolist()
     if switching is None:
-        return times, rk4_sweep(rhs, times, z0, h)
+        return times, rk4_sweep(rhs, times, z0, h, lambda t, z, t_next: _rk4(rhs, t, z, h))
     signs = None  # switching signs at the start of the next step, when known
 
     def step(t, z, t_next):
@@ -408,6 +443,9 @@ def pmp_shoot(
     Bang-bang maximizers are integrated with switch-time event location, so
     the shooting map stays smooth in the guess and the forward-difference
     Jacobian, with step 1e-6 (1 + |z|), applies to them too.
+
+    Raises ShootingError when Newton ends at a final time t_f with
+    t_f / steps <= 0: that extremal has no grid to be sampled on.
     """
     n = p.dimension
     z = np.asarray(guess, dtype=float).copy()
@@ -473,6 +511,8 @@ def pmp_shoot(
 
     converged = history[-1] < tol
     tf = float(z[n]) if p.horizon is None else float(p.horizon)
+    if not tf / steps > 0.0:
+        raise ShootingError(f"Newton ended at t_f = {tf:.6g}: no positive grid step", history)
     times, Z = extremal if extremal is not None else integrate_extremal(p, z[:n], tf, steps, p0)
     controls = np.empty((steps + 1, p.control_dim))
     hams = np.empty(steps + 1)
@@ -525,13 +565,10 @@ def hamiltonian_maximizer_box(a: float, fields: Sequence[Callable]):
     """
 
     def switching(t, x, p, p0):
-        return np.array([float(p @ np.asarray(fi(t, x), dtype=float)) for fi in fields])
+        return [_dot(p, fi(t, x)) for fi in fields]
 
     def maximizer(t, x, p, p0):
-        phi = switching(t, x, p, p0)
-        u = a * np.sign(phi)
-        u[np.abs(phi) < 1e-12] = 0.0
-        return u
+        return [a * _sign(v) for v in switching(t, x, p, p0)]
 
     maximizer.switching = switching
     maximizer.bang_bang = True
@@ -542,14 +579,14 @@ def hamiltonian_maximizer_ball(r: float, fields: Sequence[Callable]):
     """Maximizer over the Euclidean ball ||u|| <= r: u = r phi / ||phi||."""
 
     def switching(t, x, p, p0):
-        return np.array([float(p @ np.asarray(fi(t, x), dtype=float)) for fi in fields])
+        return [_dot(p, fi(t, x)) for fi in fields]
 
     def maximizer(t, x, p, p0):
         phi = switching(t, x, p, p0)
-        nrm = np.linalg.norm(phi)
+        nrm = math.hypot(*phi)
         if nrm < 1e-12:
-            return np.zeros_like(phi)
-        return r * phi / nrm
+            return [0.0] * len(phi)
+        return [r * v / nrm for v in phi]
 
     maximizer.switching = switching
     return maximizer

@@ -240,15 +240,15 @@ def zermelo_min_drift(v: float = 1.0, ell: float = 1.0) -> OcProblem:
 
     def f(t, x, u):
         ang = float(u[0])
-        return np.array([v * math.cos(ang) + c(x[1]), v * math.sin(ang)])
+        return (v * math.cos(ang) + c(x[1]), v * math.sin(ang))
 
     def maximizer(t, x, p, p0):
         # H = p_x (v cos u + c(y)) + p_y v sin u is maximal in the direction
         # of (p_x, p_y).
-        return np.array([math.atan2(p[1], p[0])])
+        return (math.atan2(p[1], p[0]),)
 
     def ham_dx(t, x, p, p0, u):
-        return np.array([0.0, p[0] * c_prime(x[1])])
+        return (0.0, p[0] * c_prime(x[1]))
 
     return OcProblem(
         dimension=2,
@@ -301,13 +301,13 @@ def brachistochrone_free_y(x1: float = 1.0, g: float = 9.81) -> OcProblem:
 
     def f(t, x, u):
         ang = float(u[0])
-        return np.array([x[1] * math.cos(ang), g * math.sin(ang)])
+        return (x[1] * math.cos(ang), g * math.sin(ang))
 
     def maximizer(t, x, p, p0):
-        return np.array([math.atan2(g * p[1], p[0] * x[1])])
+        return (math.atan2(g * p[1], p[0] * x[1]),)
 
     def ham_dx(t, x, p, p0, u):
-        return np.array([0.0, p[0] * math.cos(float(u[0]))])
+        return (0.0, p[0] * math.cos(float(u[0])))
 
     return OcProblem(
         dimension=2,
@@ -325,13 +325,13 @@ def brachistochrone_free_y(x1: float = 1.0, g: float = 9.81) -> OcProblem:
 
 def double_integrator_min_time(x0) -> OcProblem:
     """Minimal time to the origin for x'' = u with |u| <= 1 (bang-bang)."""
-    maximizer = hamiltonian_maximizer_box(1.0, [lambda t, x: np.array([0.0, 1.0])])
+    maximizer = hamiltonian_maximizer_box(1.0, [lambda t, x: (0.0, 1.0)])
 
     def f(t, x, u):
-        return np.array([x[1], float(u[0])])
+        return (x[1], float(u[0]))
 
     def ham_dx(t, x, p, p0, u):
-        return np.array([0.0, p[0]])
+        return (0.0, p[0])
 
     return OcProblem(
         dimension=2,

@@ -73,6 +73,31 @@ class TestExitCodes:
         assert main(["shoot", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("di_min_time.json", {"params": {"x0": [1e150, 0.0]}}),
+            ("brachistochrone.json", {"params": {"x1": 1e150, "g": 9.81}}),
+            ("brachistochrone.json", {"params": {"x1": 1.0, "g": 1e150}}),
+            ("brachistochrone.json", {"guess": [1e150, 0.1, 0.7]}),
+            ("brachistochrone.json", {"guess": [1e300, 0.1, 0.7]}),
+        ],
+    )
+    def test_shoot_with_extreme_numbers_is_numerical_failure(self, name, change, tmp_path, capsys):
+        # Newton can end on an iterate with t_f <= 0, whose extremal has no grid.
+        with open(spec(name)) as fh:
+            obj = json.load(fh)
+        obj.update(change)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["shoot", write_spec(tmp_path, obj)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+
+    def test_unresolved_ltv_model_is_numerical_failure(self, capsys):
+        assert main(["analyze", spec("rotating_frame.json"), "--t=1e12"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: no local model" in err and "Traceback" not in err
+
     def test_uncontrollable_placement_is_numerical_failure(self, tmp_path):
         path = write_spec(
             tmp_path,

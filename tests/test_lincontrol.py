@@ -213,6 +213,37 @@ class TestTimeVarying:
             for depth in (2, 3):
                 assert ck.ltv_kalman_test(sys, t, depth=depth) == (3, True)
 
+    def test_rotating_frame_fails_rank_test_at_large_t(self):
+        # A radius growing with |t| gave rank 2 at t = 100 and 1000.  The
+        # nodes t + rho s round by up to half an ulp of t; a model fitted at
+        # the nominal nodes gave rank 2 from t = 2239 to 7943.
+        sys = pr.rotating_frame()
+        for t in (30.0, 100.0, 1000.0, 3000.0, 1e4, -1e4):
+            assert ck.ltv_kalman_test(sys, t, depth=3) == (1, False)
+
+    def test_fast_rotation_halves_rho(self):
+        # At frequency 30 the 17-node model on [t - 0.1, t + 0.1] is not
+        # resolved (rank 2, sigma_2 / sigma_1 = 2.6e-5); a halved rho is.
+        w = 30.0
+        A = w * np.array([[0.0, -1.0], [1.0, 0.0]])
+        sys = ck.LtvSystem(2, 1, lambda t: A, lambda t: np.array([[np.cos(w * t)], [np.sin(w * t)]]))
+        for t in (0.0, 1.0):
+            assert ck.ltv_kalman_test(sys, t, depth=3) == (1, False)
+
+    @pytest.mark.parametrize(
+        "sys, t",
+        [
+            # B = |t| has its kink at the centre at every rho.
+            (ck.LtvSystem(1, 1, lambda t: np.zeros((1, 1)), lambda t: np.array([[abs(t)]])), 0.0),
+            # rho = 0.1 is under 1e3 ulps of t.
+            (pr.rotating_frame(), 1e12),
+        ],
+        ids=["kink", "huge_t"],
+    )
+    def test_unresolved_model_raises_instead_of_a_rank(self, sys, t):
+        with pytest.raises(FloatingPointError, match="no local model"):
+            ck.ltv_kalman_test(sys, t, depth=3)
+
     @pytest.mark.parametrize("T", [1.0, 5.0])
     def test_rotating_frame_singular_gramian(self, T):
         rep = ck.gramian(pr.rotating_frame(), T)

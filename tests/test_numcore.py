@@ -137,8 +137,8 @@ class TestIntegrate:
 
         def extremal(maximizer):
             oc = OcProblem(
-                1, 1, lambda t, x, u: 1e8 * x, maximizer, [1.0],
-                terminal_kind="free", hamiltonian_dx=lambda t, x, p, p0, u: 1e8 * p,
+                1, 1, lambda t, x, u: (1e8 * x[0],), maximizer, [1.0],
+                terminal_kind="free", hamiltonian_dx=lambda t, x, p, p0, u: (1e8 * p[0],),
             )
             return integrate_extremal(oc, np.array([1.0]), 1.0, 20)
 

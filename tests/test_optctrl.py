@@ -10,7 +10,7 @@ import pytest
 import ctrlkit as ck
 from ctrlkit import LtiSystem
 from ctrlkit import optctrl
-from ctrlkit.numcore import DenseOutput, rk4_step
+from ctrlkit.numcore import DenseOutput, rk4_step, rk4_sweep
 from ctrlkit.optctrl import LqProblem
 from ctrlkit import problems as pr
 
@@ -322,22 +322,29 @@ class TestTwoLevelShooting:
         assert e.p0 == 0.0
 
 
+def _switch_signs_reference(switching, t, z, n, p0):
+    phi = np.atleast_1d(switching(t, z[:n], z[n:], p0))
+    s = np.sign(phi)
+    s[np.abs(phi) < 1e-12] = 0.0
+    return s
+
+
 def _event_step_reference(rhs, maximizer, switching, t, z, h, n, p0):
-    """Event step as first written: switching signs evaluated at both ends."""
+    """Event step as first written, on arrays: switching signs evaluated at both ends."""
     remaining = h
     for _ in range(12):
         u0 = np.atleast_1d(np.asarray(maximizer(t, z[:n], z[n:], p0), dtype=float))
         frozen = lambda tt, zz: rhs(tt, zz, u0)
-        s0 = optctrl._switch_signs(switching, t, z, n, p0)
+        s0 = _switch_signs_reference(switching, t, z, n, p0)
         z_try = rk4_step(frozen, t, z, remaining)
-        s1 = optctrl._switch_signs(switching, t + remaining, z_try, n, p0)
+        s1 = _switch_signs_reference(switching, t + remaining, z_try, n, p0)
         if not np.any(s0 * s1 < 0.0):
             return z_try
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             z_mid = rk4_step(frozen, t, z, mid)
-            if np.any(s0 * optctrl._switch_signs(switching, t + mid, z_mid, n, p0) < 0.0):
+            if np.any(s0 * _switch_signs_reference(switching, t + mid, z_mid, n, p0) < 0.0):
                 hi = mid
             else:
                 lo = mid
@@ -390,7 +397,8 @@ def test_event_location_reuses_signs_bit_for_bit(build):
     p_init, tf, steps = np.array([-0.8, -1.2]), EVENT_TF, EVENT_STEPS
     times, Z = ck.integrate_extremal(p, p_init, tf, steps, -1.0)
 
-    rhs = optctrl._ham_rhs(p, -1.0)
+    ham = optctrl._ham_rhs(p, -1.0)
+    rhs = lambda t, z, u=None: np.array(ham(t, z, u))
     h = tf / steps
     z = np.concatenate([p.x0, p_init])
     ref = [z]
@@ -401,6 +409,32 @@ def test_event_location_reuses_signs_bit_for_bit(build):
     # the guess's extremal crosses the switching curve
     u = np.array([p.maximizer(t, x[:2], x[2:], -1.0)[0] for t, x in zip(times, Z)])
     assert np.any(u[:-1] != u[1:])
+
+
+@pytest.mark.parametrize("name", ["brachistochrone", "zermelo"])
+def test_float_flow_equals_array_rk4_sweep(name):
+    # The extremal's flow on lists of floats is numcore's RK4 on arrays, bit for bit.
+    build, guess, _, _ = CORPUS_SHOTS[name]
+    p = build()
+    p_init, tf, steps = np.array(guess[:2]), guess[2], 2000
+    times, Z = ck.integrate_extremal(p, p_init, tf, steps, -1.0)
+    ham = optctrl._ham_rhs(p, -1.0)
+    ref = rk4_sweep(lambda t, z: np.array(ham(t, z)), times, np.concatenate([p.x0, p_init]), tf / steps)
+    assert np.array_equal(Z, ref)
+
+
+@pytest.mark.parametrize(
+    "name, tf",
+    [("brachistochrone", math.sqrt(2.0 * math.pi / 9.81)), ("di_min_time", 2.0)],
+    ids=["brachistochrone", "di_min_time"],
+)
+def test_finite_difference_hamiltonian_gradient(name, tf):
+    # Without hamiltonian_dx, dH/dx comes from central differences of H.
+    build, guess, _, _ = CORPUS_SHOTS[name]
+    p = dataclasses.replace(build(), hamiltonian_dx=None)
+    e = ck.pmp_shoot(p, np.array(guess))
+    assert e.converged
+    assert abs(e.tf - tf) <= 1e-9 * tf
 
 
 class TestMaximizers:
