@@ -26,7 +26,6 @@ from .lincontrol import (
     controllable_decomposition,
     gramian,
     hautus_test,
-    hum_control_finite,
     kalman_test,
     larc_rank,
     ltv_kalman_test,
@@ -619,8 +618,8 @@ def _numbers(text: str, flag: str) -> list:
 
 
 def _check_flags(args) -> None:
-    if args.steps < 1:
-        raise SchemaError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= 10**6:
+        raise SchemaError(f"--steps must lie in [1, 10**6], got {args.steps}")
     if not 0.0 < args.tol < 1.0:
         raise SchemaError(f"--tol must lie in (0, 1), got {args.tol}")
     if args.cmd == "analyze":

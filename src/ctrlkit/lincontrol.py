@@ -9,7 +9,7 @@ The Gramian route also yields the explicit minimum-L2-norm steering control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

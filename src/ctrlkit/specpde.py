@@ -11,7 +11,7 @@ its finite-mode Galerkin truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -673,13 +673,8 @@ def semilinear_stabilize(
     times = h * np.arange(steps + 1)
     states = rk4_sweep(rhs, times, np.concatenate([[0.0], z0]), h)
     X = states[:, : n + 1]  # the model coordinates (u, z_1..z_n)
-    v_samples = np.array([float(Krow @ x) for x in X])
-    V = np.array(
-        [
-            plant.gamma * float(x @ P @ x) - 0.5 * float(lam_all @ s[1:] ** 2)
-            for x, s in zip(X, states)
-        ]
-    )
+    v_samples = X @ Krow
+    V = plant.gamma * np.einsum("ij,jk,ik->i", X, P, X) - 0.5 * (states[:, 1:] ** 2 @ lam_all)
     return SemilinearResult(
         K=K,
         P=P,

@@ -1,10 +1,10 @@
 """Stability tests and feedback synthesis.
 
 Routh table and Hurwitz minors for polynomial stability, pole placement for
-controllable pairs (single-input via the companion form, multi-input via the
-reduction lemma), the Lyapunov matrix equation, finite-difference
-linearization at an equilibrium, Jurdjevic-Quinn damping feedback, and a
-closed-loop simulator used to validate the syntheses empirically.
+controllable pairs by orthogonal deflation, the Lyapunov matrix equation,
+finite-difference linearization at an equilibrium, Jurdjevic-Quinn damping
+feedback, and a closed-loop simulator used to validate the syntheses
+empirically.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, OdeProblem, Trajectory, fd_jacobian, integrate
-from .lincontrol import (
-    ControlLaw,
-    LtiSystem,
-    NotControllableError,
-    brunovski_form,
-    kalman_matrix,
-    kalman_test,
-)
+from .numcore import DimensionError, OdeProblem, fd_jacobian, integrate
+from .lincontrol import ControlLaw, LtiSystem, NotControllableError, kalman_test
 
 __all__ = [
     "RouthReport",
@@ -125,197 +118,30 @@ def hurwitz(coeffs: Sequence[float]):
 # ---------------------------------------------------------------------------
 
 
-def _pole_place_single(sys: LtiSystem, target: np.ndarray, tol: float) -> np.ndarray:
-    P, _, a = brunovski_form(sys, tol)
-    n = sys.n
-    alpha = target[1:]  # monic: target[0] == 1
-    # In companion coordinates k_i = a_{n+1-i} - alpha_{n+1-i}.
-    k = np.array([a[n - i] - alpha[n - i] for i in range(1, n + 1)])
-    K = (k @ P).reshape(1, n)
-    # Iterative refinement: the map k -> characteristic coefficients has
-    # identity Jacobian in companion coordinates, so the floating-point
-    # coefficient residual (amplified by cond(P)) can be corrected directly.
-    scale = max(1.0, float(np.max(np.abs(target))))
-    for _ in range(3):
-        resid = np.poly(sys.A + sys.B @ K)[1:] - alpha
-        if np.max(np.abs(resid)) < 1e-13 * scale:
-            break
-        k = k + np.array([resid[n - i] for i in range(1, n + 1)])
-        K = (k @ P).reshape(1, n)
-    return K
-
-
-def _grow_basis(sys: LtiSystem, tol: float, rng=None):
-    """Reduction to a single-input pair: chain x1 = By, x_{k+1} = A x_k + B y_k.
-
-    Deterministic candidate rule: y and each y_k scanned over zero and the
-    canonical input directions, keeping the choice that maximizes the
-    smallest singular value of the column-normalized grown basis.  With an
-    `rng`, the start direction is random and random candidates are added,
-    which rescues pairs where the greedy deterministic chain is badly
-    conditioned.  Returns (y, C) with (A + BC, By) controllable.
-    """
-    A, B = sys.A, sys.B
-    n, m = sys.n, sys.m
-    y = None
-    if rng is not None:
-        y = rng.standard_normal(m)
-        y /= np.linalg.norm(y)
-        if np.linalg.norm(B @ y) <= tol:
-            y = None
-    if y is None:
-        for i in range(m):
-            if np.linalg.norm(B[:, i]) > tol:
-                y = np.zeros(m)
-                y[i] = 1.0
-                break
-    if y is None:
-        raise NotControllableError("B is numerically zero")
-    xs = [B @ y]
-    ys = []  # y_k driving x_k -> x_{k+1}
-    candidates = [np.zeros(m)]
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        candidates.append(e)
-        candidates.append(-e)
-    if rng is not None:
-        for _ in range(4):
-            candidates.append(rng.standard_normal(m))
-    for _ in range(n - 1):
-        best = None
-        best_sv = -1.0
-        for cand in candidates:
-            xk1 = A @ xs[-1] + B @ cand
-            nrm = np.linalg.norm(xk1)
-            if nrm <= tol:
-                continue
-            M = np.column_stack([v / np.linalg.norm(v) for v in xs] + [xk1 / nrm])
-            sv = np.linalg.svd(M, compute_uv=False)[-1]
-            if sv > best_sv:
-                best_sv = sv
-                best = (cand, xk1)
-        if best is None or best_sv <= tol:
-            raise NotControllableError("could not extend the reduction chain")
-        ys.append(best[0])
-        xs.append(best[1])
-    X = np.column_stack(xs)
-    Y = np.column_stack(ys + [np.zeros(m)])  # C x_n := 0
-    C = Y @ np.linalg.inv(X)
-    return y, C
-
-
-def _refine_multi(sys: LtiSystem, K: np.ndarray, target: np.ndarray, iters: int = 4):
-    """Least-squares Newton polish of the coefficient residual over all of K.
-
-    The chain-basis reduction can be poorly conditioned, leaving coefficient
-    errors well above round-off; a few Newton steps on the full gain drive
-    the characteristic-polynomial residual back to ~1e-13."""
-    n, m = sys.n, sys.m
-    alpha = target[1:]
-    scale = max(1.0, float(np.max(np.abs(target))))
-
-    def residual(k):
-        return np.poly(sys.A + sys.B @ k.reshape(m, n))[1:] - alpha
-
-    for _ in range(iters):
-        k = K.ravel()
-        resid = residual(k)
-        if np.max(np.abs(resid)) < 1e-13 * scale:
-            break
-        J = fd_jacobian(residual, k, 1e-6 * (1.0 + np.abs(k)), "forward", resid)
-        step, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-        K = K + step.reshape(m, n)
-    return K
-
-
-def _assign_robust(sys: LtiSystem, rho: np.ndarray, sweeps: int = 12):
-    """Eigenstructure assignment for m > 1 with real distinct target roots.
-
-    For each root pick (v_i, w_i) in the null space of [A - rho_i I, B], so
-    that (A + BK) v_i = rho_i v_i once K V = W.  The per-root choice is the
-    Kautsky-Nichols rank-one sweep: rotate each v_i toward the direction
-    orthogonal to the other eigenvectors, which minimizes the eigenvector
-    condition number and hence the sensitivity of the assigned spectrum.
-    """
-    A, B = sys.A, sys.B
-    n, m = sys.n, sys.m
-    Xs, Ws = [], []
-    for r in rho:
-        M = np.hstack([A - r * np.eye(n), B])
-        _, sv, Vt = np.linalg.svd(M)
-        null = Vt[n:].T  # (n+m) x m basis of the null space
-        # orthonormalize the state part's coordinates
-        q, _ = np.linalg.qr(null)
-        Xs.append(q[:n])
-        Ws.append(q[n:])
-    V = np.column_stack([X[:, 0] for X in Xs])
-    V /= np.linalg.norm(V, axis=0)
-    for _ in range(sweeps):
-        for i in range(n):
-            others = np.delete(V, i, axis=1)
-            Q, _ = np.linalg.qr(others, mode="complete")
-            q = Q[:, -1]  # unit vector orthogonal to the other eigenvectors
-            proj = Xs[i] @ (Xs[i].T @ q)
-            nrm = np.linalg.norm(proj)
-            if nrm > 1e-12:
-                V[:, i] = proj / nrm
-    coeffs = [np.linalg.lstsq(Xs[i], V[:, i], rcond=None)[0] for i in range(n)]
-    W = np.column_stack([Ws[i] @ coeffs[i] for i in range(n)])
-    return np.linalg.solve(V.T, W.T).T  # K = W V^{-1}
-
-
-def _match_eigs(lam: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Greedy pairing: index into `lam` of the eigenvalue nearest each root."""
-    order = np.empty(rho.shape[0], dtype=int)
-    dist = np.abs(lam[None, :] - rho[:, None])
-    for i in range(rho.shape[0]):
-        j = int(np.argmin(dist[i]))
-        order[i] = j
-        dist[:, j] = np.inf
-    return order
-
-
-def _refine_eigs(sys: LtiSystem, K: np.ndarray, rho: np.ndarray, iters: int = 12):
-    """Newton polish of the closed-loop spectrum against the target roots.
-
-    Coefficient-space refinement cannot push the eigenvalue error below the
-    root sensitivity of the characteristic polynomial (~1e-5 at n = 8 even
-    with coefficients at round-off), so the last stage iterates on the
-    eigenvalues themselves using the first-order perturbation
-    d(lambda_i) = w_i^H B dK v_i for biorthogonal left/right eigenvectors.
-    """
-    A, B = sys.A, sys.B
-    n, m = sys.n, sys.m
-    rho = np.asarray(rho, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(rho))))
-    best_err, best_K = np.inf, K
-    for _ in range(iters):
-        lam, V = np.linalg.eig(A + B @ K)
-        order = _match_eigs(lam, rho)
-        resid = lam[order] - rho
-        err = float(np.max(np.abs(resid)))
-        if err < best_err:
-            best_err, best_K = err, K
-        if err < 1e-13 * scale:
-            break
-        W = np.linalg.inv(V)  # rows: left eigenvectors with w_i^H v_j = delta_ij
-        J = np.empty((n, n * m), dtype=complex)
-        for row, i in enumerate(order):
-            J[row] = np.outer(W[i] @ B, V[:, i]).ravel()
-        Jr = np.vstack([J.real, J.imag])
-        rr = np.concatenate([resid.real, resid.imag])
-        step, *_ = np.linalg.lstsq(Jr, -rr, rcond=None)
-        K = K + step.reshape(m, n)
-    lam = np.linalg.eigvals(A + B @ K)
-    err = float(np.max(np.abs(lam[_match_eigs(lam, rho)] - rho)))
-    return K if err <= best_err else best_K
-
-
 def pole_place(sys: LtiSystem, target: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """Gain K (m x n) such that the characteristic polynomial of A+BK is `target`.
 
     `target` is the monic coefficient vector (1, alpha_1, ..., alpha_n).
+
+    Orthogonal deflation, after Miminis and Paige (Automatica 24(3), 1988).
+    One real root, or one conjugate pair, at a time is placed on the
+    orthonormal basis Q_r of the not-yet-placed subspace: a null vector (v, w)
+    of [Q_r^T A Q_r - lambda I, Q_r^T B] sets K Q_r v = w (a pair uses the
+    real 2-plane [Re v, Im v]), and placement goes on in the orthogonal
+    complement.  So A + BK is block upper triangular in the accumulated
+    basis X, with placed block T_p.  Real roots go first, in ascending order.
+
+    Null-vector rule: the closed-loop eigenvector of lambda is linear in the
+    null coordinates c, x(c) = Q_r v(c) - X (T_p - lambda I)^-1 X^T (A Q_r
+    v(c) + B w(c)), and c makes x farthest from span(X), the eigenvectors
+    already placed, which keeps the eigenvector basis well conditioned as in
+    Kautsky, Nichols and Van Dooren (Int. J. Control 41(5), 1985).  The first
+    root, and a root with sigma_min(T_p - lambda I) <= 1e-6 max(1, |lambda|)
+    (a repeated root), take the null vector with the largest state part,
+    which is the smallest gain.  For a pair, v mixes the two best candidates
+    so that Re v and Im v are orthogonal and of equal norm: the best one
+    alone can be real up to a phase (B = I ties every direction), and then
+    the 2-plane is degenerate.
     """
     target = np.asarray(target, dtype=float)
     n = sys.n
@@ -327,62 +153,40 @@ def pole_place(sys: LtiSystem, target: Sequence[float], tol: float = 1e-9) -> np
         target = target / target[0]
     if not kalman_test(sys, tol).controllable:
         raise NotControllableError("pole placement requires the Kalman condition")
-    scale = max(1.0, float(np.max(np.abs(target))))
+    A, B = sys.A, sys.B
+    X, W = np.zeros((n, 0)), np.zeros((sys.m, 0))  # K X = W
+    Qr = np.eye(n)
     rho = np.roots(target)
-    # Eigenvalue-space refinement needs a diagonalizable closed loop, so it
-    # only runs for well-separated target roots; for repeated roots (e.g. a
-    # defective (s+1)^n target) the coefficient residual is the right metric.
-    if n > 1:
-        rs = np.sort_complex(rho)
-        separated = float(np.min(np.abs(np.diff(rs)))) > 1e-6 * scale
-    else:
-        separated = True
-
-    def dev_of(gain):
-        if separated:
-            lam = np.linalg.eigvals(sys.A + sys.B @ gain)
-            d = float(np.max(np.abs(lam[_match_eigs(lam, rho)] - rho)))
+    for lam in [*np.sort(rho[rho.imag == 0.0].real), *np.sort_complex(rho[rho.imag > 0.0])]:
+        r = Qr.shape[1]
+        Vh = np.linalg.svd(np.hstack([Qr.T @ A @ Qr - lam * np.eye(r), Qr.T @ B]))[2]
+        Zv, Zw = np.split(Vh[r:].conj().T, [r])  # null space, one column per input
+        shifted = X.T @ (A @ X + B @ W) - lam * np.eye(X.shape[1])  # T_p - lambda I
+        if X.shape[1] and np.linalg.svd(shifted, compute_uv=False)[-1] > 1e-6 * max(1.0, abs(lam)):
+            # x(c) = [Qr, X] [Zv; Y] c: orthonormalize the map, then rank c by
+            # the right singular vectors of its part off span(X).
+            Y = -np.linalg.solve(shifted, X.T @ (A @ Qr @ Zv + B @ Zw))
+            _, sm, Vm = np.linalg.svd(np.vstack([Zv, Y]), full_matrices=False)
+            keep = sm > tol * sm[0]
+            P = Vm[keep].conj().T / sm[keep]
+            C = P @ np.linalg.svd(Zv @ P)[2].conj().T
         else:
-            d = float(np.max(np.abs(np.poly(sys.A + sys.B @ gain) - target)))
-        return d if np.isfinite(d) else np.inf
-
-    def polish(gain):
-        return _refine_eigs(sys, gain, rho) if separated else gain
-
-    if sys.m == 1:
-        K = polish(_pole_place_single(sys, target, tol))
-    else:
-        best = None
-        # With input freedom, prefer the robust eigenstructure assignment:
-        # it keeps the closed-loop eigenvector basis well conditioned, which
-        # the chain reduction does not control.
-        if separated and np.max(np.abs(rho.imag)) < 1e-9 * scale:
-            try:
-                cand = polish(_assign_robust(sys, np.sort(rho.real)))
-                best = (dev_of(cand), cand)
-            except np.linalg.LinAlgError:
-                pass
-        # The greedy chain reduction can be badly conditioned for some
-        # pairs; retry from random start directions and keep the best gain.
-        rng = np.random.default_rng(0)
-        for attempt in range(8):
-            if best is not None and best[0] < 1e-12 * scale:
-                break
-            try:
-                y, C = _grow_basis(sys, tol, rng=None if attempt == 0 else rng)
-                reduced = LtiSystem(sys.A + sys.B @ C, (sys.B @ y).reshape(n, 1))
-                K1 = _pole_place_single(reduced, target, tol)
-                cand = C + np.outer(y, K1[0])
-                cand = polish(_refine_multi(sys, cand, target))
-            except (NotControllableError, np.linalg.LinAlgError):
-                continue
-            d = dev_of(cand)
-            if best is None or d < best[0]:
-                best = (d, cand)
-        if best is None:
-            raise NotControllableError("could not build a single-input reduction")
-        K = best[1]
-    achieved = np.poly(sys.A + sys.B @ K)
+            C = np.linalg.svd(Zv)[2].conj().T  # largest state part: the smallest gain
+        c = C[:, 0]
+        if np.iscomplexobj(c) and C.shape[1] > 1 and np.linalg.norm(Zv @ C[:, 1]) > tol:
+            v1, v2 = Zv @ C[:, 0], Zv @ C[:, 1]
+            t = np.roots([v2 @ v2, 2.0 * (v1 @ v2), v1 @ v1])  # (v1 + t v2)^T (v1 + t v2) = 0
+            c = c + t[np.argmin(np.abs(t))] * C[:, 1] if t.size else C[:, 1]
+        v, w = Zv @ c, Zw @ c
+        if np.iscomplexobj(v):  # a conjugate pair
+            v, w = np.column_stack([v.real, v.imag]), np.column_stack([w.real, w.imag])
+        Q, R = np.linalg.qr(v.reshape(r, -1), mode="complete")
+        k = R.shape[1]
+        X = np.hstack([X, Qr @ Q[:, :k]])
+        W = np.hstack([W, np.linalg.solve(R[:k].T, w.reshape(sys.m, k).T).T])
+        Qr = Qr @ Q[:, k:]
+    K = W @ X.T
+    achieved = np.poly(A + B @ K)
     if np.max(np.abs(achieved - target)) > max(1e-6, tol) * max(
         1.0, np.max(np.abs(target))
     ):

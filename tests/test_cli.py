@@ -122,6 +122,14 @@ class TestExitCodes:
         assert main(["analyze", spec("rlc.json"), flag]) == 2
         assert "input error: --steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [("lq", "scalar_lq.json"), ("pde", "wave_hum.json")])
+    def test_steps_above_cap_is_input_error(self, command, name, capsys):
+        # Each command allocates --steps + 1 rows; without the cap this one
+        # asked numpy for petabytes and ended in a traceback.
+        assert main([command, spec(name), "--steps=1000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "input error: --steps" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--tol=2", "--tol=nan", "--tol=0", "--tol=-1e-9"])
     def test_tol_outside_unit_interval_is_input_error(self, flag, capsys):
         assert main(["lq", spec("scalar_lq.json"), flag]) == 2
