@@ -1,4 +1,4 @@
-"""SHA-256 of every CLI corpus output, one line per spec and format.
+"""SHA-256 of every CLI corpus output, and of the library results no CLI path prints.
 
 Usage, from any directory:
     python scripts/corpus_digests.py > digests.txt
@@ -6,8 +6,11 @@ Usage, from any directory:
 Runs `ctrlkit.cli.main` in-process on each spec of `CLI_CORPUS`
 (tests/test_acceptance.py), once with `--format report` and once with
 `--format csv`, against the package under this checkout's `src/`.  Each line
-is `sha256  argv  format`.  A refactor shows that no output moved by a `diff`
-of this script's output on the parent commit and on the change.
+is `sha256  argv  format`.  Then one line `sha256  library  call` per
+library result: `lq_cost`, `hum_control_finite` and `simulate_closed_loop`,
+hashed over the bytes and shapes of every array they return.  A refactor
+shows that no output moved by a `diff` of this script's output on the parent
+commit and on the change.
 """
 
 import contextlib
@@ -19,6 +22,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+import numpy as np  # noqa: E402
+
+import ctrlkit as ck  # noqa: E402
+from ctrlkit import problems as pr  # noqa: E402
 from ctrlkit.cli import main  # noqa: E402
 from test_acceptance import CLI_CORPUS, SPECS  # noqa: E402
 
@@ -33,6 +40,58 @@ def digest(argv, fmt):
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def array_digest(*values):
+    h = hashlib.sha256()
+    for v in values:
+        a = np.ascontiguousarray(v, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def lq(steps):
+    p = ck.LqProblem(ck.LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], 2.0)
+    law = ck.lq_feedback(ck.riccati_solve(p, steps), p)
+    cost, traj, controls = ck.lq_cost(p, law, [1.0], steps)
+    return cost, traj.times, traj.states, controls
+
+
+def hum(sys_, T, x0, x1, steps):
+    res = ck.hum_control_finite(sys_, T, x0, x1, steps)
+    return res.times, res.samples, res.psi, res.cost, res.endpoint, res.endpoint_error
+
+
+def pendulum():
+    K = ck.pole_place(pr.pendulum_linear(), np.poly([-1.0, -2.0, -3.0, -4.0]))
+    x0 = [0.05, 0.0, -0.04, 0.0]
+    f = pr.pendulum_dynamics()
+    traj, controls, _ = ck.simulate_closed_loop(f, lambda t, x: K @ x, x0, 20.0, 4000)
+    return traj.times, traj.states, controls
+
+
+def predator_prey():
+    f, _, g, V, gradV = pr.predator_prey()
+    law = ck.jurdjevic_quinn_feedback([g], gradV)
+    traj, controls, v_samples = ck.simulate_closed_loop(f, law, [1.3, 0.8], 40.0, 4000, V=V)
+    return traj.times, traj.states, controls, v_samples
+
+
+DOUBLE_INTEGRATOR = (pr.double_integrator(), 1.0, np.zeros(2), np.array([1.0, 0.0]))
+DUBINS = (pr.dubins_linearized(2.0 * np.pi), 2.0 * np.pi, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+LIBRARY = [
+    ("lq_cost scalar_lq steps=250", lq, 250),
+    ("lq_cost scalar_lq steps=2001", lq, 2001),
+    ("hum_control_finite double_integrator steps=250", hum, *DOUBLE_INTEGRATOR, 250),
+    ("hum_control_finite double_integrator steps=2000", hum, *DOUBLE_INTEGRATOR, 2000),
+    ("hum_control_finite dubins steps=250", hum, *DUBINS, 250),
+    ("hum_control_finite dubins steps=2000", hum, *DUBINS, 2000),
+    ("simulate_closed_loop pendulum pole_place", pendulum),
+    ("simulate_closed_loop predator_prey jurdjevic_quinn", predator_prey),
+]
+
+
 for argv in CLI_CORPUS:
     for fmt in ("report", "csv"):
         print(f"{digest(argv, fmt)}  {' '.join(argv)}  {fmt}")
+for name, run, *args in LIBRARY:
+    print(f"{array_digest(*run(*args))}  library  {name}")

@@ -8,16 +8,13 @@ from .numcore import (
     DimensionError,
     GridError,
     IntegrationBlowup,
-    OdeProblem,
     Trajectory,
     expm,
-    integrate,
     numerical_rank,
     simpson,
     transition_matrix,
 )
 from .lincontrol import (
-    ControlLaw,
     GramianReport,
     KalmanReport,
     LtiSystem,

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__, problems
 from .numcore import DenseOutput, IntegrationBlowup
 from .lincontrol import (
+    _CHEB_DEG,
     LtiSystem,
     LtvSystem,
     NotControllableError,
@@ -627,8 +628,8 @@ def _check_flags(args) -> None:
             raise SchemaError(f"--T must be positive and finite, got {args.T}")
         if not np.isfinite(args.t):
             raise SchemaError(f"--t must be finite, got {args.t}")
-        if args.depth < 1:
-            raise SchemaError(f"--depth must be >= 1, got {args.depth}")
+        if not 1 <= args.depth <= _CHEB_DEG:
+            raise SchemaError(f"--depth must be >= 1 and <= {_CHEB_DEG}, got {args.depth}")
 
 
 def main(argv=None) -> int:

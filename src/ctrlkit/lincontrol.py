@@ -10,7 +10,7 @@ The Gramian route also yields the explicit minimum-L2-norm steering control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -18,11 +18,8 @@ from numpy.polynomial import chebyshev as C
 from .numcore import (
     DenseOutput,
     DimensionError,
-    Trajectory,
-    OdeProblem,
     expm,
     fd_jacobian,
-    integrate,
     numerical_rank,
     rk4_sweep,
     simpson,
@@ -31,7 +28,6 @@ from .numcore import (
 __all__ = [
     "LtiSystem",
     "LtvSystem",
-    "ControlLaw",
     "KalmanReport",
     "GramianReport",
     "VectorField",
@@ -48,7 +44,6 @@ __all__ = [
     "larc_rank",
     "hum_control_finite",
     "HumControl",
-    "simulate_linear",
 ]
 
 
@@ -96,19 +91,6 @@ class LtvSystem:
     m: int
     A: Callable[[float], np.ndarray]
     B: Callable[[float], np.ndarray]
-
-
-@dataclass
-class ControlLaw:
-    """Either an open-loop control t -> u or a feedback (t, x) -> u."""
-
-    kind: str  # "open_loop" | "feedback"
-    function: Callable
-
-    def __call__(self, t: float, x: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.kind == "open_loop":
-            return np.atleast_1d(np.asarray(self.function(t), dtype=float))
-        return np.atleast_1d(np.asarray(self.function(t, x), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -332,10 +314,11 @@ def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6)
     1e-13 of their largest (a plateau check in the style of Aurentz &
     Trefethen, ACM TOMS 43(4), 2017).  Below rho = 1e3 ulps of max(1, |t|)
     the nodes are too coarse to resolve anything, and FloatingPointError is
-    raised instead of a rank.  Returns (rank, satisfied).
+    raised instead of a rank.  The models have degree 16, so their 17th
+    derivative is 0 and depth must lie in [1, 16].  Returns (rank, satisfied).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth <= _CHEB_DEG:
+        raise ValueError(f"depth must lie in [1, {_CHEB_DEG}], got {depth}")
     rho, floor = 0.1, 1e3 * np.spacing(max(1.0, abs(t)))
     while True:
         if rho < floor:
@@ -411,25 +394,13 @@ def larc_rank(fields: VectorFieldSet, x: np.ndarray, depth: int = 3):
 
 @dataclass
 class HumControl:
-    law: ControlLaw
+    law: Callable[[float], np.ndarray]  # the open-loop control t -> u(t)
     times: np.ndarray
     samples: np.ndarray  # control values on the grid, shape (nodes, m)
     psi: np.ndarray
     cost: float
     endpoint: np.ndarray
     endpoint_error: float
-
-
-def simulate_linear(sys, law: ControlLaw, x0, T: float, steps: int) -> Trajectory:
-    """RK4 simulation of dx/dt = A(t) x + B(t) u under a control law."""
-    Afun, Bfun, n = _as_callables(sys)
-    x0 = np.asarray(x0, dtype=float)
-
-    def rhs(t, x):
-        u = law(t, x)
-        return np.asarray(Afun(t)) @ x + np.asarray(Bfun(t)) @ u
-
-    return integrate(OdeProblem(n, rhs, 0.0, x0, T, steps))
 
 
 def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
@@ -439,13 +410,12 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     u(t) = B(t)^T lambda(t) with the adjoint lambda(t) = R(T, t)^T psi.
     Between grid nodes lambda is the cubic Hermite interpolant of its node
     values and lambda' = -A(t)^T lambda, fourth order like the RK4 grid.
-    The closed system is re-simulated to report the actual endpoint error.
+    The plant is re-simulated under u by RK4 on the Gramian's grid to report
+    the actual endpoint error.  The result's `law` is the callable t -> u(t).
     """
     Afun, Bfun, _ = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    if steps % 2 != 0:
-        steps += 1
     rep, times, R = _gramian(sys, T, steps)
     if not rep.invertible:
         raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
@@ -460,10 +430,10 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     def ufun(t):
         return np.asarray(Bfun(t)).T @ adjoint(t)
 
-    law = ControlLaw("open_loop", ufun)
-    endpoint = simulate_linear(sys, law, x0, T, steps).at_end()
+    h = T / (len(times) - 1)
+    endpoint = rk4_sweep(lambda t, x: Afun(t) @ x + Bfun(t) @ ufun(t), times, x0, h)[-1]
     return HumControl(
-        law=law,
+        law=ufun,
         times=times,
         samples=samples,
         psi=psi,

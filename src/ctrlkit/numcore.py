@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -23,9 +22,7 @@ __all__ = [
     "GridError",
     "Trajectory",
     "DenseOutput",
-    "OdeProblem",
     "expm",
-    "integrate",
     "rk4_step",
     "rk4_sweep",
     "transition_matrix",
@@ -133,26 +130,6 @@ class DenseOutput:
         return p.reshape(self._shape) if len(self._shape) != 1 else p
 
 
-@dataclass(frozen=True)
-class OdeProblem:
-    """An initial value problem dx/dt = rhs(t, x) on [t0, t1] with a fixed grid."""
-
-    dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t0: float
-    x0: np.ndarray
-    t1: float
-    steps: int
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.dimension,):
-            raise DimensionError("x0 length must equal dimension")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        object.__setattr__(self, "x0", x0)
-
-
 # ---------------------------------------------------------------------------
 # Matrix exponential
 # ---------------------------------------------------------------------------
@@ -258,16 +235,6 @@ def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
             raise IntegrationBlowup(times[k + 1])
         states[k + 1] = x
     return states
-
-
-def integrate(problem: OdeProblem) -> Trajectory:
-    """Integrate an OdeProblem with classical RK4; returns all grid nodes."""
-    h = (problem.t1 - problem.t0) / problem.steps
-    times = problem.t0 + h * np.arange(problem.steps + 1)
-    states = rk4_sweep(problem.rhs, times, problem.x0, h)
-    if problem.t1 < problem.t0:
-        return Trajectory(times[::-1], states[::-1])
-    return Trajectory(times, states)
 
 
 def transition_matrix(A, t: float, s: float, steps: int = 200) -> np.ndarray:

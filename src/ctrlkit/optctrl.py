@@ -19,7 +19,8 @@ import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
 from .numcore import fd_jacobian, rk4_sweep, simpson
-from .lincontrol import ControlLaw, LtiSystem, simulate_linear
+from .lincontrol import LtiSystem
+from .stabilize import simulate_closed_loop
 
 __all__ = [
     "LqProblem",
@@ -147,8 +148,8 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
     return RiccatiSolution(grid, E, 0.5 * (dE + dE.transpose(0, 2, 1)))
 
 
-def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> ControlLaw:
-    """Optimal LQ state feedback u(t) = K(t) x(t), K = U^-1 B^T E.
+def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> Callable:
+    """Optimal LQ state feedback law(t, x) = K(t) x, K = U^-1 B^T E.
 
     K is the cubic Hermite dense output of its node values and of K' =
     U^-1 B^T E', formed once on the Riccati grid.
@@ -160,19 +161,19 @@ def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> ControlLaw:
         _check_in_grid(sol.grid, t)
         return gain(t) @ x
 
-    return ControlLaw("feedback", law)
+    return law
 
 
-def lq_cost(p: LqProblem, law: ControlLaw, x0, steps: int = 2000):
-    """Simulate the controlled plant and evaluate the LQ cost by Simpson.
+def lq_cost(p: LqProblem, law: Callable, x0, steps: int = 2000):
+    """Simulate the plant under the feedback law(t, x) and evaluate the LQ cost by Simpson.
 
     Returns (cost, trajectory, control samples).
     """
     if steps % 2 != 0:
         steps += 1
-    traj = simulate_linear(p.sys, law, x0, p.T, steps)
+    A, B = p.sys.A, p.sys.B
+    traj, controls, _ = simulate_closed_loop(lambda x, u: A @ x + B @ u, law, x0, p.T, steps)
     X = traj.states
-    controls = np.array([law(t, x) for t, x in zip(traj.times, X)])
     running = np.sum((X @ p.W) * X, axis=1) + np.sum((controls @ p.U) * controls, axis=1)
     xT = traj.at_end()
     cost = simpson(running, p.T / steps) + float(xT @ p.Q @ xT)

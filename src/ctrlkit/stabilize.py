@@ -3,8 +3,8 @@
 Routh table and Hurwitz minors for polynomial stability, pole placement for
 controllable pairs by orthogonal deflation, the Lyapunov matrix equation,
 finite-difference linearization at an equilibrium, Jurdjevic-Quinn damping
-feedback, and a closed-loop simulator used to validate the syntheses
-empirically.
+feedback, and the one closed-loop simulator, which validates the syntheses
+empirically.  A control law is a plain callable law(t, x) -> u.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, OdeProblem, fd_jacobian, integrate
-from .lincontrol import ControlLaw, LtiSystem, NotControllableError, kalman_test
+from .numcore import DimensionError, Trajectory, fd_jacobian, rk4_sweep
+from .lincontrol import LtiSystem, NotControllableError, kalman_test
 
 __all__ = [
     "RouthReport",
@@ -248,8 +248,8 @@ def jurdjevic_quinn_feedback(
     controlled_fields: Sequence[Callable[[np.ndarray], np.ndarray]],
     V_gradient: Callable[[np.ndarray], np.ndarray],
     saturation: Optional[float] = None,
-) -> ControlLaw:
-    """Damping feedback u_i(x) = -<grad V(x), g_i(x)>, optionally saturated.
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Damping feedback law(t, x) with u_i = -<grad V(x), g_i(x)>, optionally saturated.
 
     The caller is responsible for the structural hypotheses (properness of V,
     the invariance condition); only the decrease of V along simulations is
@@ -263,29 +263,35 @@ def jurdjevic_quinn_feedback(
             u = np.clip(u, -saturation, saturation)
         return u
 
-    return ControlLaw("feedback", law)
+    return law
 
 
 def simulate_closed_loop(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    law: ControlLaw,
+    law: Callable[[float, np.ndarray], np.ndarray],
     x0,
     T: float,
     steps: int,
     V: Optional[Callable[[np.ndarray], float]] = None,
 ):
-    """RK4 simulation of dx/dt = f(x, u(t, x)).
+    """RK4 simulation of dx/dt = f(x, law(t, x)) on `steps` equal steps of [0, T].
 
-    Returns (trajectory, control samples at nodes, V samples or None).
+    An open-loop control u(t) goes in as lambda t, x: u(t).  Raises ValueError
+    for steps < 1, T <= 0 or an x0 that is not a vector.  Returns
+    (trajectory, control samples at nodes, V samples or None).
     """
     x0 = np.asarray(x0, dtype=float)
-
-    def rhs(t, x):
-        return np.asarray(f(x, law(t, x)), dtype=float)
-
-    traj = integrate(OdeProblem(x0.shape[0], rhs, 0.0, x0, T, steps))
-    controls = np.array([law(t, x) for t, x in zip(traj.times, traj.states)])
+    if x0.ndim != 1:
+        raise DimensionError(f"x0 must be a vector, got shape {x0.shape}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not T > 0:
+        raise ValueError(f"horizon T must be positive, got {T}")
+    h = T / steps
+    times = h * np.arange(steps + 1)
+    states = rk4_sweep(lambda t, x: np.asarray(f(x, law(t, x)), dtype=float), times, x0, h)
+    controls = np.array([law(t, x) for t, x in zip(times, states)])
     v_samples = None
     if V is not None:
-        v_samples = np.array([float(V(x)) for x in traj.states])
-    return traj, controls, v_samples
+        v_samples = np.array([float(V(x)) for x in states])
+    return Trajectory(times, states), controls, v_samples

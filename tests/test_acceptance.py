@@ -96,7 +96,7 @@ def test_criterion_03_gramian_and_hum():
     rep = ck.gramian(sys_, 1.0, steps=2000)  # 2001 Simpson nodes
     assert np.max(np.abs(rep.G - np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]]))) < 1e-9
     res = ck.hum_control_finite(sys_, 1.0, np.zeros(2), np.array([1.0, 0.0]))
-    u = np.array([res.law.function(t) for t in res.times]).ravel()
+    u = np.array([res.law(t) for t in res.times]).ravel()
     assert np.max(np.abs(u - (6.0 - 12.0 * res.times))) < 1e-6
     assert res.endpoint_error < 1e-6
     assert abs(res.cost - 12.0) < 1e-8

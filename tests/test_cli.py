@@ -193,6 +193,8 @@ class TestExitCodes:
             ("pde", "moment_heat.json", {"L": 1.0}, [], "the moment task needs L = pi"),
             ("pde", "damping.json", {"T": -1.0}, [], "'T' must be a positive number"),
             ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
+            ("analyze", "triangular_ltv.json", {}, ["--depth=17"], "--depth must be >= 1 and <= 16"),
+            ("analyze", "triangular_ltv.json", {}, ["--depth=1000000000"], "--depth must be >= 1 and <= 16"),
         ],
     )
     def test_malformed_spec_is_input_error(self, command, name, change, flags, message, tmp_path, capsys):

@@ -153,7 +153,7 @@ class TestGramianAndHum:
     def test_hum_recovers_minimum_norm_control(self):
         sys = pr.double_integrator()
         res = ck.hum_control_finite(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]))
-        u = np.array([res.law.function(t) for t in res.times]).ravel()
+        u = np.array([res.law(t) for t in res.times]).ravel()
         assert np.max(np.abs(u - (6.0 - 12.0 * res.times))) < 1e-6
         assert res.endpoint_error < 1e-6
         assert abs(res.cost - 12.0) < 1e-8
@@ -243,6 +243,12 @@ class TestTimeVarying:
     def test_unresolved_model_raises_instead_of_a_rank(self, sys, t):
         with pytest.raises(FloatingPointError, match="no local model"):
             ck.ltv_kalman_test(sys, t, depth=3)
+
+    @pytest.mark.parametrize("depth", [0, 17, 10**9])
+    def test_depth_outside_model_degree_is_value_error(self, depth):
+        # The local models have degree 16: B_17 would be a derivative that is 0.
+        with pytest.raises(ValueError, match=r"depth must lie in \[1, 16\]"):
+            ck.ltv_kalman_test(pr.triangular_ltv(), 1.0, depth=depth)
 
     @pytest.mark.parametrize("T", [1.0, 5.0])
     def test_rotating_frame_singular_gramian(self, T):

@@ -13,16 +13,15 @@ from ctrlkit import (
     IntegrationBlowup,
     LtvSystem,
     OcProblem,
-    OdeProblem,
+    Trajectory,
     expm,
     gramian,
-    integrate,
     integrate_extremal,
     numerical_rank,
     simpson,
     transition_matrix,
 )
-from ctrlkit.numcore import fd_jacobian, simpson_weights
+from ctrlkit.numcore import fd_jacobian, rk4_sweep, simpson_weights
 
 
 class TestExpm:
@@ -65,57 +64,34 @@ class TestExpm:
             expm(np.zeros((2, 3)))
 
 
+def sweep(rhs, x0, t0, t1, steps):
+    """RK4 from (t0, x0) to t1 in `steps` equal steps: (times, states)."""
+    h = (t1 - t0) / steps
+    times = t0 + h * np.arange(steps + 1)
+    return times, rk4_sweep(rhs, times, np.asarray(x0, dtype=float), h)
+
+
 class TestIntegrate:
     def test_exponential_decay(self):
-        p = OdeProblem(
-            dimension=1,
-            rhs=lambda t, x: -x,
-            t0=0.0,
-            x0=np.array([1.0]),
-            t1=1.0,
-            steps=200,
-        )
-        traj = integrate(p)
-        assert abs(traj.states[-1][0] - math.exp(-1.0)) < 1e-9
+        _, states = sweep(lambda t, x: -x, [1.0], 0.0, 1.0, 200)
+        assert abs(states[-1][0] - math.exp(-1.0)) < 1e-9
 
     def test_fourth_order_convergence(self):
         errors = []
         for steps in (25, 50, 100):
-            p = OdeProblem(
-                dimension=1,
-                rhs=lambda t, x: -x,
-                t0=0.0,
-                x0=np.array([1.0]),
-                t1=1.0,
-                steps=steps,
-            )
-            errors.append(abs(integrate(p).states[-1][0] - math.exp(-1.0)))
+            _, states = sweep(lambda t, x: -x, [1.0], 0.0, 1.0, steps)
+            errors.append(abs(states[-1][0] - math.exp(-1.0)))
         # halving h should cut the error by about 2**4
         assert errors[0] / errors[1] > 12.0
         assert errors[1] / errors[2] > 12.0
 
     def test_nonautonomous(self):
         # x' = 2t, x(0)=0 -> x(1)=1, exact for RK4
-        p = OdeProblem(
-            dimension=1,
-            rhs=lambda t, x: np.array([2.0 * t]),
-            t0=0.0,
-            x0=np.array([0.0]),
-            t1=1.0,
-            steps=10,
-        )
-        assert abs(integrate(p).states[-1][0] - 1.0) < 1e-13
+        _, states = sweep(lambda t, x: np.array([2.0 * t]), [0.0], 0.0, 1.0, 10)
+        assert abs(states[-1][0] - 1.0) < 1e-13
 
     def test_trajectory_interpolation(self):
-        p = OdeProblem(
-            dimension=1,
-            rhs=lambda t, x: -x,
-            t0=0.0,
-            x0=np.array([1.0]),
-            t1=1.0,
-            steps=400,
-        )
-        traj = integrate(p)
+        traj = Trajectory(*sweep(lambda t, x: -x, [1.0], 0.0, 1.0, 400))
         assert abs(traj.interp(0.5)[0] - math.exp(-0.5)) < 1e-6
 
     def test_blowup_detection(self):
@@ -144,11 +120,11 @@ class TestIntegrate:
 
         cases = [
             # x' = x^2 from 5 has its pole at t = 0.2.
-            (lambda: integrate(OdeProblem(1, lambda t, x: x * x, 0.0, [5.0], 2.0, 2000)), 0.203),
+            (lambda: sweep(lambda t, x: x * x, [5.0], 0.0, 2.0, 2000), 0.203),
             # matrix-valued state
             (lambda: transition_matrix(lambda t: np.diag([1e8, 1.0]), 1.0, 0.0, steps=20), 0.65),
             # reversed grid
-            (lambda: integrate(OdeProblem(1, lambda t, x: -1e8 * x, 1.0, [1.0], 0.0, 20)), 0.35),
+            (lambda: sweep(lambda t, x: -1e8 * x, [1.0], 1.0, 0.0, 20), 0.35),
             # LTV Gramian: R(T, t) swept backward from T = 1
             (lambda: gramian(LtvSystem(1, 1, fast, lambda t: np.eye(1)), 1.0, 20), 0.35),
             (lambda: extremal(ones), 0.65),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctrlkit as ck
-from ctrlkit import ControlLaw, LtiSystem, NotControllableError
+from ctrlkit import LtiSystem, NotControllableError
 from ctrlkit import problems as pr
 
 from conftest import random_controllable_pairs, separated_stable_poles
@@ -181,11 +181,10 @@ class TestClosedLoop:
         # stable closed loop with pole set {-1}: ||x(T)|| < ||x0|| e^{-T/2}
         sys = pr.double_integrator()
         K = ck.pole_place(sys, np.poly([-1.0, -1.0]))
-        law = ControlLaw(kind="state_feedback", function=lambda t, x: K @ x)
         T = 10.0
         x0 = np.array([1.0, 0.5])
         traj, _, _ = ck.simulate_closed_loop(
-            lambda x, u: sys.A @ x + sys.B @ u, law, x0, T, 2000
+            lambda x, u: sys.A @ x + sys.B @ u, lambda t, x: K @ x, x0, T, 2000
         )
         assert np.linalg.norm(traj.states[-1]) < np.linalg.norm(x0) * np.exp(-0.5 * T)
 
@@ -193,10 +192,9 @@ class TestClosedLoop:
         f = pr.pendulum_dynamics()
         sys = pr.pendulum_linear()
         K = ck.pole_place(sys, np.poly([-1.0, -2.0, -3.0, -4.0]))
-        law = ControlLaw(kind="state_feedback", function=lambda t, x: K @ x)
         x0 = np.array([0.05, 0.0, -0.04, 0.0])
         traj, _, _ = ck.simulate_closed_loop(
-            lambda x, u: f(x, u), law, x0, 20.0, 4000
+            lambda x, u: f(x, u), lambda t, x: K @ x, x0, 20.0, 4000
         )
         assert np.linalg.norm(traj.states[-1]) < 1e-6
 
@@ -217,3 +215,17 @@ class TestClosedLoop:
         )
         assert np.max(np.abs(controls)) <= 0.01 + 1e-12
         assert np.all(np.diff(Vs) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "x0, T, steps, message",
+        [
+            ([1.0, 0.5], 1.0, 0, "steps must be >= 1"),
+            ([[1.0, 0.5]], 1.0, 10, "x0 must be a vector"),
+            (1.0, 1.0, 10, "x0 must be a vector"),
+            ([1.0, 0.5], 0.0, 10, "horizon T must be positive"),
+            ([1.0, 0.5], -1.0, 10, "horizon T must be positive"),
+        ],
+    )
+    def test_rejects_bad_horizon_grid_or_state(self, x0, T, steps, message):
+        with pytest.raises(ValueError, match=message):
+            ck.simulate_closed_loop(lambda x, u: -x, lambda t, x: np.zeros(1), x0, T, steps)
