@@ -7,10 +7,12 @@ Runs `ctrlkit.cli.main` in-process on each spec of `CLI_CORPUS`
 (tests/test_acceptance.py), once with `--format report` and once with
 `--format csv`, against the package under this checkout's `src/`.  Each line
 is `sha256  argv  format`.  Then one line `sha256  library  call` per
-library result: `lq_cost`, `hum_control_finite` and `simulate_closed_loop`,
-hashed over the bytes and shapes of every array they return.  A refactor
-shows that no output moved by a `diff` of this script's output on the parent
-commit and on the change.
+library result: `lq_cost`, `hum_control_finite`, `simulate_closed_loop`, the
+time-varying `gramian`, the two wave observation functionals and
+`hum_wave_boundary`, hashed over the bytes and shapes of every array they
+return.  The odd step counts go through the rounding to an even Simpson
+grid.  A refactor shows that no output moved by a `diff` of this script's
+output on the parent commit and on the change.
 """
 
 import contextlib
@@ -76,6 +78,33 @@ def predator_prey():
     return traj.times, traj.states, controls, v_samples
 
 
+def ltv_gramian(sys_, T, steps):
+    g = ck.gramian(sys_, T, steps)
+    return g.G, g.C_T, g.invertible
+
+
+WAVE_BASIS = ck.SineBasis(1.0, 8)
+WAVE_STATE = ck.WaveState(1.0 / np.arange(1.0, 9.0), (-1.0) ** np.arange(8) / np.arange(1.0, 9.0) ** 2)
+E1, ZERO = ck.WaveState(np.eye(8)[0], np.zeros(8)), ck.WaveState(np.zeros(8), np.zeros(8))
+
+
+def boundary_observation(steps):
+    return (ck.boundary_observation_energy(WAVE_BASIS, WAVE_STATE, 2.5, steps),)
+
+
+def internal_observation(steps):
+    omega = ck.IntervalUnion([(0.1, 0.3), (0.6, 0.75)])
+    return (ck.internal_wave_observation(WAVE_BASIS, WAVE_STATE, omega, 2.5, steps),)
+
+
+def wave_hum(steps):
+    res = ck.hum_wave_boundary(WAVE_BASIS, E1, ZERO, 2.5, steps)
+    return (
+        res.times, res.control, res.z.a, res.z.b, res.endpoint.a, res.endpoint.b,
+        res.gramian, res.condition_number, res.cost, res.control_l2_sq, res.endpoint_error,
+    )
+
+
 DOUBLE_INTEGRATOR = (pr.double_integrator(), 1.0, np.zeros(2), np.array([1.0, 0.0]))
 DUBINS = (pr.dubins_linearized(2.0 * np.pi), 2.0 * np.pi, np.zeros(3), np.array([1.0, 0.0, 0.0]))
 LIBRARY = [
@@ -87,6 +116,10 @@ LIBRARY = [
     ("hum_control_finite dubins steps=2000", hum, *DUBINS, 2000),
     ("simulate_closed_loop pendulum pole_place", pendulum),
     ("simulate_closed_loop predator_prey jurdjevic_quinn", predator_prey),
+    ("gramian dubins steps=2001", ltv_gramian, *DUBINS[:2], 2001),
+    ("boundary_observation_energy steps=1999", boundary_observation, 1999),
+    ("internal_wave_observation steps=1999", internal_observation, 1999),
+    ("hum_wave_boundary steps=1999", wave_hum, 1999),
 ]
 
 

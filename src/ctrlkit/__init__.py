@@ -11,7 +11,7 @@ from .numcore import (
     Trajectory,
     expm,
     numerical_rank,
-    simpson,
+    simpson_grid,
     transition_matrix,
 )
 from .lincontrol import (

@@ -22,7 +22,7 @@ from .numcore import (
     fd_jacobian,
     numerical_rank,
     rk4_sweep,
-    simpson,
+    simpson_grid,
 )
 
 __all__ = [
@@ -95,17 +95,14 @@ class LtvSystem:
 
 @dataclass(frozen=True)
 class KalmanReport:
-    kalman_matrix: np.ndarray
     rank: int
     controllable: bool
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
 class GramianReport:
     horizon: float
     G: np.ndarray
-    eigenvalues: np.ndarray  # sorted ascending
     C_T: float
     invertible: bool
 
@@ -143,7 +140,7 @@ def kalman_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def kalman_test(sys: LtiSystem, tol: float = 1e-9) -> KalmanReport:
     K = kalman_matrix(sys.A, sys.B)
     r = numerical_rank(K, tol)
-    return KalmanReport(K, r, r == sys.n, tol)
+    return KalmanReport(r, r == sys.n)
 
 
 def hautus_test(sys: LtiSystem, tol: float = 1e-9):
@@ -219,57 +216,53 @@ def _as_callables(sys):
     return sys.A, sys.B, sys.n
 
 
-def _transition_grid(sys, T: float, steps: int):
-    """R(T, t_i) on the uniform grid t_i = i T / steps, i = 0..steps.
+def _transition_grid(sys, times):
+    """R(T, t_i) at the nodes t_i = i h of the uniform grid `times`, T = times[-1].
 
     LTI: powers of expm(h A).  LTV: one RK4 step of d/dt R(T, t) = -R(T, t) A(t)
     per grid step, backward from R(T, T) = I at the last node.
     """
-    h = T / steps
-    times = h * np.arange(steps + 1)
+    h = times[1]
     if isinstance(sys, LtiSystem):
         Eh = expm(h * sys.A)
-        R = np.empty((steps + 1, sys.n, sys.n))
-        R[steps] = np.eye(sys.n)
-        for i in range(steps - 1, -1, -1):
+        R = np.empty((len(times), sys.n, sys.n))
+        R[-1] = np.eye(sys.n)
+        for i in range(len(times) - 2, -1, -1):
             R[i] = R[i + 1] @ Eh
-        return times, R
+        return R
     R = rk4_sweep(lambda tau, Rm: -Rm @ np.asarray(sys.A(tau)), times[::-1], np.eye(sys.n), -h)
-    return times, R[::-1]
+    return R[::-1]
 
 
 def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
     """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt.
 
-    Exact for an LtiSystem, where `steps` is unused; Simpson on a `steps`
-    grid for an LtvSystem.
+    Exact for an LtiSystem; Simpson on the `simpson_grid(T, steps)` grid for
+    an LtvSystem.  A bad grid raises GridError for either.
     """
     return _gramian(sys, T, steps, with_grid=False)[0]
 
 
 def _gramian(sys, T: float, steps: int, with_grid: bool = True):
-    """The Gramian report, the grid and R(T, t_i) on it (None for an LtiSystem without `with_grid`).
+    """The Gramian report, the Simpson grid and R(T, t_i) on it (None for an LtiSystem without `with_grid`).
 
     LTI: G_T = F22^T F12 from F = expm(T [[-A, BB^T], [0, A^T]]) (Van Loan,
     IEEE TAC 23(3), 1978).  LTV: Simpson's rule over R(T, t_i) B(t_i).
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    if steps % 2 != 0:
-        steps += 1  # Simpson needs an odd node count
+    times, weights = simpson_grid(T, steps)
     lti = isinstance(sys, LtiSystem)
-    times, R = _transition_grid(sys, T, steps) if with_grid or not lti else (None, None)
+    R = _transition_grid(sys, times) if with_grid or not lti else None
     if lti:
         n = sys.n
         F = expm(T * np.block([[-sys.A, sys.B @ sys.B.T], [np.zeros((n, n)), sys.A.T]]))
         G = F[n:, n:].T @ F[:n, n:]
     else:
         RB = np.array([R[i] @ np.asarray(sys.B(t), dtype=float) for i, t in enumerate(times)])
-        G = simpson(RB @ RB.transpose(0, 2, 1), T / steps)
+        G = np.tensordot(weights, RB @ RB.transpose(0, 2, 1), axes=1)
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
-    return GramianReport(T, G, w, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R
+    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R
 
 
 # ---------------------------------------------------------------------------

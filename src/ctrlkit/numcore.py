@@ -3,7 +3,7 @@
 Dense matrix exponential (Pade 13 with scaling and squaring), classical RK4
 integration on uniform grids, dense output between grid nodes,
 state-transition matrices, finite-difference Jacobians, SVD-based numerical
-rank, and composite Simpson quadrature.  Everything here is a pure function
+rank, and the composite Simpson grid.  Everything here is a pure function
 of its inputs; all downstream modules build on these kernels so that results
 are bit-reproducible run to run.
 """
@@ -28,8 +28,7 @@ __all__ = [
     "transition_matrix",
     "fd_jacobian",
     "numerical_rank",
-    "simpson",
-    "simpson_weights",
+    "simpson_grid",
 ]
 
 
@@ -50,7 +49,7 @@ class IntegrationBlowup(RuntimeError):
 
 
 class GridError(ValueError):
-    """Raised for invalid quadrature grids (even sample count, bad step)."""
+    """Raised for an invalid quadrature grid (no steps, or a horizon not in (0, inf))."""
 
 
 @dataclass(frozen=True)
@@ -308,31 +307,20 @@ def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _check_simpson_grid(count: int, step: float) -> None:
-    if count < 3 or count % 2 == 0:
-        raise GridError(f"Simpson needs an odd sample count >= 3, got {count}")
-    if step <= 0:
-        raise GridError("step must be positive")
+def simpson_grid(T: float, steps: int):
+    """Nodes and composite Simpson weights on [0, T]: (times, weights).
 
-
-def simpson(samples, step: float):
-    """Composite Simpson rule along axis 0 on a uniform grid, odd sample count.
-
-    Returns a float for 1-D samples and an array for a stack (e.g. of
-    matrices, integrated entrywise).
+    Simpson's rule needs an even step count, so an odd `steps` is rounded up
+    here and nowhere else: len(times) - 1 is the count used.  The nodes are
+    h * arange, h = T / n, like every rk4_sweep grid; the weights are
+    (h/3)(1, 4, 2, 4, ..., 2, 4, 1), and the rule is weights @ samples, or
+    np.tensordot(weights, stack, axes=1) for a stack of arrays.
     """
-    y = np.asarray(samples, dtype=float)
-    _check_simpson_grid(y.shape[0], step)
-    total = step / 3.0 * (
-        y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-1:2].sum(axis=0)
-    )
-    return float(total) if y.ndim == 1 else total
-
-
-def simpson_weights(count: int, step: float) -> np.ndarray:
-    """Composite Simpson weights (h/3)(1, 4, 2, 4, ..., 2, 4, 1) for `count` nodes."""
-    _check_simpson_grid(count, step)
-    w = np.ones(count)
+    if not (steps >= 1 and 0.0 < T < np.inf):
+        raise GridError(f"Simpson needs steps >= 1 and 0 < T < inf, got steps={steps}, T={T}")
+    n = steps + steps % 2
+    h = T / n
+    w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (step / 3.0)
+    return h * np.arange(n + 1), w * (h / 3.0)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import fd_jacobian, rk4_sweep, simpson
+from .numcore import fd_jacobian, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 from .stabilize import simulate_closed_loop
 
@@ -130,9 +130,10 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
     A, B = p.sys.A, p.sys.B
     n = p.sys.n
     S = B @ np.linalg.solve(p.U, B.T)
-    P = expm(-(p.T / steps) * np.block([[A, S], [p.W, -A.T]]))
+    h = p.T / steps
+    P = expm(-h * np.block([[A, S], [p.W, -A.T]]))
     P_left, P_right = P[:, :n], P[:, n:]
-    grid = np.linspace(0.0, p.T, steps + 1)
+    grid = h * np.arange(steps + 1)
     E = np.empty((steps + 1, n, n))
     E[-1] = -p.Q
     for k in range(steps, 0, -1):
@@ -169,14 +170,15 @@ def lq_cost(p: LqProblem, law: Callable, x0, steps: int = 2000):
 
     Returns (cost, trajectory, control samples).
     """
-    if steps % 2 != 0:
-        steps += 1
+    times, weights = simpson_grid(p.T, steps)
     A, B = p.sys.A, p.sys.B
-    traj, controls, _ = simulate_closed_loop(lambda x, u: A @ x + B @ u, law, x0, p.T, steps)
+    traj, controls, _ = simulate_closed_loop(
+        lambda x, u: A @ x + B @ u, law, x0, p.T, len(times) - 1
+    )
     X = traj.states
     running = np.sum((X @ p.W) * X, axis=1) + np.sum((controls @ p.U) * controls, axis=1)
     xT = traj.at_end()
-    cost = simpson(running, p.T / steps) + float(xT @ p.Q @ xT)
+    cost = float(weights @ running) + float(xT @ p.Q @ xT)
     return cost, traj, controls
 
 

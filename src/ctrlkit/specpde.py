@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, expm, rk4_sweep, simpson, simpson_weights
+from .numcore import DimensionError, expm, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -187,15 +187,11 @@ def boundary_observation_energy(
 
     dx psi(t, L) = sum_k (-1)^k (a_k cos(k pi t / L) + b_k sin(k pi t / L)).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if time_steps % 2 != 0:
-        time_steps += 1
+    times, weights = simpson_grid(T, time_steps)
     sign = (-1.0) ** basis.j[: s.N]
-    times = np.linspace(0.0, T, time_steps + 1)
     th = np.outer(times, basis.omega[: s.N])
     trace = (np.cos(th) * (sign * s.a) + np.sin(th) * (sign * s.b)).sum(axis=1)
-    return simpson(trace**2, T / time_steps)
+    return float(weights @ trace**2)
 
 
 def sin2_mass(omega: IntervalUnion, j: int, basis: SineBasis) -> float:
@@ -253,17 +249,12 @@ def internal_wave_observation(
     Here phi(t, x) = sum_j (a_j cos(j pi t/L) + b_j sin(j pi t/L))
     sin(j pi x/L); the space integral is closed-form, time by Simpson.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if steps % 2 != 0:
-        steps += 1
+    times, weights = simpson_grid(T, steps)
     N = s.N
     S = _sin_product_integrals(omega, basis, N)
-    times = np.linspace(0.0, T, steps + 1)
     th = np.outer(times, basis.omega[:N])
     C = np.cos(th) * s.a + np.sin(th) * s.b  # modal amplitudes per node
-    vals = np.einsum("ij,jk,ik->i", C, S, C)
-    return simpson(vals, T / steps)
+    return float(weights @ np.einsum("ij,jk,ik->i", C, S, C))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +314,11 @@ def hum_wave_boundary(
         )
     if T <= 0.0:
         raise IllPosedError(f"T={T}: the Gramian needs a positive horizon", 0.0)
-    if steps % 2 != 0:
-        steps += 1
+    times, wts = simpson_grid(T, steps)
     d = _wave_control_operator(basis, N)
-    times = np.linspace(0.0, T, steps + 1)
-    h = T / steps
     # Rows w_i = S(T - t_i) D = (sin, cos)(omega (T - t_i)) d of the observation map.
     th = np.outer(T - times, basis.omega[:N])
     w = np.hstack([np.sin(th) * d, np.cos(th) * d])
-    wts = simpson_weights(steps + 1, h)
     G = (w.T * wts) @ w
     G = 0.5 * (G + G.T)
     sv = np.linalg.svd(G, compute_uv=False)
@@ -357,7 +344,7 @@ def hum_wave_boundary(
         gramian=G,
         condition_number=cond,
         cost=float(z @ G @ z),
-        control_l2_sq=simpson(control**2, h),
+        control_l2_sq=float(wts @ control**2),
     )
 
 
@@ -503,8 +490,7 @@ def damping_decay_experiment(
     """
     N = basis.N
     y0 = WaveState(np.ones(N), np.zeros(N))
-    if samples % 2 != 0:
-        samples += 1
+    times, _ = simpson_grid(T_fit, samples)
     om = basis.omega
     M = np.zeros((2 * N, 2 * N))
     M[:N, N:] = np.diag(om)
@@ -514,13 +500,11 @@ def damping_decay_experiment(
     else:
         B = np.zeros((N, N))
     M[N:, N:] = -B
-    h = T_fit / samples
-    step = expm(h * M)
-    Z = np.empty((samples + 1, 2 * N))
+    step = expm(times[1] * M)
+    Z = np.empty((len(times), 2 * N))
     Z[0] = np.concatenate([y0.a, y0.b])
-    for i in range(samples):
+    for i in range(len(times) - 1):
         Z[i + 1] = step @ Z[i]
-    times = h * np.arange(samples + 1)
     energy = 0.5 * np.sum(Z**2, axis=1)
     if damping is not None and damping.intervals:
         logs = np.log(energy)
@@ -579,11 +563,8 @@ def semilinear_defaults(L: float, f_prime_0: float, gamma: Optional[float] = Non
 @dataclass
 class SemilinearResult:
     K: np.ndarray
-    P: np.ndarray
     A_n: np.ndarray
     B_n: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
     times: np.ndarray
     u: np.ndarray
     z: np.ndarray  # shape (nodes, N_sim)
@@ -632,7 +613,7 @@ def semilinear_stabilize(
     """
     if not T_sim > 0:
         raise ValueError(f"T_sim must be positive, got {T_sim}")
-    A, B, a, b, lam_n = semilinear_matrices(plant)
+    A, B = semilinear_matrices(plant)[:2]
     n = plant.n
     target = np.poly(-np.ones(n + 1))  # (s+1)^(n+1)
     K = pole_place(LtiSystem(A, B), target)
@@ -646,11 +627,10 @@ def semilinear_stabilize(
     lam_all = plant.f_prime_0 - mu
     I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
     b_all = -I_all / L
-    space_nodes = 201
-    xs = np.linspace(0.0, L, space_nodes)
+    xs, weights = simpson_grid(L, 200)
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on grid
     # <g, e_j> = int_0^L g e_j dx by Simpson on the grid, for every mode at once.
-    project = E.T * simpson_weights(space_nodes, L / (space_nodes - 1))
+    project = E.T * weights
 
     z0 = np.zeros(Ns)
     y0_coeffs = np.asarray(y0_coeffs, dtype=float)
@@ -677,11 +657,8 @@ def semilinear_stabilize(
     V = plant.gamma * np.einsum("ij,jk,ik->i", X, P, X) - 0.5 * (states[:, 1:] ** 2 @ lam_all)
     return SemilinearResult(
         K=K,
-        P=P,
         A_n=A,
         B_n=B,
-        a=a,
-        b=b,
         times=times,
         u=states[:, 0],
         z=states[:, 1:],

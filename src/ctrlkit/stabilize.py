@@ -44,7 +44,6 @@ class EquilibriumError(ValueError):
 
 @dataclass(frozen=True)
 class RouthReport:
-    table: list
     complete: bool
     first_column: np.ndarray
     sign_changes: Optional[int]
@@ -66,7 +65,7 @@ def routh(coeffs: Sequence[float]) -> RouthReport:
         raise ValueError("leading coefficient must be nonzero")
     n = a.shape[0] - 1
     if n == 0:
-        return RouthReport([ [a[0]] ], True, np.array([a[0]]), 0, True)
+        return RouthReport(True, np.array([a[0]]), 0, True)
     width = (n + 2) // 2
     rows = [np.zeros(width), np.zeros(width)]
     rows[0][: len(a[0::2])] = a[0::2]
@@ -83,13 +82,12 @@ def routh(coeffs: Sequence[float]) -> RouthReport:
         rows.append(row)
     if complete and rows[-1][0] == 0.0 and n >= 1:
         complete = False
-    table = [r.copy() for r in rows]
     first = np.array([r[0] for r in rows])
     if not complete:
-        return RouthReport(table, False, first, None, False)
+        return RouthReport(False, first, None, False)
     signs = np.sign(first)
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    return RouthReport(table, True, first, changes, changes == 0)
+    return RouthReport(True, first, changes, changes == 0)
 
 
 def hurwitz(coeffs: Sequence[float]):

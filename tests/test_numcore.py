@@ -1,5 +1,5 @@
 """Tests for the numerical core: expm, RK4 integration, dense output,
-finite differences, Simpson, rank."""
+finite differences, the Simpson grid and every path that uses it, rank."""
 
 import math
 
@@ -10,18 +10,33 @@ from ctrlkit import (
     DenseOutput,
     DimensionError,
     GridError,
+    IllPosedError,
     IntegrationBlowup,
+    IntervalUnion,
+    LqProblem,
+    LtiSystem,
     LtvSystem,
     OcProblem,
+    SineBasis,
     Trajectory,
+    WaveState,
+    boundary_observation_energy,
+    damping_decay_experiment,
     expm,
     gramian,
+    hum_control_finite,
+    hum_wave_boundary,
     integrate_extremal,
+    internal_wave_observation,
+    lq_cost,
+    lq_feedback,
     numerical_rank,
-    simpson,
+    riccati_solve,
+    simpson_grid,
     transition_matrix,
 )
-from ctrlkit.numcore import fd_jacobian, rk4_sweep, simpson_weights
+from ctrlkit import problems as pr
+from ctrlkit.numcore import fd_jacobian, rk4_sweep
 
 
 class TestExpm:
@@ -139,44 +154,114 @@ class TestIntegrate:
             assert info.value.time == pytest.approx(time, abs=1e-12)
 
 
-class TestSimpson:
+class TestSimpsonGrid:
     def test_cubic_exact(self):
-        xs = np.linspace(0.0, 1.0, 21)
-        vals = xs**3
-        assert abs(simpson(vals, xs[1] - xs[0]) - 0.25) < 1e-15
+        xs, w = simpson_grid(1.0, 20)
+        assert abs(w @ xs**3 - 0.25) < 1e-15
 
     def test_sine(self):
-        xs = np.linspace(0.0, math.pi, 201)
-        vals = np.sin(xs)
-        assert abs(simpson(vals, xs[1] - xs[0]) - 2.0) < 1e-9
-
-    def test_requires_even_interval_count(self):
-        with pytest.raises((ValueError, Exception)):
-            simpson(np.array([0.0, 1.0]), 1.0)
+        xs, w = simpson_grid(math.pi, 200)
+        assert abs(w @ np.sin(xs) - 2.0) < 1e-9
 
     def test_matrix_stack_is_the_entrywise_rule(self):
         y = np.random.default_rng(4).standard_normal((21, 2, 3))
-        total = simpson(y, 0.05)
+        _, w = simpson_grid(1.0, 20)
+        total = np.tensordot(w, y, axes=1)
         assert total.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                assert total[i, j] == pytest.approx(simpson(y[:, i, j], 0.05), rel=1e-14)
+                assert total[i, j] == pytest.approx(w @ y[:, i, j], rel=1e-14)
 
-    @pytest.mark.parametrize("count", [3, 5, 201])
-    def test_weights_give_the_rule(self, count):
-        y = np.cos(np.linspace(0.0, 2.0, count))
-        h = 2.0 / (count - 1)
-        w = simpson_weights(count, h)
-        assert w.shape == (count,)
-        assert w @ y == pytest.approx(simpson(y, h), rel=1e-14, abs=1e-15)
+    def test_weights_are_the_composite_rule(self):
+        _, w = simpson_grid(2.0, 4)
+        assert np.array_equal(w, np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (0.5 / 3.0))
 
-    @pytest.mark.parametrize("count, step", [(4, 0.1), (1, 0.1), (5, 0.0), (5, -1.0)])
-    def test_weights_and_rule_reject_the_same_grids(self, count, step):
-        with pytest.raises(GridError) as rule:
-            simpson(np.ones(count), step)
-        with pytest.raises(GridError) as weights:
-            simpson_weights(count, step)
-        assert str(rule.value) == str(weights.value)
+    @pytest.mark.parametrize("steps", [1, 3, 201])
+    def test_odd_steps_give_the_grid_of_the_even_count_above(self, steps):
+        for odd, even in zip(simpson_grid(2.5, steps), simpson_grid(2.5, steps + 1)):
+            assert np.array_equal(odd, even)
+
+    @pytest.mark.parametrize("T, steps", [(1.0, 2), (math.pi, 7), (1e-3, 200), (40.0, 2001)])
+    def test_weights_sum_to_the_horizon(self, T, steps):
+        assert simpson_grid(T, steps)[1].sum() == pytest.approx(T, rel=1e-14)
+
+    @pytest.mark.parametrize("T, steps", [(1.0, 2), (2.0 * math.pi, 2000), (3.0, 7)])
+    def test_nodes_are_step_multiples(self, T, steps):
+        times, _ = simpson_grid(T, steps)
+        n = len(times) - 1
+        assert n == steps + steps % 2
+        assert np.array_equal(times, (T / n) * np.arange(n + 1))
+
+    @pytest.mark.parametrize(
+        "T, steps", [(0.1, 0), (0.1, -2), (0.0, 4), (-1.0, 4), (math.nan, 4), (math.inf, 4)]
+    )
+    def test_rejects_bad_grids(self, T, steps):
+        with pytest.raises(GridError):
+            simpson_grid(T, steps)
+
+
+_DUBINS = pr.dubins_linearized(2.0 * math.pi)
+_BASIS = SineBasis(1.0, 4)
+_WAVE = WaveState(np.array([1.0, 0.5, 0.0, 0.0]), np.zeros(4))
+_OMEGA = IntervalUnion([(0.2, 0.5)])
+
+
+def _lq_problem(T):
+    return LqProblem(LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], T)
+
+
+# Every path that integrates by Simpson's rule, as a function of (T, steps).
+SIMPSON_PATHS = {
+    "gramian": lambda T, steps: gramian(_DUBINS, T, steps),
+    "hum_control_finite": lambda T, steps: hum_control_finite(
+        pr.double_integrator(), T, [0.0, 0.0], [1.0, 0.0], steps
+    ),
+    "lq_cost": lambda T, steps: lq_cost(_lq_problem(T), lambda t, x: -x, [1.0], steps),
+    "boundary_observation_energy": lambda T, steps: boundary_observation_energy(
+        _BASIS, _WAVE, T, steps
+    ),
+    "internal_wave_observation": lambda T, steps: internal_wave_observation(
+        _BASIS, _WAVE, _OMEGA, T, steps
+    ),
+    "hum_wave_boundary": lambda T, steps: hum_wave_boundary(_BASIS, _WAVE, _WAVE, T, steps),
+    "damping_decay_experiment": lambda T, steps: damping_decay_experiment(
+        _BASIS, _OMEGA, T, steps
+    ),
+}
+
+
+def _bad_horizon_error(path, T):
+    """A caller that checks the horizon before the grid does keeps its own exception."""
+    if path == "lq_cost":  # LqProblem refuses any T outside (0, inf)
+        return ValueError
+    if path == "hum_wave_boundary" and T <= 0.0:
+        return IllPosedError
+    return GridError
+
+
+class TestSimpsonPaths:
+    @pytest.mark.parametrize(
+        "T, steps", [(2.0, 0), (0.0, 20), (-1.0, 20), (math.nan, 20), (math.inf, 20)]
+    )
+    @pytest.mark.parametrize("path", SIMPSON_PATHS)
+    def test_degenerate_grid_raises(self, path, T, steps):
+        expected = GridError if steps == 0 else _bad_horizon_error(path, T)
+        with pytest.raises(expected) as info:
+            SIMPSON_PATHS[path](T, steps)
+        assert type(info.value) is expected
+
+    def test_odd_steps_match_the_even_count_above(self):
+        odd, even = (gramian(_DUBINS, 2.0 * math.pi, steps) for steps in (201, 202))
+        assert np.array_equal(odd.G, even.G) and odd.C_T == even.C_T
+        p = _lq_problem(2.0)
+        law = lq_feedback(riccati_solve(p, 202), p)
+        (c_odd, x_odd, u_odd), (c_even, x_even, u_even) = (
+            lq_cost(p, law, [1.0], steps) for steps in (201, 202)
+        )
+        assert c_odd == c_even
+        assert np.array_equal(x_odd.times, x_even.times)
+        assert np.array_equal(x_odd.states, x_even.states)
+        assert np.array_equal(u_odd, u_even)
 
 
 class TestFdJacobian:
