@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ctrlkit
+from ctrlkit import cli
 from ctrlkit.cli import main
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
@@ -183,7 +184,7 @@ class TestExitCodes:
             ("analyze", "double_integrator.json", {"A": [[1.0, 2.0]]}, [], "A must be square"),
             ("analyze", "double_integrator.json", {"A": [[math.nan, 1.0], [0.0, 0.0]]}, [], "'A' must be finite"),
             ("analyze", "double_integrator.json", {"r": [0.0, 0.0]}, [], "unknown fields ['r']"),
-            ("analyze", "rlc.json", {"params": {"Q": 1.0}}, [], "unexpected keyword argument 'Q'"),
+            ("analyze", "rlc.json", {"params": {"Q": 1.0}}, [], "unexpected params ['Q'] for builtin 'rlc'"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=-1"], "--depth must be >= 1"),
             ("shoot", "zermelo.json", {"params": {"v": "a"}}, [], "params 'v' missing or not numeric"),
             ("shoot", "zermelo.json", {"guess": [-1.0, 1.5e-5]}, [], "'guess' must be a vector of 3 numbers"),
@@ -195,6 +196,12 @@ class TestExitCodes:
             ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=17"], "--depth must be >= 1 and <= 16"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=1000000000"], "--depth must be >= 1 and <= 16"),
+            # int(2.5) used to run family 2.
+            ("analyze", "maxwell_bloch_f2.json", {"params": {"family": 2.5}}, [], "params 'family' must be a whole number"),
+            ("analyze", "heisenberg.json", {"params": {"x": [0.0, 0.0]}}, [], "params 'x' must be a vector of 3 numbers"),
+            # bool("false") and bool(1) used to force the run.
+            ("pde", "wave_hum.json", {"T": 1.5, "force": "false"}, [], "field 'force' must be true or false"),
+            ("pde", "wave_hum.json", {"T": 1.5, "force": 1}, [], "field 'force' must be true or false"),
         ],
     )
     def test_malformed_spec_is_input_error(self, command, name, change, flags, message, tmp_path, capsys):
@@ -221,6 +228,75 @@ class TestExitCodes:
         out = str(tmp_path / "missing" / "r.json")
         assert main(["analyze", spec("rlc.json"), "--out", out]) == 2
         assert "input error: cannot write the report" in capsys.readouterr().err
+
+
+BUILTINS = [
+    (command, kind, name)
+    for command, kind, table in [
+        ("analyze", "nonlinear-builtin", cli._ANALYZE_BUILTINS),
+        ("stabilize", "nonlinear-builtin", cli._STABILIZE_BUILTINS),
+        ("shoot", "oc-problem", cli._OC_BUILDERS),
+    ]
+    for name in table
+]
+TASK_FIELDS = set().union(*(fields for fields, _ in cli._PDE_TASKS.values()))
+
+
+class _Allocates(Exception):
+    """Raised by a stubbed pde task function: the task's grid passed the cap."""
+
+
+class TestSpecSchema:
+    @pytest.mark.parametrize("command, kind, name", BUILTINS)
+    def test_unknown_param_is_input_error(self, command, kind, name, tmp_path, capsys):
+        obj = {"version": 1, "kind": kind, "name": name, "params": {"bogus": 1.0}}
+        assert main([command, write_spec(tmp_path, obj)]) == 2
+        assert f"unexpected params ['bogus'] for builtin '{name}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [(task, field) for task, (fields, _) in cli._PDE_TASKS.items() for field in sorted(TASK_FIELDS - fields)],
+    )
+    def test_another_tasks_field_is_input_error(self, task, field, tmp_path, capsys):
+        obj = {"version": 1, "kind": "spectral-1d", "task": task, field: 1.0}
+        assert main(["pde", write_spec(tmp_path, obj)]) == 2
+        assert f"unknown fields ['{field}'] for kind spectral-1d" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("force, code", [(True, 0), (False, 3)])
+    def test_force_is_a_json_boolean(self, force, code, tmp_path, capsys):
+        # T = 1.5 < 2L: only a forced run attempts the control.
+        with open(spec("wave_hum.json")) as fh:
+            obj = json.load(fh)
+        obj.update(T=1.5, force=force)
+        assert main(["pde", write_spec(tmp_path, obj), "--out", str(tmp_path / "r.json")]) == code
+
+    @pytest.mark.parametrize(
+        "task, N, steps, allowed",
+        [
+            ("wave-hum", 1000, 10**6, False),  # (steps + 1) x 2N = 2.0e9 values
+            ("wave-hum", 8, 624999, True),  # exactly 1e7
+            ("wave-hum", 8, 625000, False),
+            ("damping", 1000, 10**6, False),
+            ("semilinear", 1000, 10**6, False),
+            ("semilinear", 10, 10**6, False),  # (steps + 1) x (N + 1) = 1.1e7
+            ("semilinear", 8, 10**6, True),
+            ("semilinear", 1000, 1, False),  # the RK4 refinement alone: 3.9e7 steps
+        ],
+    )
+    def test_grid_cap(self, task, N, steps, allowed, tmp_path, monkeypatch, capsys):
+        # The stubs stand for the task functions, so no grid is ever allocated.
+        def stub(*args, **kwargs):
+            raise _Allocates
+
+        for fn in ("hum_wave_boundary", "damping_decay_experiment", "semilinear_stabilize"):
+            monkeypatch.setattr(cli, fn, stub)
+        argv = ["pde", write_spec(tmp_path, {"version": 1, "kind": "spectral-1d", "task": task, "N": N})]
+        if allowed:
+            with pytest.raises(_Allocates):
+                main([*argv, f"--steps={steps}"])
+        else:
+            assert main([*argv, f"--steps={steps}"]) == 2
+            assert "more than 1e7" in capsys.readouterr().err
 
 
 class TestDeterminism:
