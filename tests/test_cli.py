@@ -196,10 +196,10 @@ class TestExitCodes:
             ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=17"], "--depth must be >= 1 and <= 16"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=1000000000"], "--depth must be >= 1 and <= 16"),
-            # int(2.5) used to run family 2.
+            # A non-whole family is refused, not rounded.
             ("analyze", "maxwell_bloch_f2.json", {"params": {"family": 2.5}}, [], "params 'family' must be a whole number"),
             ("analyze", "heisenberg.json", {"params": {"x": [0.0, 0.0]}}, [], "params 'x' must be a vector of 3 numbers"),
-            # bool("false") and bool(1) used to force the run.
+            # force is a JSON boolean, not any truthy value.
             ("pde", "wave_hum.json", {"T": 1.5, "force": "false"}, [], "field 'force' must be true or false"),
             ("pde", "wave_hum.json", {"T": 1.5, "force": 1}, [], "field 'force' must be true or false"),
         ],
