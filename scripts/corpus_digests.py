@@ -51,10 +51,9 @@ def array_digest(*values):
     return h.hexdigest()
 
 
-def lq(steps):
-    p = ck.LqProblem(ck.LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], 2.0)
+def lq(p, x0, steps):
     law = ck.lq_feedback(ck.riccati_solve(p, steps), p)
-    cost, traj, controls = ck.lq_cost(p, law, [1.0], steps)
+    cost, traj, controls = ck.lq_cost(p, law, x0, steps)
     return cost, traj.times, traj.states, controls
 
 
@@ -107,9 +106,14 @@ def wave_hum(steps):
 
 DOUBLE_INTEGRATOR = (pr.double_integrator(), 1.0, np.zeros(2), np.array([1.0, 0.0]))
 DUBINS = (pr.dubins_linearized(2.0 * np.pi), 2.0 * np.pi, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+SCALAR_LQ = (ck.LqProblem(ck.LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], 2.0), [1.0])
+DOUBLE_INTEGRATOR_LQ = (
+    ck.LqProblem(pr.double_integrator(), np.eye(2), [[1.0]], np.eye(2), 1.0), [1.0, 0.0]
+)
 LIBRARY = [
-    ("lq_cost scalar_lq steps=250", lq, 250),
-    ("lq_cost scalar_lq steps=2001", lq, 2001),
+    ("lq_cost scalar_lq steps=250", lq, *SCALAR_LQ, 250),
+    ("lq_cost scalar_lq steps=2001", lq, *SCALAR_LQ, 2001),
+    ("lq_cost double_integrator steps=2000", lq, *DOUBLE_INTEGRATOR_LQ, 2000),
     ("hum_control_finite double_integrator steps=250", hum, *DOUBLE_INTEGRATOR, 250),
     ("hum_control_finite double_integrator steps=2000", hum, *DOUBLE_INTEGRATOR, 2000),
     ("hum_control_finite dubins steps=250", hum, *DUBINS, 250),

@@ -12,7 +12,6 @@ from .numcore import (
     expm,
     numerical_rank,
     simpson_grid,
-    transition_matrix,
 )
 from .lincontrol import (
     GramianReport,

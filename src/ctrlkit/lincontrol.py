@@ -21,7 +21,7 @@ from .numcore import (
     expm,
     fd_jacobian,
     numerical_rank,
-    rk4_sweep,
+    rk4_linear_sweep,
     simpson_grid,
 )
 
@@ -208,19 +208,11 @@ def brunovski_form(sys: LtiSystem, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _as_callables(sys):
-    """Uniform (A(t), B(t), n) view over LtiSystem / LtvSystem."""
-    if isinstance(sys, LtiSystem):
-        A, B = sys.A, sys.B
-        return (lambda t: A), (lambda t: B), sys.n
-    return sys.A, sys.B, sys.n
-
-
-def _transition_grid(sys, times):
+def _transition_grid(sys, times, A):
     """R(T, t_i) at the nodes t_i = i h of the uniform grid `times`, T = times[-1].
 
-    LTI: powers of expm(h A).  LTV: one RK4 step of d/dt R(T, t) = -R(T, t) A(t)
-    per grid step, backward from R(T, T) = I at the last node.
+    LTI: powers of expm(h A).  LTV: Y(t) = R(T, t)^T solves Y' = -A(t)^T Y
+    backward from Y(T) = I, by RK4 over A sampled on the nodes and midpoints.
     """
     h = times[1]
     if isinstance(sys, LtiSystem):
@@ -230,8 +222,8 @@ def _transition_grid(sys, times):
         for i in range(len(times) - 2, -1, -1):
             R[i] = R[i + 1] @ Eh
         return R
-    R = rk4_sweep(lambda tau, Rm: -Rm @ np.asarray(sys.A(tau)), times[::-1], np.eye(sys.n), -h)
-    return R[::-1]
+    Y = rk4_linear_sweep(-A[::-1].transpose(0, 2, 1), None, times[::-1], np.eye(sys.n), -h)
+    return Y[::-1].transpose(0, 2, 1)
 
 
 def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
@@ -244,27 +236,32 @@ def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
 
 
 def _gramian(sys, T: float, steps: int, with_grid: bool = True):
-    """The Gramian report, the Simpson grid and R(T, t_i) on it (None for an LtiSystem without `with_grid`).
+    """The Gramian report, the Simpson grid, R(T, t_i) on it, and A and B on its nodes and midpoints.
 
     LTI: G_T = F22^T F12 from F = expm(T [[-A, BB^T], [0, A^T]]) (Van Loan,
-    IEEE TAC 23(3), 1978).  LTV: Simpson's rule over R(T, t_i) B(t_i).
+    IEEE TAC 23(3), 1978).  LTV: Simpson's rule over R(T, t_i) B(t_i).  R is
+    None for an LtiSystem without `with_grid`; its A and B are broadcast views.
     """
     times, weights = simpson_grid(T, steps)
-    lti = isinstance(sys, LtiSystem)
-    R = _transition_grid(sys, times) if with_grid or not lti else None
-    if lti:
+    half = (0.5 * times[1] * np.arange(2 * len(times) - 1)).tolist()
+    if isinstance(sys, LtiSystem):
+        A, B = (np.broadcast_to(M, (len(half),) + M.shape) for M in (sys.A, sys.B))
+        R = _transition_grid(sys, times, A) if with_grid else None
         n = sys.n
         F = expm(T * np.block([[-sys.A, sys.B @ sys.B.T], [np.zeros((n, n)), sys.A.T]]))
         G = F[n:, n:].T @ F[:n, n:]
-    else:
-        RB = np.array([R[i] @ np.asarray(sys.B(t), dtype=float) for i, t in enumerate(times)])
+    else:  # one call of each callable per time, straight into the arrays
+        shapes = ((sys.A, (sys.n, sys.n)), (sys.B, (sys.n, sys.m)))
+        A, B = (np.fromiter(map(f, half), (float, s), len(half)) for f, s in shapes)
+        R = _transition_grid(sys, times, A)
+        RB = R @ B[::2]
         # A time-last copy sums by BLAS dot products; tensordot over the time
         # axis gathers rounding linearly in the step count (2.6e-13 at 4000).
         G = np.ascontiguousarray(np.moveaxis(RB @ RB.transpose(0, 2, 1), 0, -1)) @ weights
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
-    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R
+    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R, A, B
 
 
 # ---------------------------------------------------------------------------
@@ -408,29 +405,26 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     The plant is re-simulated under u by RK4 on the Gramian's grid to report
     the actual endpoint error.  The result's `law` is the callable t -> u(t).
     """
-    Afun, Bfun, _ = _as_callables(sys)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    rep, times, R = _gramian(sys, T, steps)
+    rep, times, R, A, B = _gramian(sys, T, steps)
     if not rep.invertible:
         raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
     psi = np.linalg.solve(rep.G, x1 - R[0] @ x0)
     cost = float(psi @ rep.G @ psi)
 
-    lam = psi @ np.asarray(R)  # row i is R(T, t_i)^T psi
-    lam_dot = np.array([-np.asarray(Afun(t)).T @ l for t, l in zip(times, lam)])
-    samples = np.array([np.asarray(Bfun(t)).T @ l for t, l in zip(times, lam)])
-    adjoint = DenseOutput(times, lam, lam_dot)
+    lam = psi @ R  # row i is R(T, t_i)^T psi, and lambda' = -A^T lambda
+    adjoint = DenseOutput(times, lam, -(lam[:, None] @ A[::2])[:, 0])
 
     def ufun(t):
-        return np.asarray(Bfun(t)).T @ adjoint(t)
+        return np.asarray(sys.B(t) if callable(sys.B) else sys.B).T @ adjoint(t)
 
-    h = T / (len(times) - 1)
-    endpoint = rk4_sweep(lambda t, x: Afun(t) @ x + Bfun(t) @ ufun(t), times, x0, h)[-1]
+    u = (adjoint(0.5 * times[1] * np.arange(len(A)))[:, None] @ B)[:, 0]  # at A's times
+    endpoint = rk4_linear_sweep(A, (B @ u[:, :, None])[..., 0], times, x0, times[1])[-1]
     return HumControl(
         law=ufun,
         times=times,
-        samples=samples,
+        samples=u[::2],
         psi=psi,
         cost=cost,
         endpoint=endpoint,

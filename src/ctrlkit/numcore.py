@@ -1,15 +1,16 @@
 """Shared deterministic numerical kernels.
 
 Dense matrix exponential (Pade 13 with scaling and squaring), classical RK4
-integration on uniform grids, dense output between grid nodes,
-state-transition matrices, finite-difference Jacobians, SVD-based numerical
-rank, and the composite Simpson grid.  Everything here is a pure function
-of its inputs; all downstream modules build on these kernels so that results
-are bit-reproducible run to run.
+integration on uniform grids (linear ODEs from batched step matrices), dense
+output between grid nodes, finite-difference Jacobians, SVD-based numerical
+rank, and the composite Simpson grid.  Everything here is a pure function of
+its inputs; all downstream modules build on these kernels so that results are
+bit-reproducible run to run.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +26,7 @@ __all__ = [
     "expm",
     "rk4_step",
     "rk4_sweep",
-    "transition_matrix",
+    "rk4_linear_sweep",
     "fd_jacobian",
     "numerical_rank",
     "simpson_grid",
@@ -81,6 +82,12 @@ class Trajectory:
         return DenseOutput(self.times, self.states)
 
 
+def _hermite_weights(w, h):
+    """Weights of (y_k, y'_k, y_k+1, y'_k+1) at the fraction w of a step h (floats or arrays)."""
+    v, hwv = 1.0 - w, h * w * (1.0 - w)
+    return v * v * (1.0 + 2.0 * w), hwv * v, w * w * (3.0 - 2.0 * w), -hwv * w
+
+
 class DenseOutput:
     """Dense output p(t) of a function sampled on a grid, y_k = y(t_k).
 
@@ -88,8 +95,8 @@ class DenseOutput:
     interpolant, accurate to O(h^4) like the RK4 sweep that made the samples
     (Hairer, Norsett & Wanner, Solving ODEs I, II.6).  Given values alone it
     is piecewise linear, (1 - w) y_k + w y_{k+1}.  Node values come back bit
-    for bit, t outside the grid is clamped to its ends, and the samples may
-    have any shape (axis 0 is time).
+    for bit, t outside the grid is clamped to its ends, the samples may have
+    any shape (axis 0 is time), and an array of times is one batched call.
     """
 
     def __init__(self, times, values, derivatives=None):
@@ -99,6 +106,7 @@ class DenseOutput:
             raise DimensionError("dense output needs >= 2 times and one sample per time")
         if not np.all(np.diff(t) > 0):
             raise ValueError("dense output times must be strictly increasing")
+        self._grid = t
         self._times = t.tolist()  # bisect on a list beats np.searchsorted per call
         self._shape = y.shape[1:]
         y = y.reshape(t.shape[0], -1)
@@ -113,7 +121,9 @@ class DenseOutput:
         # Interval k holds (y_k, y'_k, y_k+1, y'_k+1): one dot product per call.
         self._blocks = np.stack([y[:-1], d[:-1], y[1:], d[1:]], axis=1)
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        if isinstance(t, np.ndarray) and t.ndim:
+            return self._many(t)
         g = self._times
         t = min(max(t, g[0]), g[-1])
         i = bisect_right(g, t, 1, len(g) - 1) - 1
@@ -122,11 +132,19 @@ class DenseOutput:
         if self._blocks is None:
             p = (1.0 - w) * self._values[i] + w * self._values[i + 1]
         else:
-            v = 1.0 - w
-            hwv = h * w * v
-            weights = (v * v * (1.0 + 2.0 * w), hwv * v, w * w * (3.0 - 2.0 * w), -hwv * w)
-            p = np.dot(weights, self._blocks[i])
+            p = np.dot(_hermite_weights(w, h), self._blocks[i])
         return p.reshape(self._shape) if len(self._shape) != 1 else p
+
+    def _many(self, t: np.ndarray) -> np.ndarray:
+        g = self._grid
+        s = np.clip(t.ravel(), g[0], g[-1])
+        i = np.searchsorted(g, s, side="right").clip(1, len(g) - 1) - 1
+        w = (s - g[i]) / (g[i + 1] - g[i])
+        if self._blocks is None:
+            p = (1.0 - w)[:, None] * self._values[i] + w[:, None] * self._values[i + 1]
+        else:
+            p = np.einsum("jk,kjf->kf", _hermite_weights(w, g[i + 1] - g[i]), self._blocks[i])
+        return p.reshape(t.shape + self._shape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +238,53 @@ def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
     Step k starts at times[k] with the signed step h, so a reversed grid
     with h < 0 sweeps backward.  States may have any shape (axis 0 of the
     result is time).  `step(t, x, t_next)`, when given, replaces the RK4
-    step and gets `x0` as it is, so it may carry the state as a list of
-    floats.  Times are handed out as Python floats.  Raises
+    step and gets `x0` as it is, so it may carry the state as a flat list
+    of floats.  Times are handed out as Python floats.  Raises
     IntegrationBlowup(times[k + 1]) on a non-finite state.
     """
     x = np.asarray(x0, dtype=float) if step is None else x0
+    # On a flat list of floats, math.isfinite costs a tenth of np.isfinite.
+    finite = (lambda x: all(map(math.isfinite, x))) if step else (lambda x: np.isfinite(x).all())
     states = np.empty((len(times),) + np.shape(x))
     states[0] = x
     times = np.asarray(times, dtype=float).tolist()
     for k in range(len(times) - 1):
         x = rk4_step(rhs, times[k], x, h) if step is None else step(times[k], x, times[k + 1])
-        if not np.isfinite(x).all():
+        if not finite(x):
             raise IntegrationBlowup(times[k + 1])
         states[k + 1] = x
     return states
 
 
-def transition_matrix(A, t: float, s: float, steps: int = 200) -> np.ndarray:
-    """State-transition matrix R(t, s) with dR/dt = A(t) R, R(s, s) = I.
+def rk4_linear_sweep(M, b, times, x0, h: float) -> np.ndarray:
+    """rk4_sweep of x' = M(t) x + b(t) (b None for 0), from batched step matrices.
 
-    `A` is either a constant square matrix (autonomous case, delegates to
-    expm((t-s) A)) or a callable tau -> matrix.
+    M[2k] and b[2k] are taken at times[k], M[2k + 1] and b[2k + 1] at times[k] + h/2.
+    Phi = I + h/6 (M_0 + 2 K2 + 2 K3 + K4), K2 = M_h (I + h/2 M_0), K3 = M_h (I + h/2 K2),
+    K4 = M_1 (I + h K3) come from batched products, 256 steps at a time, and one loop
+    applies them: rk4_sweep's method and blow-up contract, its states to rounding.
     """
-    if not callable(A):
-        A = np.asarray(A, dtype=float)
-        return expm((t - s) * A)
-    n = np.asarray(A(s)).shape[0]
-    if t == s:
-        return np.eye(n)
-    h = (t - s) / steps
-    times = s + h * np.arange(steps + 1)
-    return rk4_sweep(lambda tau, R: np.asarray(A(tau)) @ R, times, np.eye(n), h)[-1]
+    x = np.asarray(x0, dtype=float)
+    n = x.shape[0]
+    if b is not None:  # x' = M x + b is z' = [[M, b], [0, 0]] z for z = [x; I]
+        b = np.asarray(b, dtype=float).reshape(len(M), n, -1)
+        x = np.concatenate([x, np.eye(b.shape[2]).reshape(b.shape[2:] + x.shape[1:])])
+    states = np.empty((len(M) // 2 + 1,) + x.shape)
+    states[0] = x
+    for s in range(0, len(states) - 1, 256):  # bounds the temporaries
+        m = M[2 * s : 2 * s + 513]
+        if b is not None:
+            m = np.block([[m, b[2 * s : 2 * s + 513]], [np.zeros((len(m), len(x) - n, len(x)))]])
+        M0, Mh, M1 = m[:-1:2], m[1::2], m[2::2]
+        K2 = Mh + (0.5 * h) * (Mh @ M0)
+        K3 = Mh + (0.5 * h) * (Mh @ K2)
+        K4 = M1 + h * (M1 @ K3)
+        for k, P in enumerate(np.eye(len(x)) + (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4), s + 1):
+            x = states[k] = np.dot(P, x)
+    finite = np.isfinite(states[1:]).all(axis=tuple(range(1, states.ndim)))
+    if not finite.all():
+        raise IntegrationBlowup(float(times[int(finite.argmin()) + 1]))
+    return states if b is None else states[:, :n]
 
 
 # ---------------------------------------------------------------------------

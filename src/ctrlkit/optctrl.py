@@ -18,9 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import fd_jacobian, rk4_sweep, simpson_grid
+from .numcore import fd_jacobian, rk4_linear_sweep, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
-from .stabilize import simulate_closed_loop
 
 __all__ = [
     "LqProblem",
@@ -96,8 +95,8 @@ class LqProblem:
             object.__setattr__(self, name, value)
 
 
-def _check_in_grid(grid: np.ndarray, t: float) -> None:
-    if t < grid[0] - 1e-9 or t > grid[-1] + 1e-9:
+def _check_in_grid(grid: np.ndarray, t) -> None:  # t may be an array of times
+    if np.min(t) < grid[0] - 1e-9 or np.max(t) > grid[-1] + 1e-9:
         raise ValueError(f"t={t} outside the Riccati grid [{grid[0]}, {grid[-1]}]")
 
 
@@ -153,33 +152,37 @@ def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> Callable:
     """Optimal LQ state feedback law(t, x) = K(t) x, K = U^-1 B^T E.
 
     K is the cubic Hermite dense output of its node values and of K' =
-    U^-1 B^T E', formed once on the Riccati grid.
+    U^-1 B^T E', formed once on the Riccati grid.  `law.gain(t)` is K at a
+    time or at an array of times.  Times off the grid raise ValueError.
     """
     G = np.linalg.solve(p.U, p.sys.B.T)
-    gain = DenseOutput(sol.grid, G @ sol.E, G @ sol.dE)
+    dense = DenseOutput(sol.grid, G @ sol.E, G @ sol.dE)
 
-    def law(t, x):
+    def gain(t):
         _check_in_grid(sol.grid, t)
-        return gain(t) @ x
+        return dense(t)
 
+    law = lambda t, x: gain(t) @ x
+    law.gain = gain
     return law
 
 
 def lq_cost(p: LqProblem, law: Callable, x0, steps: int = 2000):
-    """Simulate the plant under the feedback law(t, x) and evaluate the LQ cost by Simpson.
+    """Simulate the plant under the feedback of `lq_feedback` and evaluate the LQ cost by Simpson.
 
-    Returns (cost, trajectory, control samples).
+    The closed loop x' = (A + B K(t)) x runs on rk4_linear_sweep; a law without
+    a `gain` raises TypeError.  Returns (cost, trajectory, control samples).
     """
+    if not hasattr(law, "gain"):
+        raise TypeError("lq_cost needs the feedback that lq_feedback returns")
+    x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
     times, weights = simpson_grid(p.T, steps)
-    A, B = p.sys.A, p.sys.B
-    traj, controls, _ = simulate_closed_loop(
-        lambda x, u: A @ x + B @ u, law, x0, p.T, len(times) - 1
-    )
-    X = traj.states
+    K = law.gain(0.5 * times[1] * np.arange(2 * len(times) - 1))
+    X = rk4_linear_sweep(p.sys.A + p.sys.B @ K, None, times, x0, times[1])
+    controls = (K[::2] @ X[:, :, None])[:, :, 0]
     running = np.sum((X @ p.W) * X, axis=1) + np.sum((controls @ p.U) * controls, axis=1)
-    xT = traj.at_end()
-    cost = float(weights @ running) + float(xT @ p.Q @ xT)
-    return cost, traj, controls
+    cost = float(weights @ running) + float(X[-1] @ p.Q @ X[-1])
+    return cost, Trajectory(times, X), controls
 
 
 # ---------------------------------------------------------------------------

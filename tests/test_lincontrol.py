@@ -157,7 +157,7 @@ class TestGramianAndHum:
         T = 2.0 * math.pi
         sys = pr.dubins_linearized(T)
         times, weights = simpson_grid(T, 4000)
-        R = lincontrol._transition_grid(sys, times)
+        R = lincontrol._gramian(sys, T, 4000)[2]  # R(T, t_i) on the same grid
         RB = np.array([R[i] @ sys.B(t) for i, t in enumerate(times)])
         S = RB @ RB.transpose(0, 2, 1)
         exact = np.array([[math.fsum(weights * S[:, j, k]) for k in range(3)] for j in range(3)])

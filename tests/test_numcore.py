@@ -33,10 +33,9 @@ from ctrlkit import (
     numerical_rank,
     riccati_solve,
     simpson_grid,
-    transition_matrix,
 )
 from ctrlkit import problems as pr
-from ctrlkit.numcore import fd_jacobian, rk4_sweep
+from ctrlkit.numcore import fd_jacobian, rk4_linear_sweep, rk4_sweep
 
 
 class TestExpm:
@@ -84,6 +83,16 @@ def sweep(rhs, x0, t0, t1, steps):
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
     return times, rk4_sweep(rhs, times, np.asarray(x0, dtype=float), h)
+
+
+def linear_sweep(M, b, x0, t0, t1, steps):
+    """rk4_linear_sweep of x' = M(t) x + b(t) (b None for 0) from (t0, x0) to t1: (times, states)."""
+    h = (t1 - t0) / steps
+    times = t0 + h * np.arange(steps + 1)
+    half = t0 + 0.5 * h * np.arange(2 * steps + 1)
+    Ms = np.array([M(t) for t in half])
+    bs = None if b is None else np.array([b(t) for t in half])
+    return times, rk4_linear_sweep(Ms, bs, times, np.asarray(x0, dtype=float), h)
 
 
 class TestIntegrate:
@@ -137,7 +146,7 @@ class TestIntegrate:
             # x' = x^2 from 5 has its pole at t = 0.2.
             (lambda: sweep(lambda t, x: x * x, [5.0], 0.0, 2.0, 2000), 0.203),
             # matrix-valued state
-            (lambda: transition_matrix(lambda t: np.diag([1e8, 1.0]), 1.0, 0.0, steps=20), 0.65),
+            (lambda: linear_sweep(lambda t: np.diag([1e8, 1.0]), None, np.eye(2), 0.0, 1.0, 20), 0.65),
             # reversed grid
             (lambda: sweep(lambda t, x: -1e8 * x, [1.0], 1.0, 0.0, 20), 0.35),
             # LTV Gramian: R(T, t) swept backward from T = 1
@@ -210,13 +219,17 @@ def _lq_problem(T):
     return LqProblem(LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], T)
 
 
+def _lq_cost(p, steps):
+    return lq_cost(p, lq_feedback(riccati_solve(p, 2), p), [1.0], steps)
+
+
 # Every path that integrates by Simpson's rule, as a function of (T, steps).
 SIMPSON_PATHS = {
     "gramian": lambda T, steps: gramian(_DUBINS, T, steps),
     "hum_control_finite": lambda T, steps: hum_control_finite(
         pr.double_integrator(), T, [0.0, 0.0], [1.0, 0.0], steps
     ),
-    "lq_cost": lambda T, steps: lq_cost(_lq_problem(T), lambda t, x: -x, [1.0], steps),
+    "lq_cost": lambda T, steps: _lq_cost(_lq_problem(T), steps),
     "boundary_observation_energy": lambda T, steps: boundary_observation_energy(
         _BASIS, _WAVE, T, steps
     ),
@@ -341,20 +354,59 @@ class TestNumericalRank:
         assert numerical_rank(np.array([[1, 1j], [1j, -1]])) == 1
 
 
-class TestTransitionMatrix:
-    def test_constant_matches_expm(self):
+def _rotation(t):
+    return np.array([[-0.1 * t, 1.0 + 0.5 * math.sin(t)], [-1.0, 0.3 * math.cos(2.0 * t)]])
+
+
+def _forcing(t):
+    return np.array([math.cos(3.0 * t), t * t])
+
+
+class TestLinearSweep:
+    @pytest.mark.parametrize("t0, t1", [(0.0, 2.5), (2.5, 0.0)])
+    def test_vector_state_matches_rk4_sweep(self, t0, t1):
+        x0 = [1.0, -0.5]
+        _, got = linear_sweep(_rotation, _forcing, x0, t0, t1, 600)  # 256-step blocks and a rest
+        _, ref = sweep(lambda t, x: _rotation(t) @ x + _forcing(t), x0, t0, t1, 600)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 2.5), (2.5, 0.0)])
+    def test_matrix_state_matches_rk4_sweep(self, t0, t1):
+        def b(t):
+            return np.outer(_forcing(t), [1.0, -2.0])
+
+        _, got = linear_sweep(_rotation, b, np.eye(2), t0, t1, 600)
+        _, ref = sweep(lambda t, X: _rotation(t) @ X + b(t), np.eye(2), t0, t1, 600)
+        assert got.shape == (601, 2, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_fourth_order_on_a_time_varying_affine_ode(self):
+        # x' = cos(t) x + 2t exp(sin t) has x(t) = (x0 + t^2) exp(sin t).
+        errors = []
+        for steps in (25, 50, 100):
+            _, states = linear_sweep(
+                lambda t: np.array([[math.cos(t)]]),
+                lambda t: np.array([2.0 * t * math.exp(math.sin(t))]),
+                [0.5], 0.0, 3.0, steps,
+            )
+            errors.append(abs(states[-1][0] - (0.5 + 9.0) * math.exp(math.sin(3.0))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert math.log2(coarse / fine) >= 3.8
+
+    def test_constant_transition_matrix_matches_expm(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        Phi = transition_matrix(lambda t: A, 1.3, 0.0, steps=400)
-        assert np.allclose(Phi, expm(1.3 * A), atol=1e-10)
+        _, R = linear_sweep(lambda t: A, None, np.eye(2), 0.0, 1.3, 400)
+        assert np.allclose(R[-1], expm(1.3 * A), atol=1e-10)
 
-    def test_identity_at_equal_times(self):
+    def test_no_steps_give_the_initial_state(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(transition_matrix(lambda t: A, 0.7, 0.7), np.eye(2))
+        states = rk4_linear_sweep(A[None], None, [0.7], np.eye(2), 0.0)
+        assert np.array_equal(states, np.eye(2)[None])
 
-    def test_scalar_time_varying(self):
-        # x' = t x -> Phi(t, 0) = exp(t^2 / 2)
-        Phi = transition_matrix(lambda t: np.array([[t]]), 1.0, 0.0, steps=400)
-        assert abs(Phi[0, 0] - math.exp(0.5)) < 1e-9
+    def test_scalar_time_varying_transition(self):
+        # x' = t x -> R(t, 0) = exp(t^2 / 2)
+        _, R = linear_sweep(lambda t: np.array([[t]]), None, np.eye(1), 0.0, 1.0, 400)
+        assert abs(R[-1][0, 0] - math.exp(0.5)) < 1e-9
 
 
 def _cubic(t):
@@ -401,6 +453,22 @@ class TestDenseOutput:
         dense = DenseOutput(g, _cubic(g), _cubic_dot(g))
         assert np.array_equal(dense(g[0] - 5.0), _cubic(g[0]))
         assert np.array_equal(dense(g[-1] + 5.0), _cubic(g[-1]))
+
+    @pytest.mark.parametrize("g", GRIDS)
+    @pytest.mark.parametrize("with_derivatives", [False, True])
+    def test_array_of_times(self, g, with_derivatives):
+        """Nodes bit for bit, clamped ends, and the scalar call's values between nodes."""
+        rng = np.random.default_rng(7)
+        y = rng.normal(size=(g.size, 2, 3))
+        dense = DenseOutput(g, y, rng.normal(size=y.shape) if with_derivatives else None)
+        assert np.array_equal(dense(g), y)
+        ends = dense(np.array([g[0] - 5.0, g[-1] + 5.0]))
+        assert np.array_equal(ends, y[[0, -1]])
+        ts = rng.uniform(g[0], g[-1], (10, 100))
+        got = dense(ts)
+        assert got.shape == (10, 100, 2, 3)
+        ref = np.array([dense(t) for t in ts.ravel()]).reshape(got.shape)
+        assert np.max(np.abs(got - ref)) <= 4.0 * np.spacing(np.max(np.abs(ref)))
 
     def test_scalar_samples_give_scalars(self):
         g = np.linspace(0.0, 1.0, 5)

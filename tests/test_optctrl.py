@@ -50,6 +50,39 @@ class TestRiccati:
         for coarse, fine in zip(errs, errs[1:]):
             assert math.log2(coarse / fine) >= 3.5
 
+    def test_two_state_cost_equals_value_at_fourth_order(self):
+        # The double integrator exercises the m x n batched gain.
+        p = LqProblem(pr.double_integrator(), np.eye(2), np.eye(1), np.eye(2), 1.0)
+        x0 = np.array([1.0, 0.0])
+        errs = []
+        for steps in (50, 100, 200, 2000):
+            sol = ck.riccati_solve(p, steps)
+            cost, traj, controls = ck.lq_cost(p, ck.lq_feedback(sol, p), x0, steps)
+            errs.append(abs(cost - float(x0 @ (-sol.E[0]) @ x0)))
+        assert traj.states.shape == (2001, 2) and controls.shape == (2001, 1)
+        assert errs[-1] < 1e-6
+        assert min(errs[:-1]) > 1e-11
+        for coarse, fine in zip(errs[:-1], errs[1:-1]):
+            assert math.log2(coarse / fine) >= 3.5
+
+    def test_cost_needs_the_lq_feedback(self):
+        p = scalar_lq()
+        with pytest.raises(TypeError):
+            ck.lq_cost(p, lambda t, x: -x, np.array([1.0]), 200)
+
+    def test_cost_grid_must_lie_in_the_riccati_grid(self):
+        p = scalar_lq()
+        sol = ck.riccati_solve(dataclasses.replace(p, T=1.0), 200)
+        law = ck.lq_feedback(sol, p)
+        for call in (
+            lambda: ck.lq_cost(p, law, np.array([1.0]), 200),
+            lambda: law(1.5, np.array([1.0])),
+            lambda: law.gain(np.array([0.5, 1.0 + 2e-9])),
+        ):
+            with pytest.raises(ValueError, match="outside the Riccati grid"):
+                call()
+        assert np.array_equal(law.gain(sol.grid), sol.E)  # K = E here, node for node
+
     def test_between_nodes_hermite_beats_linear(self):
         sol = ck.riccati_solve(scalar_lq(), steps=200)
         linear = DenseOutput(sol.grid, sol.E)
