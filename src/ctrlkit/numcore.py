@@ -1,6 +1,7 @@
 """Shared deterministic numerical kernels.
 
-Dense matrix exponential (Pade 13 with scaling and squaring), classical RK4
+Dense matrix exponential (Pade 13 with scaling and squaring, of one matrix
+or a stack), classical RK4
 integration on uniform grids (linear ODEs from batched step matrices), dense
 output between grid nodes, finite-difference Jacobians, SVD-based numerical
 rank, and the composite Simpson grid.  Everything here is a pure function of
@@ -143,7 +144,9 @@ class DenseOutput:
         if self._blocks is None:
             p = (1.0 - w)[:, None] * self._values[i] + w[:, None] * self._values[i + 1]
         else:
-            p = np.einsum("jk,kjf->kf", _hermite_weights(w, g[i + 1] - g[i]), self._blocks[i])
+            # The weighted sum of four gathered rows, without a (times, 4, f) gather.
+            c = _hermite_weights(w[:, None], (g[i + 1] - g[i])[:, None])
+            p = sum(c[j] * self._blocks[i, j] for j in range(4))
         return p.reshape(t.shape + self._shape)
 
 
@@ -178,20 +181,20 @@ _THETA13 = 5.371920351148152
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with a Pade 13 approximant.
 
-    Non-finite entries, which only an overflow upstream produces, raise
-    FloatingPointError.
+    M is one n x n matrix or a (k, n, n) stack; a stack is one batched call,
+    each matrix scaled by its own power of 2 (Higham, SIAM J. Matrix Anal.
+    Appl. 26(4), 2005) and squared back only that often.  Non-finite entries,
+    which only an overflow upstream produces, raise FloatingPointError.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expm requires a square matrix, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise DimensionError(f"expm requires a square matrix or a stack of them, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise FloatingPointError("expm requires finite entries")
-    n = M.shape[0]
-    norm1 = np.linalg.norm(M, 1)
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-    A = M / (2.0**s)
+    n = M.shape[-1]
+    norm1 = np.abs(M).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13))  # 0 up to theta_13
+    A = M / (2.0**s)[..., None, None]
 
     b = _PADE13
     ident = np.eye(n)
@@ -213,8 +216,12 @@ def expm(M: np.ndarray) -> np.ndarray:
         + b[0] * ident
     )
     F = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        F = F @ F
+    for j in range(int(s.max(initial=0.0))):
+        k = s > j  # the matrices still to square
+        if k.all():  # always so for one matrix: no gather
+            F = F @ F
+        else:
+            F[k] = F[k] @ F[k]
     return F
 
 

@@ -120,30 +120,41 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
     """E' = W - A'E - EA - ESE, E(T) = -Q, S = BU^-1B', exact at the grid nodes.
 
     E = Y X^-1 for the linear flow (X, Y)' = M (X, Y) with the Hamiltonian
-    matrix M = [[A, S], [W, -A']], so one propagator P = expm(-h M) steps E
-    back exactly by the Moebius map E_k-1 = (P21 + P22 E_k)(P11 + P12 E_k)^-1
-    (Davison & Maki, IEEE TAC 18(1), 1973).  E' at the nodes is the Riccati
-    right-hand side.  RiccatiBlowup marks a conjugate point: det X, which the
-    exact flow starts at 1, reaching 0 within a step, or |E| above 1e8.
+    matrix M = [[A, S], [W, -A']], so the propagator P^j = expm(-j h M) maps E
+    at a node exactly to E j nodes earlier by the Moebius map
+    (P^j_21 + P^j_22 E)(P^j_11 + P^j_12 E)^-1 (Davison & Maki, IEEE TAC 18(1),
+    1973).  The sweep fills blocks of b = min(256, steps, max(1, 1/|hM|_1))
+    nodes, each from the last node of the previous block, in batched calls, so
+    the flow grows by at most e within a block (Kenney & Leipnik, IEEE TAC
+    30(10), 1985); the powers come from one stacked expm, not from products.
+    E' at the nodes is the Riccati right-hand side.  RiccatiBlowup marks a
+    conjugate point, at the last node reached: det X, which the exact flow
+    starts at 1 and which is the product of the one-step dets, reaching 0, or
+    |E| above 1e8.
     """
     A, B = p.sys.A, p.sys.B
     n = p.sys.n
     S = B @ np.linalg.solve(p.U, B.T)
     h = p.T / steps
-    P = expm(-h * np.block([[A, S], [p.W, -A.T]]))
-    P_left, P_right = P[:, :n], P[:, n:]
+    hM = h * np.block([[A, S], [p.W, -A.T]])
+    b = max(1, min(steps, int(1.0 / max(np.linalg.norm(hM, 1), 1.0 / 256))))
+    P = expm(-np.arange(1.0, b + 1)[:, None, None] * hM)  # P^1 ... P^b
     grid = h * np.arange(steps + 1)
     E = np.empty((steps + 1, n, n))
     E[-1] = -p.Q
-    for k in range(steps, 0, -1):
-        XY = P_left + P_right @ E[k]  # (X, Y) stacked
-        if np.linalg.det(XY[:n]) > 0.0:  # det X falls from 1 to 0 or below only past a pole
-            Em = np.linalg.solve(XY[:n].T, XY[n:].T)
-            Em = 0.5 * (Em + Em.T)
-            if np.linalg.norm(Em) <= 1e8:  # False for a non-finite Em too
-                E[k - 1] = Em
-                continue
-        raise RiccatiBlowup(grid[k - 1], f"Riccati solution blew up near t={grid[k - 1]:.6g}")
+    for a in range(steps, 0, -b):  # the anchor node a fills nodes a - 1 ... a - m
+        m = min(b, a)
+        XY = P[:m, :, :n] + P[:m, :, n:] @ E[a]  # (X_j, Y_j) stacked, j = 1 ... m
+        ok = np.linalg.det(XY[:, :n]) > 0.0  # False from the first node past a pole, and for nan
+        j = m if ok.all() else int(ok.argmin())  # solve no X past that node
+        Em = np.linalg.solve(XY[:j, :n].transpose(0, 2, 1), XY[:j, n:].transpose(0, 2, 1))
+        Em = 0.5 * (Em + Em.transpose(0, 2, 1))
+        ok = np.linalg.norm(Em, axis=(1, 2)) <= 1e8  # False for a non-finite Em too
+        j = j if ok.all() else int(ok.argmin())
+        E[a - j : a] = Em[:j][::-1]
+        if j < m:
+            t = grid[a - j - 1]
+            raise RiccatiBlowup(t, f"Riccati solution blew up near t={t:.6g}")
     dE = p.W - A.T @ E - E @ A - E @ S @ E
     return RiccatiSolution(grid, E, 0.5 * (dE + dE.transpose(0, 2, 1)))
 

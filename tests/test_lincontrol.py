@@ -172,6 +172,20 @@ class TestGramianAndHum:
         assert res.endpoint_error < 1e-6
         assert abs(res.cost - 12.0) < 1e-8
 
+    def test_lti_transition_grid_is_exact(self):
+        # R(T, t) = [[1, T - t], [0, 1]] up to the rounding of T - t; powers of
+        # expm(h A) gathered 2.2e-13 over 2000 steps, and the endpoint 3.7e-13.
+        sys = pr.double_integrator()
+        times = simpson_grid(1.0, 2000)[0]
+        R = lincontrol._transition_grid(sys, times, None)
+        exact = np.zeros_like(R)
+        exact[:, 0, 0] = exact[:, 1, 1] = 1.0
+        exact[:, 0, 1] = times[-1] - times
+        assert np.max(np.abs(R - exact)) <= 2.0 * np.finfo(float).eps
+        assert np.array_equal(R[-1], np.eye(2))
+        res = ck.hum_control_finite(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]), 2000)
+        assert res.endpoint_error <= 1e-14
+
     def test_ltv_hum_endpoint_is_fourth_order(self):
         # Dubins: the control interpolates the adjoint R(T, t)^T psi by cubic
         # Hermite, so the endpoint error keeps the RK4 order.

@@ -77,6 +77,34 @@ class TestExpm:
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((40, 4, 4)) * np.logspace(-3.0, 1.5, 40)[:, None, None]
+        got = expm(stack)
+        for M, F in zip(stack, got):
+            assert np.max(np.abs(F - expm(M))) <= 4.0 * np.spacing(np.max(np.abs(F)))
+
+    def test_stack_scales_each_matrix_by_its_own_norm(self):
+        # |M|_1 = 2 th: th = 30 needs 4 squarings, th <= 2.5 none.
+        ths = np.array([30.0, 0.0, 0.3, 2.5, 7.0])
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        got = expm(ths[:, None, None] * J)
+        c, s = np.cos(ths), np.sin(ths)
+        exact = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        assert np.max(np.abs(got - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_raises(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = bad
+        with pytest.raises(FloatingPointError):
+            expm(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 2, 2), (4,)])
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(DimensionError):
+            expm(np.zeros(shape))
+
 
 def sweep(rhs, x0, t0, t1, steps):
     """RK4 from (t0, x0) to t1 in `steps` equal steps: (times, states)."""
@@ -469,6 +497,23 @@ class TestDenseOutput:
         assert got.shape == (10, 100, 2, 3)
         ref = np.array([dense(t) for t in ts.ravel()]).reshape(got.shape)
         assert np.max(np.abs(got - ref)) <= 4.0 * np.spacing(np.max(np.abs(ref)))
+
+    def test_array_of_times_gathers_no_four_sample_block(self):
+        # One (times, 4, f) copy of the interval blocks alone is 4x the result.
+        import tracemalloc
+
+        g = GRIDS[1]
+        rng = np.random.default_rng(8)
+        y = rng.normal(size=(g.size, 64))
+        dense = DenseOutput(g, y, rng.normal(size=y.shape))
+        ts = rng.uniform(g[0], g[-1], 4001)
+        tracemalloc.start()
+        try:
+            got = dense(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * got.nbytes
 
     def test_scalar_samples_give_scalars(self):
         g = np.linspace(0.0, 1.0, 5)

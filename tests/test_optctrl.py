@@ -141,6 +141,57 @@ class TestRiccati:
         sol = ck.riccati_solve(scalar_lq(), steps=10)
         assert np.max(np.abs(sol.E[:, 0, 0] + np.tanh(2.0 - sol.grid))) <= 1e-13
 
+    def test_scalar_nodes_to_rounding(self):
+        # Blocks of 256 nodes from one anchor each; a node-by-node sweep reads 5.6e-15.
+        sol = ck.riccati_solve(scalar_lq(), steps=2000)
+        assert np.max(np.abs(sol.E[:, 0, 0] + np.tanh(2.0 - sol.grid))) <= 2e-15
+
+    def test_double_integrator_matches_a_40_digit_reference(self):
+        # E = Y X^-1 for (X, Y) = expm((t - T) M) (I, -Q) in 40-digit arithmetic.
+        import mpmath as mp
+
+        p = LqProblem(pr.double_integrator(), np.eye(2), np.eye(1), np.eye(2), 1.0)
+        sol = ck.riccati_solve(p, steps=2000)
+        A, B = p.sys.A, p.sys.B
+        M = np.block([[A, B @ np.linalg.solve(p.U, B.T)], [p.W, -A.T]])
+        with mp.workdps(40):
+            M, end = mp.matrix(M.tolist()), mp.matrix(np.vstack([np.eye(2), -p.Q]).tolist())
+            errors = []
+            for k in range(0, 2001, 100):
+                XY = mp.expm((mp.mpf(sol.grid[k]) - mp.mpf(p.T)) * M) * end
+                ref = XY[2:4, 0:2] * XY[0:2, 0:2] ** -1
+                ref = np.array(ref.tolist(), dtype=float)
+                errors.append(np.linalg.norm(sol.E[k] - ref) / np.linalg.norm(ref))
+        assert max(errors) <= 1e-14  # a node-by-node sweep reads 1.6e-13
+
+    @pytest.mark.parametrize("q", [0.5, 1.5, 128.5, 255.5, 256.5, 384.5, 511.5, 300.3])
+    def test_blowup_at_the_last_node_before_the_pole(self, q, monkeypatch):
+        # E' = -1 - E^2 with E(T) = -Q is tan(T - t - atan Q): its pole lies q steps
+        # before T.  |hM|_1 = 1/256, so blocks hold 256 nodes and the poles fall at
+        # the start, in the middle and at the end of the first two blocks.
+        T, steps = 4.0, 1024
+        h = T / steps
+        Q = -1.0 / math.tan(q * h)
+        p = LqProblem(LtiSystem([[0.0]], [[1.0]]), [[-1.0]], [[1.0]], [[Q]], T)
+        pole = T - math.pi / 2.0 - math.atan(Q)
+        solve = np.linalg.solve
+
+        def checked_solve(X, Y):  # no X past the pole is ever factorized
+            assert np.all(np.linalg.det(X) > 0.0)
+            return solve(X, Y)
+
+        monkeypatch.setattr(np.linalg, "solve", checked_solve)
+        with pytest.raises(ck.RiccatiBlowup) as info:
+            ck.riccati_solve(p, steps)
+        grid = h * np.arange(steps + 1)
+        assert info.value.time == grid[grid < pole].max()
+
+    def test_one_node_blocks(self):
+        # |hM|_1 = 2000: each block is one Moebius step, E = -100 tanh(100 (2 - t)).
+        p = dataclasses.replace(scalar_lq(), W=np.array([[1e4]]))
+        sol = ck.riccati_solve(p, steps=10)
+        assert np.max(np.abs(sol.E[:, 0, 0] + 100.0 * np.tanh(100.0 * (2.0 - sol.grid)))) <= 1e-11
+
     @pytest.mark.parametrize(
         "field, value",
         [
