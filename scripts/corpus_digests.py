@@ -8,8 +8,9 @@ Runs `ctrlkit.cli.main` in-process on each spec of `CLI_CORPUS`
 `--format csv`, against the package under this checkout's `src/`.  Each line
 is `sha256  argv  format`.  Then one line `sha256  library  call` per
 library result: `lq_cost`, `hum_control_finite`, `simulate_closed_loop`, the
-time-varying `gramian`, the two wave observation functionals and
-`hum_wave_boundary`, hashed over the bytes and shapes of every array they
+time-varying `gramian`, the two wave observation functionals,
+`hum_wave_boundary` and `semilinear_stabilize` with the cubic
+f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
 grid.  A refactor shows that no output moved by a `diff` of this script's
 output on the parent commit and on the change.
@@ -104,6 +105,15 @@ def wave_hum(steps):
     )
 
 
+def semilinear_cubic():
+    # f(y) = 12 y - y^3 with data large enough for -y^3 to act (states up to 0.49).
+    plant = ck.SemilinearPlant(
+        L=1.0, f=lambda y: 12.0 * y - y**3, f_prime_0=12.0, n=1, N_sim=8, gamma=120.0
+    )
+    res = ck.semilinear_stabilize(plant, [0.3, -0.15, 0.075], 10.0)
+    return res.K, res.times, res.u, res.z, res.v, res.V
+
+
 DOUBLE_INTEGRATOR = (pr.double_integrator(), 1.0, np.zeros(2), np.array([1.0, 0.0]))
 DUBINS = (pr.dubins_linearized(2.0 * np.pi), 2.0 * np.pi, np.zeros(3), np.array([1.0, 0.0, 0.0]))
 SCALAR_LQ = (ck.LqProblem(ck.LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], 2.0), [1.0])
@@ -124,6 +134,7 @@ LIBRARY = [
     ("boundary_observation_energy steps=1999", boundary_observation, 1999),
     ("internal_wave_observation steps=1999", internal_observation, 1999),
     ("hum_wave_boundary steps=1999", wave_hum, 1999),
+    ("semilinear_stabilize cubic", semilinear_cubic),
 ]
 
 

@@ -73,6 +73,7 @@ from .specpde import (
     moment_heat_control,
     periago_bound,
     semilinear_stabilize,
+    semilinear_steps,
     sin2_mass,
     wave_evolve,
 )

@@ -51,6 +51,7 @@ from .specpde import (
     hum_wave_boundary,
     moment_heat_control,
     semilinear_stabilize,
+    semilinear_steps,
 )
 
 
@@ -472,9 +473,7 @@ def _semilinear(spec, path, basis, args):
     if c * L * L > (N * np.pi) ** 2:
         raise SchemaError(f"{path}: c = {c} makes all N = {N} simulated modes unstable")
     T_sim = _number(spec, "T_sim", path, 10.0, "positive")
-    # RK4 stability refines the grid to T_sim mu_N / 2.5 steps of N + 1 values.
-    k = N * np.pi / L
-    _check_grid(path, max(args.steps, T_sim * k * k / 2.5), N + 1)
+    _check_grid(path, _construct(path, semilinear_steps, L, N, T_sim, args.steps), N + 1)
     n, gamma = _number(spec, "n", path, None, "whole"), _number(spec, "gamma", path, None)
     plant = _construct(path, problems.semilinear_heat, L=L, c=c, n=n, N_sim=N, gamma=gamma)
     y0 = _vector(spec, "y0", path, [0.01], range(N + 1))
@@ -484,6 +483,7 @@ def _semilinear(spec, path, basis, args):
         "final_u": float(res.u[-1]),
         "final_z_norm": float(np.linalg.norm(res.z[-1])),
         "V_monotone": bool(np.all(np.diff(res.V) <= 1e-9 * max(1.0, res.V[0]))),
+        "diagnostics": {"steps_integrated": len(res.times) - 1},
     }, (res.times, np.column_stack([res.u, res.z]), res.v.reshape(-1, 1))
 
 

@@ -211,15 +211,13 @@ def brunovski_form(sys: LtiSystem, tol: float = 1e-9):
 def _transition_grid(sys, times, A):
     """R(T, t_i) at the nodes t_i = i h of the uniform grid `times`, T = times[-1].
 
-    LTI: expm((T - t_i) A), one stacked call, and R(T, T) = I.  LTV: Y(t) =
+    LTI: expm((T - t_i) A), one stacked call.  LTV: Y(t) =
     R(T, t)^T solves Y' = -A(t)^T Y backward from Y(T) = I, by RK4 over A
     sampled on the nodes and midpoints.
     """
     h = times[1]
     if isinstance(sys, LtiSystem):
-        R = expm((times[-1] - times)[:, None, None] * sys.A)
-        R[-1] = np.eye(sys.n)  # expm(0) rounds the diagonal to 1 - 2^-53
-        return R
+        return expm((times[-1] - times)[:, None, None] * sys.A)
     Y = rk4_linear_sweep(-A[::-1].transpose(0, 2, 1), None, times[::-1], np.eye(sys.n), -h)
     return Y[::-1].transpose(0, 2, 1)
 

@@ -183,8 +183,9 @@ def expm(M: np.ndarray) -> np.ndarray:
 
     M is one n x n matrix or a (k, n, n) stack; a stack is one batched call,
     each matrix scaled by its own power of 2 (Higham, SIAM J. Matrix Anal.
-    Appl. 26(4), 2005) and squared back only that often.  Non-finite entries,
-    which only an overflow upstream produces, raise FloatingPointError.
+    Appl. 26(4), 2005) and squared back only that often.  A zero matrix gives
+    exactly I.  Non-finite entries, which only an overflow upstream
+    produces, raise FloatingPointError.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -222,6 +223,7 @@ def expm(M: np.ndarray) -> np.ndarray:
             F = F @ F
         else:
             F[k] = F[k] @ F[k]
+    F[norm1 == 0.0] = ident  # the solve rounds the diagonal of expm(0) to 1 - 2^-53
     return F
 
 

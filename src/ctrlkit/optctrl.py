@@ -338,16 +338,19 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
     is resolved against the maximizer's tie-break.
 
     `s0` are the switching signs at (t, z), or None if the caller has none.
-    Returns the new state and its switching signs at `t_next`, the time the
-    caller's next step starts from.  The signs are None when the step ended
-    on a landed crossing or its end time is not exactly `t_next`.
+    A maximizer with a `bound` a (the box's) takes the control a s0 from
+    them; any other is called.  Returns the new state and its switching
+    signs at `t_next`, the time the caller's next step starts from.  The
+    signs are None when the step ended on a landed crossing or its end time
+    is not exactly `t_next`.
     """
+    bound = getattr(maximizer, "bound", None)
     remaining = h
     for _ in range(12):
-        u0 = maximizer(t, z[:n], z[n:], p0)
-        frozen = lambda tt, zz: rhs(tt, zz, u0)
         if s0 is None:
             s0 = _switch_signs(switching, t, z, n, p0)
+        u0 = maximizer(t, z[:n], z[n:], p0) if bound is None else [bound * s for s in s0]
+        frozen = lambda tt, zz: rhs(tt, zz, u0)
         z_try = _rk4(frozen, t, z, remaining)
         s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
         if not _crossed(s0, s1):
@@ -578,7 +581,8 @@ def hamiltonian_maximizer_box(a: float, fields: Sequence[Callable]):
     """Bang-bang maximizer for f = f_0 + sum u_i f_i with |u_i| <= a.
 
     The switching function is phi_i(t) = <p, f_i(t, x)>; u_i = a sign(phi_i),
-    with the measure-zero tie |phi_i| < 1e-12 broken to 0.
+    with the measure-zero tie |phi_i| < 1e-12 broken to 0.  The maximizer
+    carries `switching` and the bound a as `bound`.
     """
 
     def switching(t, x, p, p0):
@@ -588,6 +592,7 @@ def hamiltonian_maximizer_box(a: float, fields: Sequence[Callable]):
         return [a * _sign(v) for v in switching(t, x, p, p0)]
 
     maximizer.switching = switching
+    maximizer.bound = a
     maximizer.bang_bang = True
     return maximizer
 

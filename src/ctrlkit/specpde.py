@@ -42,6 +42,7 @@ __all__ = [
     "MomentControlResult",
     "damping_decay_experiment",
     "DampingResult",
+    "semilinear_steps",
     "semilinear_stabilize",
     "SemilinearResult",
 ]
@@ -595,6 +596,51 @@ def semilinear_matrices(plant: SemilinearPlant):
     return A, B, a, b, lam
 
 
+def semilinear_steps(L: float, N_sim: int, T_sim: float, steps: int) -> int:
+    """The RK4 step count of the semilinear simulation: max(steps, ceil(T_sim mu_N / 2.5)).
+
+    Explicit RK4 is stable for the fastest mode mu_N = (N_sim pi / L)^2 only
+    while h < 2.78 / mu_N, so a grid coarser than h = 2.5 / mu_N is refined.
+    """
+    k = N_sim * math.pi / L
+    need = T_sim * (k * k) / 2.5
+    if not math.isfinite(need):
+        raise ValueError(f"T_sim = {T_sim} needs more RK4 steps than a float can count")
+    return max(steps, math.ceil(need))
+
+
+def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
+    """The Galerkin right-hand side under v = K X_n, and the modal rates lambda_j.
+
+    On s = (u, z_1..z_N_sim) it is s' = Lin s + F f(Y s), from matrices built
+    once: Lin holds u' = v and z_j' = -mu_j z_j + b_j v, Y evaluates
+    y = (x/L) u + sum z_j e_j on the 201 Simpson nodes of (0, L), and F
+    projects f(y) on the modes, <f(y), e_j> by Simpson, below a zero row for
+    u.  Lin and Y are stacked, so one call is two products, one f on the
+    whole space grid and one sum, whatever f is.
+    """
+    Ns, n, L = plant.N_sim, plant.n, plant.L
+    jj = np.arange(1, Ns + 1)
+    mu = (jj * np.pi / L) ** 2
+    I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
+    b_all = -I_all / L
+    xs, weights = simpson_grid(L, 200)
+    E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on the grid
+    Kfull = np.zeros(Ns + 1)  # v = K X_n = Kfull s
+    Kfull[: n + 1] = Krow
+    Lin = np.outer(np.concatenate([[1.0], b_all]), Kfull)
+    Lin[1:, 1:] -= np.diag(mu)
+    LinY = np.vstack([Lin, np.column_stack([xs / L, E])])
+    F = np.vstack([np.zeros(len(xs)), E.T * weights])
+    f, m = plant.f, Ns + 1
+
+    def rhs(t, state):
+        w = np.dot(LinY, state)
+        return w[:m] + np.dot(F, f(w[m:]))
+
+    return rhs, plant.f_prime_0 - mu
+
+
 def semilinear_stabilize(
     plant: SemilinearPlant,
     y0_coeffs,
@@ -609,7 +655,8 @@ def semilinear_stabilize(
     v = K X_n, u' = v, u(0) = 0 (z = y - (x/L) u substitution), recording
     the composite Lyapunov function V = gamma X'PX - (1/2) sum lambda_j z_j^2.
     The nonlinearity is projected on the modes by Simpson's rule on 201
-    space nodes.  T_sim must be positive: the heat flow is not reversible.
+    space nodes.  The grid has `semilinear_steps` steps.  T_sim must be
+    positive: the heat flow is not reversible.
     """
     if not T_sim > 0:
         raise ValueError(f"T_sim must be positive, got {T_sim}")
@@ -620,37 +667,13 @@ def semilinear_stabilize(
     Krow = np.asarray(K).ravel()
     P = lyapunov_solve(A + B @ K)
 
-    Ns = plant.N_sim
-    L = plant.L
-    jj = np.arange(1, Ns + 1)
-    mu = (jj * np.pi / L) ** 2
-    lam_all = plant.f_prime_0 - mu
-    I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
-    b_all = -I_all / L
-    xs, weights = simpson_grid(L, 200)
-    E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on grid
-    # <g, e_j> = int_0^L g e_j dx by Simpson on the grid, for every mode at once.
-    project = E.T * weights
-
-    z0 = np.zeros(Ns)
-    y0_coeffs = np.asarray(y0_coeffs, dtype=float)
-    z0[: y0_coeffs.shape[0]] = y0_coeffs
-
-    def rhs(t, state):
-        u = state[0]
-        z = state[1:]
-        X = np.concatenate([[u], z[:n]])
-        v = float(Krow @ X)
-        y_grid = E @ z + (xs / L) * u
-        fz = project @ plant.f(y_grid)  # <f(y), e_j>
-        dz = -mu * z + fz + b_all * v
-        return np.concatenate([[v], dz])
-
-    # Explicit RK4 stability for the fastest mode requires h < 2.78/mu_max;
-    # refine the requested grid if the simulation size makes it stiffer.
-    steps = max(steps, int(np.ceil(T_sim * float(mu[-1]) / 2.5)))
+    rhs, lam_all = _semilinear_rhs(plant, Krow)
+    steps = semilinear_steps(plant.L, plant.N_sim, T_sim, steps)
     h = T_sim / steps
     times = h * np.arange(steps + 1)
+    z0 = np.zeros(plant.N_sim)
+    y0_coeffs = np.asarray(y0_coeffs, dtype=float)
+    z0[: y0_coeffs.shape[0]] = y0_coeffs
     states = rk4_sweep(rhs, times, np.concatenate([[0.0], z0]), h)
     X = states[:, : n + 1]  # the model coordinates (u, z_1..z_n)
     v_samples = X @ Krow

@@ -194,6 +194,8 @@ class TestExitCodes:
             ("pde", "moment_heat.json", {"L": 1.0}, [], "the moment task needs L = pi"),
             ("pde", "damping.json", {"T": -1.0}, [], "'T' must be a positive number"),
             ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
+            # T_sim mu_N / 2.5 overflows to inf: no step count to check against the grid cap.
+            ("pde", "semilinear.json", {"T_sim": 1e300, "L": 1e-3}, [], "needs more RK4 steps than a float can count"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=17"], "--depth must be >= 1 and <= 16"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=1000000000"], "--depth must be >= 1 and <= 16"),
             # A non-whole family is refused, not rounded.
@@ -320,6 +322,18 @@ class TestDeterminism:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["input_digest"].startswith("sha256:")
         assert "elapsed" not in json.dumps(rep)
+
+
+class TestSemilinearReport:
+    @pytest.mark.parametrize("steps, integrated", [(2000, 2527), (3000, 3000)])
+    def test_reports_the_steps_integrated(self, steps, integrated, tmp_path, monkeypatch):
+        # RK4 stability refines the grid to ceil(T_sim mu_N / 2.5) = 2527 steps.
+        monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))
+        assert main(["pde", spec("semilinear.json"), f"--steps={steps}", "--out", "s.json"]) == 0
+        rep = json.loads((tmp_path / "s.json").read_text())
+        assert rep["diagnostics"]["steps"] == steps
+        assert rep["results"]["diagnostics"] == {"steps_integrated": integrated}
+        assert rep["results"]["V_monotone"] is True
 
 
 class TestShootReport:

@@ -42,6 +42,16 @@ class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3))
 
+    def test_zero_matrix_is_exactly_identity(self):
+        # The Pade solve alone rounds the diagonal of expm(0) to 1 - 2^-53.
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(expm(-np.zeros((2, 2))), np.eye(2))
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        stack = np.array([0.0, 0.7, 0.0, 40.0])[:, None, None] * J
+        got = expm(stack)
+        assert np.array_equal(got[[0, 2]], np.stack([np.eye(2)] * 2))
+        assert np.array_equal(got[[1, 3]], expm(stack[[1, 3]]))
+
     def test_diagonal(self):
         D = np.diag([1.0, -2.0, 0.5])
         assert np.allclose(expm(D), np.diag(np.exp([1.0, -2.0, 0.5])), atol=1e-14)

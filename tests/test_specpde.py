@@ -8,10 +8,13 @@ import pytest
 
 from ctrlkit import problems as pr
 from ctrlkit.lincontrol import kalman_matrix
+from ctrlkit.numcore import simpson_grid
 from ctrlkit.specpde import (
     IllPosedError,
+    _semilinear_rhs,
     _sin_product_integrals,
     IntervalUnion,
+    SemilinearPlant,
     SineBasis,
     WaveState,
     biorthogonal_family,
@@ -25,6 +28,7 @@ from ctrlkit.specpde import (
     periago_bound,
     semilinear_matrices,
     semilinear_stabilize,
+    semilinear_steps,
     sin2_mass,
     wave_energy,
     wave_evolve,
@@ -234,7 +238,86 @@ class TestSinProductIntegrals:
         assert S.tobytes() == self.loop(omega, basis, 16).tobytes()
 
 
+def _cubic_plant(L=1.0, n=1, N_sim=8):
+    """f(y) = 12 y - y^3: f'(0) = 12, as for semilinear_heat, but not linear."""
+    return SemilinearPlant(L=L, f=lambda y: 12.0 * y - y**3, f_prime_0=12.0, n=n, N_sim=N_sim, gamma=120.0)
+
+
+def _per_part_rhs(plant, Krow):
+    """The Galerkin right-hand side as first written, one part at a time."""
+    n, Ns, L = plant.n, plant.N_sim, plant.L
+    jj = np.arange(1, Ns + 1)
+    mu = (jj * np.pi / L) ** 2
+    b_all = -math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi) / L
+    xs, weights = simpson_grid(L, 200)
+    E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)
+    project = E.T * weights
+
+    def rhs(t, state):
+        u, z = state[0], state[1:]
+        v = float(Krow @ np.concatenate([[u], z[:n]]))
+        fz = project @ plant.f(E @ z + (xs / L) * u)
+        return np.concatenate([[v], -mu * z + fz + b_all * v])
+
+    return rhs
+
+
 class TestSemilinear:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pr.semilinear_heat(n=1),
+            lambda: pr.semilinear_heat(L=2.0, n=3, N_sim=10),
+            _cubic_plant,
+            lambda: _cubic_plant(L=2.0, n=3, N_sim=10),
+        ],
+        ids=["linear", "linear_L2", "cubic", "cubic_L2"],
+    )
+    def test_operator_rhs_matches_per_part_formula(self, build):
+        plant = build()
+        rng = np.random.default_rng(11)
+        Krow = rng.standard_normal(plant.n + 1)
+        rhs = _semilinear_rhs(plant, Krow)[0]
+        ref = _per_part_rhs(plant, Krow)
+        for _ in range(20):
+            state = 0.5 * rng.standard_normal(plant.N_sim + 1)
+            want = ref(0.0, state)
+            assert np.max(np.abs(rhs(0.0, state) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_cubic_small_data_decays(self):
+        rng = np.random.default_rng(7)
+        y0 = np.zeros(8)
+        y0[0] = 0.3
+        rest = rng.standard_normal(7)
+        y0[1:] = rest * math.sqrt(1.0 - 0.09) / np.linalg.norm(rest)
+        y0 *= 0.1
+        res = semilinear_stabilize(_cubic_plant(), y0, T_sim=10.0)
+        initial = np.linalg.norm(y0) + abs(res.u[0])
+        final = np.linalg.norm(res.z[-1]) + abs(res.u[-1])
+        assert final < 1e-3 * initial
+        assert np.all(np.diff(res.V) <= 1e-12)
+        # -y^3 acts: the states leave those of f = 12 y
+        linear = semilinear_stabilize(pr.semilinear_heat(n=1), y0, T_sim=10.0)
+        assert np.max(np.abs(res.z - linear.z)) > 1e-4
+
+    @pytest.mark.parametrize(
+        "L, N_sim, T_sim, steps, want",
+        [
+            (1.0, 8, 10.0, 2000, 2527),  # ceil(10 (8 pi)^2 / 2.5) = ceil(2526.6)
+            (1.0, 8, 10.0, 3000, 3000),
+            (1.0, 8, 1.0, 2000, 2000),
+            (2.0, 8, 10.0, 1, 632),  # mu_N = (4 pi)^2
+        ],
+    )
+    def test_step_count(self, L, N_sim, T_sim, steps, want):
+        assert semilinear_steps(L, N_sim, T_sim, steps) == want
+        plant = pr.semilinear_heat(L=L, c=2.0, n=1, N_sim=N_sim)
+        assert len(semilinear_stabilize(plant, [0.01], T_sim, steps).times) == want + 1
+
+    def test_step_count_past_float_range(self):
+        with pytest.raises(ValueError, match="RK4 steps"):
+            semilinear_steps(1e-3, 1000, 1e300, 2000)
+
     def test_coefficient_identity(self):
         # a_j + lambda_j b_j = -sqrt(2/L) (j pi / L) (-1)^j
         plant = pr.semilinear_heat(n=10)
