@@ -194,8 +194,6 @@ class TestExitCodes:
             ("pde", "moment_heat.json", {"L": 1.0}, [], "the moment task needs L = pi"),
             ("pde", "damping.json", {"T": -1.0}, [], "'T' must be a positive number"),
             ("pde", "semilinear.json", {"T_sim": -1.0}, [], "'T_sim' must be a positive number"),
-            # T_sim mu_N / 2.5 overflows to inf: no step count to check against the grid cap.
-            ("pde", "semilinear.json", {"T_sim": 1e300, "L": 1e-3}, [], "needs more RK4 steps than a float can count"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=17"], "--depth must be >= 1 and <= 16"),
             ("analyze", "triangular_ltv.json", {}, ["--depth=1000000000"], "--depth must be >= 1 and <= 16"),
             # A non-whole family is refused, not rounded.
@@ -204,6 +202,8 @@ class TestExitCodes:
             # force is a JSON boolean, not any truthy value.
             ("pde", "wave_hum.json", {"T": 1.5, "force": "false"}, [], "field 'force' must be true or false"),
             ("pde", "wave_hum.json", {"T": 1.5, "force": 1}, [], "field 'force' must be true or false"),
+            # T_sim mu_N / 2.5 overflows to inf: no step count to check against the grid cap.
+            ("pde", "semilinear.json", {"T_sim": 1e300, "L": 1e-3}, [], "needs more RK4 steps than a float can count"),
         ],
     )
     def test_malformed_spec_is_input_error(self, command, name, change, flags, message, tmp_path, capsys):
