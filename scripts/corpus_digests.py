@@ -8,7 +8,8 @@ Runs `ctrlkit.cli.main` in-process on each spec of `CLI_CORPUS`
 `--format csv`, against the package under this checkout's `src/`.  Each line
 is `sha256  argv  format`.  Then one line `sha256  library  call` per
 library result: `lq_cost`, `hum_control_finite`, `simulate_closed_loop`, the
-time-varying `gramian`, the two wave observation functionals,
+time-varying `gramian` (Dubins, and a tabulated system with a kink, which
+splits into Chebyshev pieces), the two wave observation functionals,
 `hum_wave_boundary` and `semilinear_stabilize` with the cubic
 f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
@@ -78,9 +79,18 @@ def predator_prey():
     return traj.times, traj.states, controls, v_samples
 
 
-def ltv_gramian(sys_, T, steps):
-    g = ck.gramian(sys_, T, steps)
-    return g.G, g.C_T, g.invertible
+def ltv_gramian(sys_, T):
+    g = ck.gramian(sys_, T)
+    return g.G, g.C_T, g.invertible, g.degree, g.pieces
+
+
+def kinked_tabulated():
+    # A_21 = |t - 0.7| tabulated at (0, 0.7, 2) as `ctrl analyze` builds an
+    # ltv-tabulated spec: two Chebyshev pieces, split at the kink.
+    times = [0.0, 0.7, 2.0]
+    A = np.array([[[0.0, 0.0], [abs(t - 0.7), 0.0]] for t in times])
+    B = np.array([[[1.0], [0.0]] for _ in times])
+    return ck.LtvSystem(2, 1, ck.DenseOutput(times, A), ck.DenseOutput(times, B), tuple(times))
 
 
 WAVE_BASIS = ck.SineBasis(1.0, 8)
@@ -130,7 +140,8 @@ LIBRARY = [
     ("hum_control_finite dubins steps=2000", hum, *DUBINS, 2000),
     ("simulate_closed_loop pendulum pole_place", pendulum),
     ("simulate_closed_loop predator_prey jurdjevic_quinn", predator_prey),
-    ("gramian dubins steps=2001", ltv_gramian, *DUBINS[:2], 2001),
+    ("gramian dubins", ltv_gramian, *DUBINS[:2]),
+    ("gramian kinked_tabulated", ltv_gramian, kinked_tabulated(), 2.0),
     ("boundary_observation_energy steps=1999", boundary_observation, 1999),
     ("internal_wave_observation steps=1999", internal_observation, 1999),
     ("hum_wave_boundary steps=1999", wave_hum, 1999),

@@ -206,17 +206,20 @@ def _tabulated_ltv(spec, path) -> LtvSystem:
         raise SchemaError(f"{path}: ltv-tabulated needs >= 2 strictly increasing times")
     if Astack.shape[0] != times.shape[0] or Bstack.shape[0] != times.shape[0]:
         raise SchemaError(f"{path}: ltv-tabulated needs one A and one B per time")
-    # Tabulated data carry no derivatives: the dense output is piecewise linear.
+    # Tabulated data carry no derivatives: the dense output is piecewise
+    # linear, with a kink at each tabulated time.
     return LtvSystem(
         Astack.shape[1],
         Bstack.shape[2],
         DenseOutput(times, Astack),
         DenseOutput(times, Bstack),
+        tuple(times.tolist()),
     )
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (spec, results, CSV columns or None) for _emit.
+# Commands: each returns (spec, results, CSV columns or None[, diagnostics])
+# for _emit.
 # ---------------------------------------------------------------------------
 
 
@@ -229,7 +232,8 @@ def cmd_analyze(args):
     else:
         built, analyze = _builtin(_ANALYZE_BUILTINS, spec, args.spec)
         results = {"builtin": spec["name"], **analyze(built, args)}
-    return spec, results, None
+    diagnostics = results.pop("diagnostics", {})
+    return spec, results, None, diagnostics
 
 
 def _analyze_maxwell_bloch(equilibrium, args) -> dict:
@@ -268,11 +272,18 @@ def _analyze_ltv(sys_: LtvSystem, args) -> dict:
 
 
 def _gramian_results(sys_, args) -> dict:
-    """The Gramian over [0, --T], if --T is given."""
+    """The Gramian over [0, --T], if --T is given.
+
+    An LTV Gramian's Chebyshev degree and piece count come under the key
+    "diagnostics", which cmd_analyze moves to the report's diagnostics.
+    """
     if args.T is None:
         return {}
-    g = gramian(sys_, args.T, args.steps)
-    return {"gramian": {"T": g.horizon, "C_T": g.C_T, "invertible": g.invertible}}
+    g = gramian(sys_, args.T)
+    res = {"gramian": {"T": g.horizon, "C_T": g.C_T, "invertible": g.invertible}}
+    if g.degree is not None:
+        res["diagnostics"] = {"gramian": {"chebyshev_degree": g.degree, "pieces": g.pieces}}
+    return res
 
 
 # Builtin name -> (builder, {param: default}[, analyze(built, args) -> results]).
@@ -525,8 +536,11 @@ def _traj_csv(times, states, *extra) -> str:
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _emit(args, spec: dict, results: dict, columns) -> None:
-    """Write the report of `results`, or with --format csv the `_traj_csv` of `columns` if any."""
+def _emit(args, spec: dict, results: dict, columns, diagnostics=None) -> None:
+    """Write the report of `results`, or with --format csv the `_traj_csv` of `columns` if any.
+
+    The report's diagnostics echo --tol and --steps, plus any `diagnostics` of the command.
+    """
     if columns is not None and not all(np.isfinite(c).all() for c in columns):
         raise NonFiniteResult("the trajectory has non-finite values")
     csv = _traj_csv(*columns) if columns is not None and args.format == "csv" else None
@@ -534,7 +548,7 @@ def _emit(args, spec: dict, results: dict, columns) -> None:
         "command": args.cmd,
         "tool_version": __version__,
         "input_digest": spec["_digest"],
-        "diagnostics": {"tol": args.tol, "steps": args.steps},
+        "diagnostics": {"tol": args.tol, "steps": args.steps, **(diagnostics or {})},
         "results": results,
     }
     try:

@@ -16,8 +16,11 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .numcore import (
+    Chebyshev,
     DenseOutput,
     DimensionError,
+    GridError,
+    chebyshev,
     expm,
     fd_jacobian,
     numerical_rank,
@@ -91,6 +94,7 @@ class LtvSystem:
     m: int
     A: Callable[[float], np.ndarray]
     B: Callable[[float], np.ndarray]
+    breaks: Sequence[float] = ()  # times where A or B may have a kink
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,8 @@ class GramianReport:
     G: np.ndarray
     C_T: float
     invertible: bool
+    degree: int | None = None  # LTV: the Chebyshev degree N of each piece
+    pieces: int | None = None  # LTV: the pieces of [0, T] between the system's breaks
 
 
 @dataclass(frozen=True)
@@ -207,57 +213,95 @@ def brunovski_form(sys: LtiSystem, tol: float = 1e-9):
 # Gramian machinery
 # ---------------------------------------------------------------------------
 
-
-def _transition_grid(sys, times, A):
-    """R(T, t_i) at the nodes t_i = i h of the uniform grid `times`, T = times[-1].
-
-    LTI: expm((T - t_i) A), one stacked call.  LTV: Y(t) =
-    R(T, t)^T solves Y' = -A(t)^T Y backward from Y(T) = I, by RK4 over A
-    sampled on the nodes and midpoints.
-    """
-    h = times[1]
-    if isinstance(sys, LtiSystem):
-        return expm((times[-1] - times)[:, None, None] * sys.A)
-    Y = rk4_linear_sweep(-A[::-1].transpose(0, 2, 1), None, times[::-1], np.eye(sys.n), -h)
-    return Y[::-1].transpose(0, 2, 1)
+# The largest n (N + 1) of one collocation solve of the LTV Gramian.
+_COLLOCATION_SIZE = 1600
 
 
-def gramian(sys, T: float, steps: int = 2000) -> GramianReport:
+def _samples(f, times, shape):
+    """f(t) at each Python float of `times`, one call each, straight into an array."""
+    return np.fromiter(map(f, times), (float, shape), len(times))
+
+
+def gramian(sys, T: float) -> GramianReport:
     """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt.
 
-    Exact for an LtiSystem; Simpson on the `simpson_grid(T, steps)` grid for
-    an LtvSystem.  A bad grid raises GridError for either.
-    """
-    return _gramian(sys, T, steps, with_grid=False)[0]
-
-
-def _gramian(sys, T: float, steps: int, with_grid: bool = True):
-    """The Gramian report, the Simpson grid, R(T, t_i) on it, and A and B on its nodes and midpoints.
-
     LTI: G_T = F22^T F12 from F = expm(T [[-A, BB^T], [0, A^T]]) (Van Loan,
-    IEEE TAC 23(3), 1978).  LTV: Simpson's rule over R(T, t_i) B(t_i).  R is
-    None for an LtiSystem without `with_grid`; its A and B are broadcast views.
+    IEEE TAC 23(3), 1978), exact.  LTV: Chebyshev collocation, see
+    _ltv_adjoint.  A horizon T outside (0, inf) raises GridError.
     """
-    times, weights = simpson_grid(T, steps)
-    half = (0.5 * times[1] * np.arange(2 * len(times) - 1)).tolist()
+    if not 0.0 < T < np.inf:
+        raise GridError(f"the Gramian needs 0 < T < inf, got T={T}")
     if isinstance(sys, LtiSystem):
-        A, B = (np.broadcast_to(M, (len(half),) + M.shape) for M in (sys.A, sys.B))
-        R = _transition_grid(sys, times, A) if with_grid else None
         n = sys.n
         F = expm(T * np.block([[-sys.A, sys.B @ sys.B.T], [np.zeros((n, n)), sys.A.T]]))
-        G = F[n:, n:].T @ F[:n, n:]
-    else:  # one call of each callable per time, straight into the arrays
-        shapes = ((sys.A, (sys.n, sys.n)), (sys.B, (sys.n, sys.m)))
-        A, B = (np.fromiter(map(f, half), (float, s), len(half)) for f, s in shapes)
-        R = _transition_grid(sys, times, A)
-        RB = R @ B[::2]
-        # A time-last copy sums by BLAS dot products; tensordot over the time
-        # axis gathers rounding linearly in the step count (2.6e-13 at 4000).
-        G = np.ascontiguousarray(np.moveaxis(RB @ RB.transpose(0, 2, 1), 0, -1)) @ weights
+        return _report(T, F[n:, n:].T @ F[:n, n:])
+    return _ltv_adjoint(sys, T)[0]
+
+
+def _report(T, G, **counts) -> GramianReport:
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
     C_T = float(w[0])
-    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1]))), times, R, A, B
+    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1])), **counts)
+
+
+def _ltv_adjoint(sys: LtvSystem, T: float):
+    """The Gramian report and Y(t) = R(T, t)^T on the Chebyshev nodes of each piece.
+
+    [0, T] splits at the system's breaks.  On N + 1 Chebyshev-Lobatto nodes
+    of a piece, Y' = -A(t)^T Y with Y given at the piece's right end (I at T,
+    else the next piece's left end) is one dense solve of size n N.  Then
+    G_T = sum_j w_j R B B^T R^T, R = Y^T, with the Clenshaw-Curtis weights w.
+    N starts at 16 and doubles until, on every piece, the Chebyshev
+    coefficients of A, B and Y pass the tail test (Chebyshev.resolved).
+    When n (N + 1) would exceed _COLLOCATION_SIZE, FloatingPointError is
+    raised instead.  Returns (report, pieces), pieces [(a, b, Y on the
+    nodes)] in time order.
+    """
+    inner = sorted({float(t) for t in sys.breaks if 0.0 < t < T})
+    edges = list(zip([0.0] + inner, inner + [T]))[::-1]  # backward from T
+    N = 16
+    while (found := _collocate(sys, edges, chebyshev(N))) is None:
+        N *= 2
+        if sys.n * (N + 1) > _COLLOCATION_SIZE:
+            raise FloatingPointError(
+                f"the time-varying Gramian is not resolved at Chebyshev degree {N // 2}"
+            )
+    G, pieces = found
+    return _report(T, G, degree=N, pieces=len(pieces)), pieces
+
+
+def _collocate(sys: LtvSystem, edges, cheb: Chebyshev):
+    """(G_T, pieces) on the nodes of `cheb`, or None at the first piece not resolved there."""
+    n, N = sys.n, len(cheb.nodes) - 1
+    j = np.arange(N + 1)
+    Y_end, G, pieces = np.eye(n), np.zeros((n, n)), []
+    for a, b in edges:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        t = (mid + half * cheb.nodes).tolist()  # from b down to a
+        A = _samples(sys.A, t, (n, n))
+        if not cheb.resolved(A):
+            return None
+        B = _samples(sys.B, t, (n, sys.m))
+        if not cheb.resolved(B):
+            return None
+        # (1/half) D Y + A^T Y = 0 on nodes 1..N; node 0 holds Y(b) = Y_end.
+        L = np.zeros((N + 1, n, N + 1, n))
+        D = cheb.diff / half
+        for i in range(n):
+            L[:, i, :, i] = D
+        L[j, :, j, :] += A.transpose(0, 2, 1)
+        L = L.reshape((N + 1) * n, (N + 1) * n)
+        Y = np.empty((N + 1, n, n))
+        Y[0] = Y_end
+        Y[1:] = np.linalg.solve(L[n:, n:], -L[n:, :n] @ Y_end).reshape(N, n, n)
+        if not cheb.resolved(Y):
+            return None
+        RB = Y.transpose(0, 2, 1) @ B
+        G += half * np.tensordot(cheb.weights, RB @ RB.transpose(0, 2, 1), axes=1)
+        pieces.append((a, b, Y))
+        Y_end = Y[-1]
+    return G, pieces[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +312,6 @@ def _gramian(sys, T: float, steps: int, with_grid: bool = True):
 # The B_k recursion holds its local models as values on 17 first-kind Chebyshev
 # points of [-1, 1].
 _CHEB_DEG = 16
-_CHEB_NODES = np.cos(np.pi * (2 * np.arange(_CHEB_DEG + 1) + 1) / (2 * (_CHEB_DEG + 1)))
-
-
-def _cheb_model(s):
-    """Chebyshev fit, d/ds and the weights that read s = 0, for values at the nodes s.
-
-    Each diagonal entry of d/ds is minus its row's off-diagonal sum, so
-    constants differentiate to exactly 0 (tenfold less rounding in three
-    nested derivatives).
-    """
-    fit = np.linalg.inv(C.chebvander(s, _CHEB_DEG))
-    diff = C.chebvander(s, _CHEB_DEG - 1) @ C.chebder(fit)
-    diff[np.diag_indices(_CHEB_DEG + 1)] -= diff.sum(axis=1)
-    return fit, diff, C.chebvander(0.0, _CHEB_DEG)[0] @ fit
-
-
-def _resolved(fit, values) -> bool:
-    """Whether the Chebyshev coefficients of `values` decay to a relative tail of 1e-13."""
-    c = np.abs(np.tensordot(fit, values, axes=1))
-    return c[-4:].max() <= 1e-13 * c.max()
 
 
 def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6):
@@ -299,10 +323,9 @@ def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6)
     nodes tau = t + rho s as they round, so that rounding is no error of the
     model at large |t|.  rho starts at 0.1 and halves until the models are
     resolved: the last 4 Chebyshev coefficients of A and of B are within
-    1e-13 of their largest (a plateau check in the style of Aurentz &
-    Trefethen, ACM TOMS 43(4), 2017).  Below rho = 1e3 ulps of max(1, |t|)
-    the nodes are too coarse to resolve anything, and FloatingPointError is
-    raised instead of a rank.  The models have degree 16, so their 17th
+    1e-13 of their largest (Chebyshev.resolved).  Below rho = 1e3 ulps of
+    max(1, |t|) the nodes are too coarse to resolve anything, and
+    FloatingPointError is raised instead of a rank.  The models have degree 16, so their 17th
     derivative is 0 and depth must lie in [1, 16].  Returns (rank, satisfied).
     """
     if not 1 <= depth <= _CHEB_DEG:
@@ -311,14 +334,15 @@ def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6)
     while True:
         if rho < floor:
             raise FloatingPointError(f"no local model of A and B is resolved at t={t:.6g}")
-        taus = t + rho * _CHEB_NODES
-        fit, diff, centre = _cheb_model((taus - t) / rho)
+        taus = t + rho * chebyshev(_CHEB_DEG, kind=1).nodes
+        model = Chebyshev((taus - t) / rho)
         A = np.array([np.asarray(sys.A(tau), dtype=float).reshape(sys.n, sys.n) for tau in taus])
         Bk = np.array([np.asarray(sys.B(tau), dtype=float).reshape(sys.n, sys.m) for tau in taus])
-        if _resolved(fit, A) and _resolved(fit, Bk):
+        if model.resolved(A) and model.resolved(Bk):
             break
         rho *= 0.5
-    D = diff / rho
+    D = model.diff / rho
+    centre = C.chebvander(0.0, _CHEB_DEG)[0] @ model.fit
     blocks = [np.tensordot(centre, Bk, axes=1)]
     for _ in range(depth):
         Bk = A @ Bk - np.tensordot(D, Bk, axes=1)
@@ -395,27 +419,38 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     """Minimum-L2-norm control steering x0 to x1 in time T via the Gramian.
 
     Solves G_T psi = x1 - R(T, 0) x0, the gap to the free endpoint, and applies
-    u(t) = B(t)^T lambda(t) with the adjoint lambda(t) = R(T, t)^T psi.
-    Between grid nodes lambda is the cubic Hermite interpolant of its node
-    values and lambda' = -A(t)^T lambda, fourth order like the RK4 grid.
-    The plant is re-simulated under u by RK4 on the Gramian's grid to report
-    the actual endpoint error.  The result's `law` is the callable t -> u(t).
+    u(t) = B(t)^T lambda(t) with the adjoint lambda(t) = R(T, t)^T psi.  LTI:
+    R is exact on the `simpson_grid(T, steps)` nodes, and between them lambda
+    is the cubic Hermite interpolant of its node values and lambda' =
+    -A^T lambda, fourth order.  LTV: lambda = Y psi is the barycentric
+    interpolant of the Gramian's Chebyshev nodes (_ltv_adjoint).  Either
+    way, the plant is re-simulated under u by RK4 on the `simpson_grid`
+    nodes, a grid that did not build lambda, to report the actual endpoint
+    error.  The result's `law` is the callable t -> u(t).
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    rep, times, R, A, B = _gramian(sys, T, steps)
-    if not rep.invertible:
-        raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
-    psi = np.linalg.solve(rep.G, x1 - R[0] @ x0)
+    times = simpson_grid(T, steps)[0]
+    stage_times = 0.5 * times[1] * np.arange(2 * len(times) - 1)  # RK4 nodes and midpoints
+    if isinstance(sys, LtiSystem):
+        rep = gramian(sys, T)
+        R = _transition_grid(sys, times)
+        psi = _steering_adjoint(rep, R[0], x0, x1)
+        A, B = (np.broadcast_to(M, (len(stage_times),) + M.shape) for M in (sys.A, sys.B))
+        lam = psi @ R  # row i is R(T, t_i)^T psi, and lambda' = -A^T lambda
+        adjoint = DenseOutput(times, lam, -(lam[:, None] @ A[::2])[:, 0])
+    else:
+        rep, pieces = _ltv_adjoint(sys, T)
+        psi = _steering_adjoint(rep, pieces[0][2][-1].T, x0, x1)  # R(T, 0) = Y(0)^T
+        t = stage_times.tolist()
+        A, B = _samples(sys.A, t, (sys.n, sys.n)), _samples(sys.B, t, (sys.n, sys.m))
+        adjoint = _barycentric_adjoint(chebyshev(rep.degree), pieces, psi)
     cost = float(psi @ rep.G @ psi)
-
-    lam = psi @ R  # row i is R(T, t_i)^T psi, and lambda' = -A^T lambda
-    adjoint = DenseOutput(times, lam, -(lam[:, None] @ A[::2])[:, 0])
 
     def ufun(t):
         return np.asarray(sys.B(t) if callable(sys.B) else sys.B).T @ adjoint(t)
 
-    u = (adjoint(0.5 * times[1] * np.arange(len(A)))[:, None] @ B)[:, 0]  # at A's times
+    u = (adjoint(stage_times)[:, None] @ B)[:, 0]
     endpoint = rk4_linear_sweep(A, (B @ u[:, :, None])[..., 0], times, x0, times[1])[-1]
     return HumControl(
         law=ufun,
@@ -426,3 +461,36 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
         endpoint=endpoint,
         endpoint_error=float(np.linalg.norm(endpoint - x1)),
     )
+
+
+def _steering_adjoint(rep: GramianReport, R0, x0, x1):
+    """psi with G_T psi = x1 - R(T, 0) x0; NotControllableError for a singular G_T."""
+    if not rep.invertible:
+        raise NotControllableError(f"Gramian is numerically singular (C_T = {rep.C_T:.3e})")
+    return np.linalg.solve(rep.G, x1 - R0 @ x0)
+
+
+def _transition_grid(sys: LtiSystem, times):
+    """R(T, t_i) = expm((T - t_i) A) at the nodes of `times`, T = times[-1], one stacked call."""
+    return expm((times[-1] - times)[:, None, None] * sys.A)
+
+
+def _barycentric_adjoint(cheb: Chebyshev, pieces, psi):
+    """t -> lambda(t) = Y(t) psi, from Y on the Chebyshev nodes of each piece.
+
+    t is a float or an array; times outside [0, T] are clamped to its ends.
+    """
+    lam = [(0.5 * (a + b), 0.5 * (b - a), Y @ psi) for a, b, Y in pieces]
+    starts = [a for a, _, _ in pieces[1:]]
+
+    def adjoint(t):
+        t = np.asarray(t, dtype=float)
+        ts = t.ravel()
+        k = np.searchsorted(starts, ts, side="right")
+        out = np.empty(ts.shape + (len(psi),))
+        for i, (mid, half, nodes) in enumerate(lam):
+            on = k == i
+            out[on] = cheb.interpolate(nodes, np.clip((ts[on] - mid) / half, -1.0, 1.0))
+        return out.reshape(t.shape + (len(psi),))
+
+    return adjoint

@@ -4,9 +4,10 @@ Dense matrix exponential (Pade 13 with scaling and squaring, of one matrix
 or a stack), classical RK4
 integration on uniform grids (linear ODEs from batched step matrices), dense
 output between grid nodes, finite-difference Jacobians, SVD-based numerical
-rank, and the composite Simpson grid.  Everything here is a pure function of
-its inputs; all downstream modules build on these kernels so that results are
-bit-reproducible run to run.
+rank, the composite Simpson grid, and Chebyshev interpolation (nodes,
+differentiation, quadrature, barycentric evaluation and a tail test).
+Everything here is a pure function of its inputs; all downstream modules
+build on these kernels so that results are bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 __all__ = [
     "DimensionError",
@@ -31,6 +33,8 @@ __all__ = [
     "fd_jacobian",
     "numerical_rank",
     "simpson_grid",
+    "Chebyshev",
+    "chebyshev",
 ]
 
 
@@ -367,3 +371,80 @@ def simpson_grid(T: float, steps: int):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return h * np.arange(n + 1), w * (h / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev interpolation
+# ---------------------------------------------------------------------------
+
+
+class Chebyshev:
+    """The degree-N polynomial interpolant on N + 1 nodes of [-1, 1] near Chebyshev points.
+
+    `fit` maps node values to Chebyshev coefficients and `diff` to the node
+    values of the derivative; each diagonal entry of `diff` is minus its
+    row's off-diagonal sum, so constants differentiate to 0 up to the
+    rounding of one sum (tenfold less rounding in nested derivatives).
+    `weights` integrate the interpolant over [-1, 1]: Clenshaw-Curtis on
+    second-kind points, Fejer's first rule on first-kind ones (Trefethen,
+    Spectral Methods in MATLAB, SIAM 2000, ch. 6 and 12).  `bary` are the
+    barycentric weights, the leading coefficients of the Lagrange basis.
+    Values may be stacks of arrays; axis 0 runs over the nodes.
+    """
+
+    def __init__(self, nodes):
+        s = np.asarray(nodes, dtype=float)
+        N = len(s) - 1
+        self.nodes = s
+        self.fit = np.linalg.inv(C.chebvander(s, N))
+        self.diff = C.chebvander(s, N - 1) @ C.chebder(self.fit)
+        self.diff[np.diag_indices(N + 1)] -= self.diff.sum(axis=1)
+        moments = np.zeros(N + 1)  # the integrals of T_k over [-1, 1]
+        moments[::2] = 2.0 / (1.0 - np.arange(0, N + 1, 2) ** 2)
+        self.weights = moments @ self.fit
+        self.bary = self.fit[-1]
+
+    def resolved(self, values) -> bool:
+        """Whether the last 4 Chebyshev coefficients of `values` are within 1e-13 of the largest.
+
+        A plateau check in the style of Aurentz & Trefethen, ACM TOMS 43(4), 2017.
+        """
+        c = np.abs(np.tensordot(self.fit, values, axes=1))
+        return c[-4:].max() <= 1e-13 * c.max()
+
+    def interpolate(self, values, x):
+        """The interpolant of `values` at the points x (second barycentric formula).
+
+        A point on a node returns that node's value bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        values = np.asarray(values, dtype=float)
+        v = values.reshape(len(self.nodes), -1)
+        xs = x.ravel()
+        p = np.empty((len(xs), v.shape[1]))
+        for s in range(0, len(xs), 1024):  # bounds the (points, nodes) temporaries
+            c = np.subtract.outer(xs[s : s + 1024], self.nodes)
+            hit = c == 0.0
+            c[hit] = 1.0
+            np.divide(self.bary, c, out=c)
+            on_node = hit.any(axis=1)
+            c[on_node] = hit[on_node]
+            p[s : s + 1024] = (c @ v) / c.sum(axis=1)[:, None]
+        return p.reshape(x.shape + values.shape[1:])
+
+
+@lru_cache(maxsize=16)
+def chebyshev(N: int, kind: int = 2) -> Chebyshev:
+    """Chebyshev on the N + 1 points of the first kind, cos(pi (2j + 1) / (2N + 2)),
+    or of the second (Lobatto, both ends included), cos(pi j / N).  Built
+    once per process (the 16 last used are kept), so its arrays are
+    read-only.  The nodes run from near 1 down to near -1.
+    """
+    j = np.arange(N + 1)
+    if kind == 1:
+        cheb = Chebyshev(np.cos(np.pi * (2 * j + 1) / (2 * (N + 1))))
+    else:
+        cheb = Chebyshev(np.cos(np.pi * j / N))
+    for a in vars(cheb).values():
+        a.flags.writeable = False
+    return cheb

@@ -11,6 +11,7 @@ Newton iteration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -277,30 +278,33 @@ def _hamiltonian(p: OcProblem, t, x, pv, p0, u):
 
 def _ham_rhs(p: OcProblem, p0):
     """(t, z, u=None) -> z' = (f, -dH/dx) on a list z = (x, p) of floats, as a list."""
-    n = p.dimension
+    n, f, maximizer, ham_dx = p.dimension, p.f, p.maximizer, p.hamiltonian_dx
+    if ham_dx is None:
+
+        def ham_dx(t, x, pv, p0, u):  # central differences of H in x
+            H = lambda xv: _hamiltonian(p, t, xv, pv, p0, u)
+            return fd_jacobian(H, x, 1e-6 * (1.0 + np.abs(x)))[0].tolist()
 
     def rhs(t, z, u=None):
         x = z[:n]
         pv = z[n:]
         if u is None:
-            u = p.maximizer(t, x, pv, p0)
-        if p.hamiltonian_dx is not None:
-            dHdx = p.hamiltonian_dx(t, x, pv, p0, u)
-        else:
-            H = lambda xv: _hamiltonian(p, t, xv, pv, p0, u)
-            dHdx = fd_jacobian(H, x, 1e-6 * (1.0 + np.abs(x)))[0].tolist()
-        return [*p.f(t, x, u), *(-d for d in dHdx)]
+            u = maximizer(t, x, pv, p0)
+        return [*f(t, x, u), *map(operator.neg, ham_dx(t, x, pv, p0, u))]
 
     return rhs
 
 
-def _rk4(rhs, t, z, h):
-    """numcore.rk4_step on a list of floats: the same operations in the same order."""
+def _rk4(rhs, t, z, h, u=None):
+    """numcore.rk4_step on a list of floats: the same operations in the same order.
+
+    `u`, when given, is the control of every stage (rhs's own maximizer otherwise).
+    """
     a = 0.5 * h
-    k1 = rhs(t, z)
-    k2 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k1)])
-    k3 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k2)])
-    k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
+    k1 = rhs(t, z, u)
+    k2 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k1)], u)
+    k3 = rhs(t + a, [zi + a * ki for zi, ki in zip(z, k2)], u)
+    k4 = rhs(t + h, [zi + h * ki for zi, ki in zip(z, k3)], u)
     b = h / 6.0
     return [
         zi + b * (c1 + 2.0 * c2 + 2.0 * c3 + c4) for zi, c1, c2, c3, c4 in zip(z, k1, k2, k3, k4)
@@ -350,21 +354,20 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
         if s0 is None:
             s0 = _switch_signs(switching, t, z, n, p0)
         u0 = maximizer(t, z[:n], z[n:], p0) if bound is None else [bound * s for s in s0]
-        frozen = lambda tt, zz: rhs(tt, zz, u0)
-        z_try = _rk4(frozen, t, z, remaining)
+        z_try = _rk4(rhs, t, z, remaining, u0)
         s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
         if not _crossed(s0, s1):
             return z_try, (s1 if t + remaining == t_next else None)
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            z_mid = _rk4(frozen, t, z, mid)
+            z_mid = _rk4(rhs, t, z, mid, u0)
             if _crossed(s0, _switch_signs(switching, t + mid, z_mid, n, p0)):
                 hi = mid
             else:
                 lo = mid
         step = min(remaining, hi + 1e-10)
-        z = _rk4(frozen, t, z, step)
+        z = _rk4(rhs, t, z, step, u0)
         t += step
         remaining -= step
         s0 = None

@@ -545,7 +545,16 @@ class SemilinearPlant:
     def __post_init__(self):
         if self.N_sim < self.n or self.n < 1:
             raise ValueError("need N_sim >= n >= 1")
-        if abs(float(self.f(0.0))) > 1e-12:
+        probe = np.array([0.0, 0.5, -0.5])
+        try:
+            values = np.asarray(self.f(probe), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"f must act elementwise on an array; f({probe.tolist()}) raised {exc}")
+        if values.shape != probe.shape:
+            raise ValueError(
+                f"f must act elementwise on an array; f of shape {probe.shape} gave shape {values.shape}"
+            )
+        if not abs(values[0]) <= 1e-12:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
 
 

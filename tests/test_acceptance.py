@@ -93,7 +93,7 @@ def test_criterion_02_hautus_kalman_property():
 
 def test_criterion_03_gramian_and_hum():
     sys_ = pr.double_integrator()
-    rep = ck.gramian(sys_, 1.0, steps=2000)  # 2001 Simpson nodes
+    rep = ck.gramian(sys_, 1.0)
     assert np.max(np.abs(rep.G - np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]]))) < 1e-9
     res = ck.hum_control_finite(sys_, 1.0, np.zeros(2), np.array([1.0, 0.0]))
     u = np.array([res.law(t) for t in res.times]).ravel()

@@ -393,6 +393,46 @@ class TestTabulatedLtv:
         obj["B"] = obj["B"][:1]
         assert main(["analyze", write_spec(tmp_path, obj), "--T=1.0"]) == 2
 
+    def test_kinked_gramian_is_split_at_the_tabulated_times(self, tmp_path, capsys):
+        # A_21 = |t - 0.7|: one Chebyshev piece over the kink is not resolved
+        # below the degree cap; the pieces [0, 0.7] and [0.7, 2] are at N = 16.
+        times = [0.0, 0.7, 2.0]
+        obj = {
+            "version": 1,
+            "kind": "ltv-tabulated",
+            "times": times,
+            "A": [[[0.0, 0.0], [abs(t - 0.7), 0.0]] for t in times],
+            "B": [[[1.0], [0.0]] for _ in times],
+        }
+        assert main(["analyze", write_spec(tmp_path, obj), "--T=2.0"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["results"]["gramian"]["invertible"] is True
+        assert rep["diagnostics"]["gramian"] == {"chebyshev_degree": 16, "pieces": 2}
+
+
+class TestLtvGramianReport:
+    def test_unresolved_gramian_is_numerical_failure(self, tmp_path, capsys):
+        # A Dubins loop of period 1e-3 turns 6283 times over T = 2 pi: beyond
+        # the Chebyshev degree cap, so no Gramian is reported.
+        obj = {"version": 1, "kind": "nonlinear-builtin", "name": "dubins", "params": {"T": 1e-3}}
+        assert main(["analyze", write_spec(tmp_path, obj), "--T=6.283185307179586"]) == 3
+        err = capsys.readouterr().err
+        assert "not resolved at Chebyshev degree" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", [1, 2000])
+    def test_steps_do_not_set_the_gramian(self, steps, capsys):
+        argv = ["analyze", spec("dubins.json"), "--T=6.283185307179586", f"--steps={steps}"]
+        assert main(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["diagnostics"] == {
+            "tol": 1e-9, "steps": steps, "gramian": {"chebyshev_degree": 32, "pieces": 1}
+        }
+        assert rep["results"]["gramian"]["C_T"] == pytest.approx(1.377422462266884, rel=1e-13)
+
+    def test_lti_report_has_no_gramian_diagnostics(self, capsys):
+        assert main(["analyze", spec("rlc.json"), "--T=1.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"] == {"tol": 1e-9, "steps": 2000}
+
 
 class TestCsv:
     def test_lq_csv_sibling_and_format(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for linear controllability: Kalman/Hautus, Brunovski, Gramian, HUM,
 time-varying rank tests, and Lie-bracket rank."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,50 @@ import pytest
 import ctrlkit as ck
 from ctrlkit import LtiSystem, NotControllableError
 from ctrlkit import lincontrol, problems as pr
-from ctrlkit.numcore import simpson_grid
+from ctrlkit.numcore import DenseOutput, GridError, simpson_grid
 
 from conftest import random_controllable_pairs
+
+
+def _dubins_gramian(T):
+    """Closed-form Gramian of the Dubins linearization over one loop period T."""
+    # R(T, t) B = (c(t), s(t), 1) with c = int_t^T -sin(k r) dr and s =
+    # int_t^T cos(k r) dr, k = 2 pi / T; Gauss-Legendre integrates the
+    # products of these entire functions to rounding.
+    x, w = np.polynomial.legendre.leggauss(80)
+    t, w = 0.5 * T * (x + 1.0), 0.5 * T * w
+    v = np.stack([_dubins_c(T, t), _dubins_s(T, t), np.ones_like(t)])
+    return (v * w) @ v.T
+
+
+def _dubins_c(T, t):
+    k = 2.0 * math.pi / T
+    return (np.cos(k * T) - np.cos(k * t)) / k
+
+
+def _dubins_s(T, t):
+    k = 2.0 * math.pi / T
+    return (np.sin(k * T) - np.sin(k * t)) / k
+
+
+def _kinked(breaks):
+    """x1' = u, x2' = |t - 0.7| x1, tabulated at (0, 0.7, 2) as the CLI builds it."""
+    times = [0.0, 0.7, 2.0]
+    A = np.array([[[0.0, 0.0], [abs(t - 0.7), 0.0]] for t in times])
+    B = np.array([[[1.0], [0.0]] for _ in times])
+    return ck.LtvSystem(2, 1, DenseOutput(times, A), DenseOutput(times, B), tuple(times) if breaks else ())
+
+
+def _kinked_gramian():
+    """Its exact Gramian over [0, 2]: R(2, t) B = (1, c(t)), c(t) = int_t^2 |r - 0.7| dr."""
+    x, w = np.polynomial.legendre.leggauss(5)  # exact on each quartic piece
+    G = np.zeros((2, 2))
+    for a, b in ((0.0, 0.7), (0.7, 2.0)):
+        t, wt = a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
+        c = np.where(t < 0.7, 0.5 * (0.7 - t) ** 2 + 0.5 * 1.3**2, 0.5 * (1.3**2 - (t - 0.7) ** 2))
+        v = np.stack([np.ones_like(t), c])
+        G += (v * wt) @ v.T
+    return G
 
 
 class TestGoldenSuite:
@@ -130,7 +172,7 @@ class TestDecomposition:
 class TestGramianAndHum:
     def test_double_integrator_gramian(self):
         sys = pr.double_integrator()
-        rep = ck.gramian(sys, 1.0, steps=2000)
+        rep = ck.gramian(sys, 1.0)
         assert np.allclose(
             rep.G, np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]]), atol=1e-9
         )
@@ -141,28 +183,57 @@ class TestGramianAndHum:
         exact = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
         assert np.max(np.abs(rep.G - exact)) <= 1e-14
 
-    def test_ltv_gramian_is_fourth_order(self):
-        # Dubins: one backward RK4 step per grid step for R(T, t), then Simpson.
+    def test_spectral_dubins_gramian_matches_a_fine_reference(self):
+        # G has a closed form (_dubins_gramian); one piece at N = 32 resolves it.
         T = 2.0 * math.pi
-        sys = pr.dubins_linearized(T)
-        ref = ck.gramian(sys, T, 1600).G
-        errs = [np.max(np.abs(ck.gramian(sys, T, steps).G - ref)) for steps in (50, 100, 200)]
-        assert min(errs) > 1e-11  # well above roundoff
-        for coarse, fine in zip(errs, errs[1:]):
-            assert math.log2(coarse / fine) >= 3.5
+        rep = ck.gramian(pr.dubins_linearized(T), T)
+        assert np.max(np.abs(rep.G - _dubins_gramian(T))) < 1e-13
+        assert (rep.degree, rep.pieces) == (32, 1)
 
-    def test_ltv_gramian_rounding_does_not_grow_with_steps(self):
-        # Against the exact sum (math.fsum) of the same Simpson samples: a
-        # running sum over the time axis drifts to 2.6e-13 at 4000 steps.
+    @pytest.mark.parametrize("T", [1.0, 5.0])
+    def test_spectral_rotating_frame_gramian_is_singular_to_rounding(self, T):
+        # R(T, t) B(t) = (cos T, sin T) for every t: G_T = T b b^T, C_T = 0.
+        rep = ck.gramian(pr.rotating_frame(), T)
+        assert abs(rep.C_T) < 1e-15
+        b = np.array([math.cos(T), math.sin(T)])
+        assert np.max(np.abs(rep.G - T * np.outer(b, b))) < 1e-14 * T
+
+    def test_kinked_tabulated_gramian_splits_at_its_breaks(self):
+        rep = ck.gramian(_kinked(breaks=True), 2.0)
+        assert np.max(np.abs(rep.G - _kinked_gramian())) < 1e-13
+        assert rep.pieces == 2 and rep.degree == 16
+        # breaks outside (0, T), repeated or unsorted change nothing
+        messy = dataclasses.replace(_kinked(breaks=True), breaks=(5.0, 0.7, -1.0, 0.7, math.nan, 2.0))
+        assert np.array_equal(ck.gramian(messy, 2.0).G, rep.G)
+
+    def test_ltv_hum_across_pieces(self):
+        # The adjoint is continuous across the break, and the RK4 endpoint
+        # check reaches the target.
+        res = ck.hum_control_finite(_kinked(breaks=True), 2.0, np.zeros(2), np.array([1.0, 0.5]), 200)
+        assert res.endpoint_error < 1e-9
+        left, right = res.law(0.7 - 1e-12), res.law(0.7 + 1e-12)
+        assert abs(float(left[0]) - float(right[0])) < 1e-11
+
+    def test_unresolved_gramian_raises_instead_of_a_value(self):
+        # Without its break, the kink of A at 0.7 lies inside one Chebyshev
+        # piece: A's coefficient tail is still 4e-6 at the capped degree 512
+        # (n (N + 1) <= 1600).
+        with pytest.raises(FloatingPointError, match="not resolved at Chebyshev degree 512"):
+            ck.gramian(_kinked(breaks=False), 2.0)
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("sys", [pr.double_integrator(), pr.rotating_frame()], ids=["lti", "ltv"])
+    def test_gramian_refuses_bad_horizon(self, sys, T):
+        with pytest.raises(GridError, match="0 < T < inf"):
+            ck.gramian(sys, T)
+
+    def test_ltv_hum_control_is_the_adjoint_between_nodes(self):
+        # u(t) = B^T R(T, t)^T psi = c(t) psi_1 + s(t) psi_2 + psi_3 at any t.
         T = 2.0 * math.pi
-        sys = pr.dubins_linearized(T)
-        times, weights = simpson_grid(T, 4000)
-        R = lincontrol._gramian(sys, T, 4000)[2]  # R(T, t_i) on the same grid
-        RB = np.array([R[i] @ sys.B(t) for i, t in enumerate(times)])
-        S = RB @ RB.transpose(0, 2, 1)
-        exact = np.array([[math.fsum(weights * S[:, j, k]) for k in range(3)] for j in range(3)])
-        G = ck.gramian(sys, T, 4000).G
-        assert np.max(np.abs(G - 0.5 * (exact + exact.T))) < 1e-13
+        res = ck.hum_control_finite(pr.dubins_linearized(T), T, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        for t in (0.0, 0.123, 1.7, math.pi, T):
+            u = _dubins_c(T, t) * res.psi[0] + _dubins_s(T, t) * res.psi[1] + res.psi[2]
+            assert abs(float(res.law(t)[0]) - u) < 1e-13
 
     def test_hum_recovers_minimum_norm_control(self):
         sys = pr.double_integrator()
@@ -177,7 +248,7 @@ class TestGramianAndHum:
         # expm(h A) gathered 2.2e-13 over 2000 steps, and the endpoint 3.7e-13.
         sys = pr.double_integrator()
         times = simpson_grid(1.0, 2000)[0]
-        R = lincontrol._transition_grid(sys, times, None)
+        R = lincontrol._transition_grid(sys, times)
         exact = np.zeros_like(R)
         exact[:, 0, 0] = exact[:, 1, 1] = 1.0
         exact[:, 0, 1] = times[-1] - times

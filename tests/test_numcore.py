@@ -1,5 +1,6 @@
 """Tests for the numerical core: expm, RK4 integration, dense output,
-finite differences, the Simpson grid and every path that uses it, rank."""
+finite differences, the Simpson grid and every path that uses it, rank, and
+Chebyshev interpolation."""
 
 import math
 
@@ -15,7 +16,6 @@ from ctrlkit import (
     IntervalUnion,
     LqProblem,
     LtiSystem,
-    LtvSystem,
     OcProblem,
     SineBasis,
     Trajectory,
@@ -23,7 +23,6 @@ from ctrlkit import (
     boundary_observation_energy,
     damping_decay_experiment,
     expm,
-    gramian,
     hum_control_finite,
     hum_wave_boundary,
     integrate_extremal,
@@ -35,7 +34,7 @@ from ctrlkit import (
     simpson_grid,
 )
 from ctrlkit import problems as pr
-from ctrlkit.numcore import fd_jacobian, rk4_linear_sweep, rk4_sweep
+from ctrlkit.numcore import Chebyshev, chebyshev, fd_jacobian, rk4_linear_sweep, rk4_sweep
 
 
 class TestExpm:
@@ -162,8 +161,6 @@ class TestIntegrate:
         x' = 1e8 x over 20 steps of 0.05 multiplies x by about 2.6e25 per
         step, so it overflows on step 13: t = 0.65 forward, 0.35 backward.
         """
-        fast = lambda t: np.array([[1e8]])
-
         def ones(t, x, p, p0):
             return np.ones(1)
 
@@ -187,8 +184,6 @@ class TestIntegrate:
             (lambda: linear_sweep(lambda t: np.diag([1e8, 1.0]), None, np.eye(2), 0.0, 1.0, 20), 0.65),
             # reversed grid
             (lambda: sweep(lambda t, x: -1e8 * x, [1.0], 1.0, 0.0, 20), 0.35),
-            # LTV Gramian: R(T, t) swept backward from T = 1
-            (lambda: gramian(LtvSystem(1, 1, fast, lambda t: np.eye(1)), 1.0, 20), 0.35),
             (lambda: extremal(ones), 0.65),
             (lambda: extremal(bang_bang), 0.65),
         ]
@@ -263,7 +258,6 @@ def _lq_cost(p, steps):
 
 # Every path that integrates by Simpson's rule, as a function of (T, steps).
 SIMPSON_PATHS = {
-    "gramian": lambda T, steps: gramian(_DUBINS, T, steps),
     "hum_control_finite": lambda T, steps: hum_control_finite(
         pr.double_integrator(), T, [0.0, 0.0], [1.0, 0.0], steps
     ),
@@ -302,8 +296,12 @@ class TestSimpsonPaths:
         assert type(info.value) is expected
 
     def test_odd_steps_match_the_even_count_above(self):
-        odd, even = (gramian(_DUBINS, 2.0 * math.pi, steps) for steps in (201, 202))
-        assert np.array_equal(odd.G, even.G) and odd.C_T == even.C_T
+        odd, even = (
+            hum_control_finite(_DUBINS, 2.0 * math.pi, np.zeros(3), [1.0, 0.0, 0.0], steps)
+            for steps in (201, 202)
+        )
+        assert np.array_equal(odd.times, even.times) and np.array_equal(odd.samples, even.samples)
+        assert odd.endpoint_error == even.endpoint_error
         p = _lq_problem(2.0)
         law = lq_feedback(riccati_solve(p, 202), p)
         (c_odd, x_odd, u_odd), (c_even, x_even, u_even) = (
@@ -538,3 +536,80 @@ class TestDenseOutput:
             DenseOutput([0.0, 1.0], [[1.0], [2.0]], [1.0, 2.0])
         with pytest.raises(ValueError):
             DenseOutput([0.0, 0.0, 1.0], [[1.0], [2.0], [3.0]])
+
+
+def _clencurt(N):
+    """Clenshaw-Curtis weights by the explicit formula (Trefethen, Spectral Methods in MATLAB, ch. 12)."""
+    theta = np.pi * np.arange(N + 1) / N
+    w = np.zeros(N + 1)
+    v = np.ones(N - 1)
+    inner = theta[1:-1]
+    if N % 2 == 0:
+        w[0] = w[N] = 1.0 / (N * N - 1)
+        for k in range(1, N // 2):
+            v -= 2.0 * np.cos(2 * k * inner) / (4 * k * k - 1)
+        v -= np.cos(N * inner) / (N * N - 1)
+    else:
+        w[0] = w[N] = 1.0 / (N * N)
+        for k in range(1, (N - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2 * k * inner) / (4 * k * k - 1)
+    w[1:-1] = 2.0 * v / N
+    return w
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("N", [4, 7, 16, 64, 256])
+    def test_lobatto_weights_are_clenshaw_curtis(self, N):
+        cheb = chebyshev(N)
+        assert np.array_equal(cheb.nodes, np.cos(np.pi * np.arange(N + 1) / N))
+        assert np.max(np.abs(cheb.weights - _clencurt(N))) < 4e-15
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_weights_integrate_degree_n_exactly(self, kind):
+        cheb = chebyshev(12, kind)
+        for k in range(13):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert cheb.weights @ cheb.nodes**k == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_differentiation_is_exact_on_polynomials(self, kind):
+        cheb = chebyshev(16, kind)
+        x = cheb.nodes
+        assert np.max(np.abs(cheb.diff @ x**16 - 16.0 * x**15)) < 1e-12
+        # each row sums to 0 up to the rounding of the sum
+        assert np.max(np.abs(cheb.diff @ np.ones(17))) < 1e-14 * np.max(np.abs(cheb.diff))
+
+    def test_first_kind_nodes(self):
+        j = np.arange(17)
+        assert np.array_equal(chebyshev(16, 1).nodes, np.cos(np.pi * (2 * j + 1) / 34))
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    def test_barycentric_interpolation(self, kind):
+        cheb = chebyshev(24, kind)
+        values = np.stack([np.exp(cheb.nodes), np.sin(3.0 * cheb.nodes)], axis=1)[:, None]
+        x = np.linspace(-1.0, 1.0, 41)
+        p = cheb.interpolate(values, x)
+        assert p.shape == (41, 1, 2)
+        assert np.max(np.abs(p[:, 0] - np.stack([np.exp(x), np.sin(3.0 * x)], axis=1))) < 1e-14
+        # a node comes back bit for bit, and a float gives one sample
+        assert np.array_equal(cheb.interpolate(values, cheb.nodes[5]), values[5])
+
+    def test_tail_test(self):
+        cheb = chebyshev(16)
+        assert cheb.resolved(np.exp(cheb.nodes))
+        assert cheb.resolved(np.zeros(17))
+        assert not cheb.resolved(np.abs(cheb.nodes))  # a kink
+        assert not cheb.resolved(np.exp(8.0 * cheb.nodes))  # needs a higher degree
+        assert chebyshev(64).resolved(np.exp(8.0 * chebyshev(64).nodes))
+
+    def test_built_once_and_read_only(self):
+        assert chebyshev(32) is chebyshev(32)
+        with pytest.raises(ValueError):
+            chebyshev(32).diff[0, 0] = 1.0
+
+    def test_rounded_nodes(self):
+        # A model on nodes that rounded, as t + rho s mapped back, fits them exactly.
+        s = (1e4 + 1e-3 * chebyshev(16, 1).nodes - 1e4) / 1e-3
+        model = Chebyshev(s)
+        assert not np.array_equal(s, chebyshev(16, 1).nodes)
+        assert np.max(np.abs(model.fit @ s**3 - np.array([0, 0.75, 0, 0.25] + [0] * 13))) < 1e-12

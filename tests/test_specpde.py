@@ -314,6 +314,22 @@ class TestSemilinear:
         plant = pr.semilinear_heat(L=L, c=2.0, n=1, N_sim=N_sim)
         assert len(semilinear_stabilize(plant, [0.01], T_sim, steps).times) == want + 1
 
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (lambda y: 12.0 * math.sin(y), "f must act elementwise on an array"),  # scalars only
+            (lambda y: 12.0 * float(np.sum(y)), "gave shape ()"),
+            (lambda y: 12.0 * np.sin(y) + 1.0, r"f\(0\) = 0"),
+            (lambda y: np.full_like(y, math.nan), r"f\(0\) = 0"),
+        ],
+        ids=["scalar_only", "reduces", "f0_nonzero", "nan"],
+    )
+    def test_plant_checks_f_on_an_array(self, f, message):
+        # The simulation applies f to the whole space grid at once; before this
+        # check a scalar-only f constructed and then failed inside the sweep.
+        with pytest.raises(ValueError, match=message):
+            SemilinearPlant(L=1.0, f=f, f_prime_0=12.0, n=1, N_sim=8, gamma=120.0)
+
     def test_step_count_past_float_range(self):
         with pytest.raises(ValueError, match="RK4 steps"):
             semilinear_steps(1e-3, 1000, 1e300, 2000)
