@@ -9,7 +9,8 @@ The Gramian route also yields the explicit minimum-L2-norm steering control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,8 +261,11 @@ def _ltv_adjoint(sys: LtvSystem, T: float):
     """
     inner = sorted({float(t) for t in sys.breaks if 0.0 < t < T})
     edges = list(zip([0.0] + inner, inner + [T]))[::-1]  # backward from T
+    # The Lobatto nodes of degree N are the even ones of 2N, to the bit: each
+    # doubling calls A and B only at the new nodes.
+    cached = replace(sys, A=lru_cache(maxsize=None)(sys.A), B=lru_cache(maxsize=None)(sys.B))
     N = 16
-    while (found := _collocate(sys, edges, chebyshev(N))) is None:
+    while (found := _collocate(cached, edges, chebyshev(N))) is None:
         N *= 2
         if sys.n * (N + 1) > _COLLOCATION_SIZE:
             raise FloatingPointError(

@@ -409,7 +409,7 @@ class Chebyshev:
 
         A plateau check in the style of Aurentz & Trefethen, ACM TOMS 43(4), 2017.
         """
-        c = np.abs(np.tensordot(self.fit, values, axes=1))
+        c = np.abs(self.fit @ np.reshape(values, (len(self.nodes), -1)))
         return c[-4:].max() <= 1e-13 * c.max()
 
     def interpolate(self, values, x):
@@ -424,12 +424,12 @@ class Chebyshev:
         p = np.empty((len(xs), v.shape[1]))
         for s in range(0, len(xs), 1024):  # bounds the (points, nodes) temporaries
             c = np.subtract.outer(xs[s : s + 1024], self.nodes)
-            hit = c == 0.0
-            c[hit] = 1.0
-            np.divide(self.bary, c, out=c)
-            on_node = hit.any(axis=1)
-            c[on_node] = hit[on_node]
-            p[s : s + 1024] = (c @ v) / c.sum(axis=1)[:, None]
+            rows, nodes = np.nonzero(c == 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):  # the rows on a node
+                np.divide(self.bary, c, out=c)
+                q = (c @ v) / c.sum(axis=1)[:, None]
+            q[rows] = v[nodes]
+            p[s : s + 1024] = q
         return p.reshape(x.shape + values.shape[1:])
 
 
