@@ -13,13 +13,18 @@ splits into Chebyshev pieces), the two wave observation functionals,
 `hum_wave_boundary` and `semilinear_stabilize` with the cubic
 f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
-grid.  A refactor shows that no output moved by a `diff` of this script's
-output on the parent commit and on the change.
+grid.  Last, one readable line `work  argv  ...` per corpus shoot: how many
+extremals `integrate_extremal` swept on each grid (`steps:count`) and the
+report's `newton_iterations`, so a change in shooting work shows in the
+diff too.  A refactor shows that no output moved by a `diff` of this
+script's output on the parent commit and on the change.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -29,19 +34,42 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import numpy as np  # noqa: E402
 
 import ctrlkit as ck  # noqa: E402
+from ctrlkit import optctrl  # noqa: E402
 from ctrlkit import problems as pr  # noqa: E402
 from ctrlkit.cli import main  # noqa: E402
 from test_acceptance import CLI_CORPUS, SPECS  # noqa: E402
 
 
-def digest(argv, fmt):
+def run(argv, fmt):
     out = io.StringIO()
     cmd = [argv[0], os.path.join(SPECS, argv[1]), *argv[2:], f"--format={fmt}"]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(cmd)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} --format={fmt} exited with {code}")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def digest(argv, fmt):
+    return hashlib.sha256(run(argv, fmt).encode()).hexdigest()
+
+
+def shoot_work(argv):
+    """Extremal sweeps per grid and Newton iterations of one `ctrl shoot` run."""
+    grids = collections.Counter()
+    integrate = optctrl.integrate_extremal
+
+    def counting(p, p_init, tf, steps, p0=-1.0):
+        grids[steps] += 1
+        return integrate(p, p_init, tf, steps, p0)
+
+    optctrl.integrate_extremal = counting
+    try:
+        report = json.loads(run(argv, "report"))
+    finally:
+        optctrl.integrate_extremal = integrate
+    sweeps = " ".join(f"{steps}:{count}" for steps, count in sorted(grids.items()))
+    return f"integrate_extremal {sweeps}  newton_iterations {report['results']['newton_iterations']}"
 
 
 def array_digest(*values):
@@ -152,5 +180,8 @@ LIBRARY = [
 for argv in CLI_CORPUS:
     for fmt in ("report", "csv"):
         print(f"{digest(argv, fmt)}  {' '.join(argv)}  {fmt}")
-for name, run, *args in LIBRARY:
-    print(f"{array_digest(*run(*args))}  library  {name}")
+for name, call, *args in LIBRARY:
+    print(f"{array_digest(*call(*args))}  library  {name}")
+for argv in CLI_CORPUS:
+    if argv[0] == "shoot":
+        print(f"work  {' '.join(argv)}  {shoot_work(argv)}")

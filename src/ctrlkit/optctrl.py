@@ -215,8 +215,9 @@ class OcProblem:
 
     `f`, `f0`, `maximizer`, `hamiltonian_dx` and a maximizer's `switching`
     get x and p as sequences of floats: lists while the extremal is
-    integrated, 1-D arrays at its endpoints.  They return sequences of
-    floats (`f0` a float); tuples or lists keep the integration fast.
+    integrated and sampled, 1-D arrays at its endpoints.  They return
+    sequences of floats (`f0` a float); tuples or lists keep the
+    integration fast.
     """
 
     dimension: int
@@ -344,20 +345,22 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
     `s0` are the switching signs at (t, z), or None if the caller has none.
     A maximizer with a `bound` a (the box's) takes the control a s0 from
     them; any other is called.  Returns the new state and its switching
-    signs at `t_next`, the time the caller's next step starts from.  The
-    signs are None when the step ended on a landed crossing or its end time
-    is not exactly `t_next`.
+    signs at `t_next`, the time the caller's next step starts from.  An
+    uncut step takes its end signs at `t_next` itself, which t + h may miss
+    by an ulp; the signs are None when the step ended on a landed crossing
+    or after a cut at a time other than `t_next`.
     """
     bound = getattr(maximizer, "bound", None)
     remaining = h
-    for _ in range(12):
+    for cut in range(12):
         if s0 is None:
             s0 = _switch_signs(switching, t, z, n, p0)
         u0 = maximizer(t, z[:n], z[n:], p0) if bound is None else [bound * s for s in s0]
         z_try = _rk4(rhs, t, z, remaining, u0)
-        s1 = _switch_signs(switching, t + remaining, z_try, n, p0)
+        t_end = t_next if cut == 0 else t + remaining
+        s1 = _switch_signs(switching, t_end, z_try, n, p0)
         if not _crossed(s0, s1):
-            return z_try, (s1 if t + remaining == t_next else None)
+            return z_try, (s1 if t_end == t_next else None)
         lo, hi = 0.0, remaining
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -456,6 +459,18 @@ def pmp_shoot(
     the residual on the requested grid is below `tol`.  `newton_iters`
     bounds the Newton iterations of both grids together.
 
+    A Newton iteration on an s-step grid takes its Jacobian from extremals
+    on s // 8 steps, with one more sweep there for the base residual: a
+    Newton step needs the Jacobian only to modest relative precision, and at
+    the corpus solutions the 250-step Jacobian is within 1e-7 of the
+    2000-step one.  Below 64 steps, where s // 8 would leave fewer than 8
+    steps (too few for brachistochrone's Newton to keep its rate), the
+    Jacobian comes from the s-step grid itself.  If a sweep on the cheap
+    grid raises IntegrationBlowup, that iteration takes its Jacobian on its
+    own grid, so shooting raises IntegrationBlowup only when the iterate's
+    own grid does.  Residuals, line-search trials and the convergence test
+    stay on the iterate's grid.
+
     Newton steps are least-squares solves with singular values below
     1e-10 sigma_max cut off: these directions of the finite-difference
     Jacobian are noise, and the line search would otherwise halve along them
@@ -490,6 +505,23 @@ def pmp_shoot(
             r = np.concatenate([r, [p_init @ p_init - 1.0]])
         return r, (times, Z)
 
+    def jacobian(z, r, grid):
+        """Forward-difference Jacobian at z, from `grid // 8`-step extremals.
+
+        `r` is the residual at z on the `grid`-step extremal.  When `grid // 8`
+        is under 8 steps, or a cheap sweep blows up, the Jacobian comes from
+        `grid` steps.
+        """
+        h = 1e-6 * (1.0 + np.abs(z))
+        cheap = grid // 8
+        if cheap >= 8:
+            fun = lambda zv: shoot(zv, cheap)[0]
+            try:
+                return fd_jacobian(fun, z, h, "forward", fun(z))
+            except IntegrationBlowup:
+                pass  # whether shooting blows up is for the iterate's own grid to say
+        return fd_jacobian(lambda zv: shoot(zv, grid)[0], z, h, "forward", r)
+
     def newton(z, shot, grid, target, iters):
         """Damped Newton on the `grid`-step shooting map until ||r|| < target or a step fails.
 
@@ -502,9 +534,7 @@ def pmp_shoot(
             if history[-1] < target:
                 return z, shot, it
             r = shot[0]
-            h = 1e-6 * (1.0 + np.abs(z))
-            J = fd_jacobian(lambda zv: shoot(zv, grid)[0], z, h, "forward", r)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=1e-10)
+            step, *_ = np.linalg.lstsq(jacobian(z, r, grid), -r, rcond=1e-10)
             alpha = 1.0
             for _ in range(30):
                 trial = shoot(z + alpha * step, grid)
@@ -537,29 +567,31 @@ def pmp_shoot(
     if not tf / steps > 0.0:
         raise ShootingError(f"Newton ended at t_f = {tf:.6g}: no positive grid step", history)
     times, Z = extremal if extremal is not None else integrate_extremal(p, z[:n], tf, steps, p0)
-    controls = np.empty((steps + 1, p.control_dim))
-    hams = np.empty(steps + 1)
-    for i, t in enumerate(times):
-        x, pv = Z[i, :n], Z[i, n:]
-        u = np.atleast_1d(np.asarray(p.maximizer(t, x, pv, p0), dtype=float))
-        controls[i] = u
-        hams[i] = _hamiltonian(p, t, x, pv, p0, u)
-    singular = False
+    # Sample the extremal on Python floats: the controls, f and f0 for H, and
+    # the smallest |switching function| at each node.
     switching = getattr(p.maximizer, "switching", None)
-    if switching is not None:
-        phi = np.array(
-            [
-                np.min(np.abs(np.atleast_1d(switching(t, Z[i, :n], Z[i, n:], p0))))
-                for i, t in enumerate(times)
-            ]
-        )
-        below = phi < 1e-9
-        run = 0
-        for flag in below:
-            run = run + 1 if flag else 0
-            if run >= 5:
-                singular = True
-                break
+    controls, fs, f0s, phi = [], [], [], []
+    for t, row in zip(times.tolist(), Z.tolist()):
+        x, pv = row[:n], row[n:]
+        u = p.maximizer(t, x, pv, p0)
+        controls.append(u)
+        fs.append(p.f(t, x, u))
+        if p.f0 is not None:
+            f0s.append(p.f0(t, x, u))
+        if switching is not None:
+            phi.append(min(map(abs, switching(t, x, pv, p0))))
+    controls = np.array(controls, dtype=float).reshape(steps + 1, p.control_dim)
+    # <p, f> row by row, with the same products as a 1-D `pv @ f` per node.
+    hams = (Z[:, None, n:] @ np.array(fs, dtype=float)[:, :, None])[:, 0, 0]
+    if p.f0 is not None:
+        hams += p0 * np.array(f0s, dtype=float)
+    singular = False
+    run = 0
+    for v in phi:
+        run = run + 1 if v < 1e-9 else 0
+        if run >= 5:
+            singular = True
+            break
     return Extremal(
         state=Trajectory(times, Z[:, :n]),
         adjoint=Trajectory(times, Z[:, n:]),

@@ -1,5 +1,6 @@
 """Tests for Riccati LQ synthesis and PMP indirect shooting."""
 
+import collections
 import dataclasses
 import math
 import time
@@ -10,7 +11,7 @@ import pytest
 import ctrlkit as ck
 from ctrlkit import LtiSystem
 from ctrlkit import optctrl
-from ctrlkit.numcore import DenseOutput, rk4_step, rk4_sweep
+from ctrlkit.numcore import DenseOutput, IntegrationBlowup, rk4_step, rk4_sweep
 from ctrlkit.optctrl import LqProblem
 from ctrlkit import problems as pr
 
@@ -321,6 +322,16 @@ CORPUS_SHOTS = {
 }
 
 
+# Extremal integrations per grid at 2000 steps, and accepted Newton steps.
+# Newton on 250 steps takes its Jacobians from 31-step sweeps, on 2000
+# steps from 250-step sweeps.
+CORPUS_WORK = {
+    "brachistochrone": ({31: 20, 250: 6, 2000: 2}, 5),
+    "di_min_time": ({31: 20, 250: 6, 2000: 2}, 5),
+    "zermelo": ({250: 5, 2000: 2}, 1),
+}
+
+
 def _count_grids(monkeypatch):
     """Record the step count of every extremal integration pmp_shoot makes."""
     grids = []
@@ -352,6 +363,38 @@ class TestTwoLevelShooting:
         e, grids = corpus_shots[name]
         assert e.converged
         assert sum(grids) / 2000 <= 6.0
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+    def test_jacobians_come_from_a_grid_one_eighth_as_fine(self, corpus_shots, name):
+        _, grids = corpus_shots[name]
+        assert collections.Counter(grids) == CORPUS_WORK[name][0]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+    def test_newton_iterations(self, corpus_shots, name):
+        e, _ = corpus_shots[name]
+        assert e.newton_iterations == CORPUS_WORK[name][1]
+
+    def test_blowup_on_the_jacobian_grid_falls_back_to_the_iterate_grid(
+        self, corpus_shots, monkeypatch
+    ):
+        grids = []
+        integrate = optctrl.integrate_extremal
+
+        def blowing_up(p, p_init, tf, steps, p0=-1.0):
+            grids.append(steps)
+            if steps == 31:
+                raise IntegrationBlowup(0.0)
+            return integrate(p, p_init, tf, steps, p0)
+
+        monkeypatch.setattr(optctrl, "integrate_extremal", blowing_up)
+        build, guess, tf, tol = CORPUS_SHOTS["brachistochrone"]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=2000)
+        assert e.converged
+        assert abs(e.tf - tf) <= tol
+        assert e.history_steps == corpus_shots["brachistochrone"][0].history_steps
+        # each of the 5 coarse iterations tries one 31-step sweep, then takes
+        # its Jacobian from 250-step sweeps
+        assert collections.Counter(grids) == {31: 5, 250: 21, 2000: 2}
 
     @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
     def test_tf_matches_single_grid_newton(self, corpus_shots, name):
@@ -391,6 +434,15 @@ class TestTwoLevelShooting:
         e = ck.pmp_shoot(build(), np.array(guess), steps=200)
         assert e.converged
         assert set(e.history_steps) == {25, 200}
+
+    @pytest.mark.parametrize("steps", [64, 80, 100])
+    def test_jacobian_grid_keeps_eight_steps(self, steps):
+        # The coarse level's 8-12 steps would give 1-step Jacobian sweeps;
+        # from those brachistochrone needed 47-50 iterations (50 did not converge).
+        build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=steps)
+        assert e.converged
+        assert e.newton_iterations <= 6
 
     def test_grid_under_eight_steps_takes_one_level(self):
         build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
@@ -493,6 +545,21 @@ def test_event_location_reuses_signs_bit_for_bit(build):
     # the guess's extremal crosses the switching curve
     u = np.array([p.maximizer(t, x[:2], x[2:], -1.0)[0] for t, x in zip(times, Z)])
     assert np.any(u[:-1] != u[1:])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
+def test_extremal_samples_equal_per_node_arrays(corpus_shots, name):
+    # The controls and H that pmp_shoot samples on floats are, bit for bit,
+    # those of the maximizer and H on each node's 1-D arrays.
+    e, _ = corpus_shots[name]
+    p = CORPUS_SHOTS[name][0]()
+    controls, hams = [], []
+    for t, x, pv in zip(e.state.times, e.state.states, e.adjoint.states):
+        u = np.atleast_1d(np.asarray(p.maximizer(t, x, pv, -1.0), dtype=float))
+        controls.append(u)
+        hams.append(optctrl._hamiltonian(p, t, x, pv, -1.0, u))
+    assert np.array_equal(e.control, np.array(controls))
+    assert np.array_equal(e.hamiltonian_samples, np.array(hams))
 
 
 @pytest.mark.parametrize("name", ["brachistochrone", "zermelo"])
