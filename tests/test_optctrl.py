@@ -437,8 +437,9 @@ class TestTwoLevelShooting:
 
     @pytest.mark.parametrize("steps", [64, 80, 100])
     def test_jacobian_grid_keeps_eight_steps(self, steps):
-        # The coarse level's 8-12 steps would give 1-step Jacobian sweeps;
-        # from those brachistochrone needed 47-50 iterations (50 did not converge).
+        # The coarse level's 8-12 steps would give 1-step Jacobian sweeps; from
+        # those brachistochrone took 47 and 50 iterations at 64 and 80 steps and
+        # did not converge at 100.
         build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
         e = ck.pmp_shoot(build(), np.array(guess), steps=steps)
         assert e.converged
