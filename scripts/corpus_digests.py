@@ -14,8 +14,9 @@ splits into Chebyshev pieces), the two wave observation functionals,
 f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
 grid.  Last, one readable line `work  argv  ...` per corpus shoot: how many
-extremals `integrate_extremal` swept on each grid (`steps:count`) and the
-report's `newton_iterations`, so a change in shooting work shows in the
+extremals `integrate_extremal` swept on each grid (`steps:count`), how many
+RK4 steps `optctrl._rk4` took in all (switching-time searches included) and
+the report's `newton_iterations`, so a change in shooting work shows in the
 diff too.  A refactor shows that no output moved by a `diff` of this
 script's output on the parent commit and on the change.
 """
@@ -55,21 +56,28 @@ def digest(argv, fmt):
 
 
 def shoot_work(argv):
-    """Extremal sweeps per grid and Newton iterations of one `ctrl shoot` run."""
+    """Extremal sweeps per grid, RK4 steps and Newton iterations of one `ctrl shoot` run."""
     grids = collections.Counter()
-    integrate = optctrl.integrate_extremal
+    rk4_steps = 0
+    integrate, rk4 = optctrl.integrate_extremal, optctrl._rk4
 
     def counting(p, p_init, tf, steps, p0=-1.0):
         grids[steps] += 1
         return integrate(p, p_init, tf, steps, p0)
 
-    optctrl.integrate_extremal = counting
+    def counting_rk4(*args):
+        nonlocal rk4_steps
+        rk4_steps += 1
+        return rk4(*args)
+
+    optctrl.integrate_extremal, optctrl._rk4 = counting, counting_rk4
     try:
         report = json.loads(run(argv, "report"))
     finally:
-        optctrl.integrate_extremal = integrate
+        optctrl.integrate_extremal, optctrl._rk4 = integrate, rk4
     sweeps = " ".join(f"{steps}:{count}" for steps, count in sorted(grids.items()))
-    return f"integrate_extremal {sweeps}  newton_iterations {report['results']['newton_iterations']}"
+    iters = report["results"]["newton_iterations"]
+    return f"integrate_extremal {sweeps}  rk4 {rk4_steps}  newton_iterations {iters}"
 
 
 def array_digest(*values):

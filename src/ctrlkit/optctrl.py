@@ -319,8 +319,8 @@ def _sign(v):
     return 1.0 if v > 0.0 else -1.0 if v < 0.0 else v  # v is NaN in the last case
 
 
-def _switch_signs(switching, t, z, n, p0):
-    return [_sign(v) for v in switching(t, z[:n], z[n:], p0)]
+def _signs(phi):
+    return [_sign(v) for v in phi]
 
 
 def _dot(a, b):
@@ -333,13 +333,68 @@ def _crossed(s0, s1):
     return any(a * b < 0.0 for a, b in zip(s0, s1))
 
 
+def _margin(s0, phi):
+    """min s0_i phi_i + 1e-12 over the nonzero signs s0_i: <= 0 once a sign of s0 has flipped."""
+    return min(s * v for s, v in zip(s0, phi) if s) + 1e-12
+
+
+def _locate_crossing(rhs, switching, t, z, h, n, p0, s0, u0, phi0, phi1):
+    """The step in (0, h] that 60 halvings of [0, h] reach on a sign flip of s0.
+
+    The halvings test, at each midpoint m, whether an RK4 step of length m
+    under the frozen control u0 flips a sign of s0; phi0 and phi1 are the
+    switching values at the start and at the end of the full step.  Instead
+    of halving, false position on the margin (`_margin`) of those values
+    picks each trial step, with the Illinois rule (Dowell and Jarratt, BIT
+    11, 1971) halving the margin at an end that stays put twice, and every
+    fourth trial a plain halving.  The same test keeps the bracket: it
+    fails at lo and holds at hi throughout.  The search stops when lo and
+    hi are adjacent doubles, or after 60 trials.  The halvings are then
+    replayed with each test answered by m >= hi, which is where they end
+    whenever the test is monotone in m; only their float midpoints are
+    computed, not their RK4 steps.
+    """
+    lo, hi = 0.0, h
+    g_lo, g_hi = _margin(s0, phi0), _margin(s0, phi1)
+    side = 0  # which end the last trial moved: -1 hi, 1 lo
+    for k in range(60):
+        if math.nextafter(lo, hi) == hi:
+            break
+        if k % 4 == 3 or not g_hi - g_lo < 0.0:
+            m = 0.5 * (lo + hi)
+        else:  # false position, kept strictly inside the bracket
+            m = hi - g_hi * ((hi - lo) / (g_hi - g_lo))
+            m = min(max(m, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        z_m = _rk4(rhs, t, z, m, u0)
+        phi = switching(t + m, z_m[:n], z_m[n:], p0)
+        if _crossed(s0, _signs(phi)):
+            hi, g_hi = m, _margin(s0, phi)
+            if side == -1:
+                g_lo *= 0.5
+            side = -1
+        else:
+            lo, g_lo = m, _margin(s0, phi)
+            if side == 1:
+                g_hi *= 0.5
+            side = 1
+    flip, lo, hi = hi, 0.0, h
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid >= flip:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
-    """RK4 step that locates bang-bang switching times by bisection.
+    """RK4 step that locates bang-bang switching times.
 
     Bang-bang controls are piecewise constant, so each substep freezes the
     control at its starting value; splitting the step at each sign change of
     the switching function then keeps the shooting map smooth in the initial
-    adjoint.  The integration lands 1e-10 past each crossing so the new sign
+    adjoint.  `_locate_crossing` finds the first sign change in a few RK4
+    steps.  The integration lands 1e-10 past each crossing so the new sign
     is resolved against the maximizer's tie-break.
 
     `s0` are the switching signs at (t, z), or None if the caller has none.
@@ -353,22 +408,20 @@ def _event_step(rhs, maximizer, switching, t, z, h, n, p0, s0, t_next):
     bound = getattr(maximizer, "bound", None)
     remaining = h
     for cut in range(12):
+        phi0 = None
         if s0 is None:
-            s0 = _switch_signs(switching, t, z, n, p0)
+            phi0 = switching(t, z[:n], z[n:], p0)
+            s0 = _signs(phi0)
         u0 = maximizer(t, z[:n], z[n:], p0) if bound is None else [bound * s for s in s0]
         z_try = _rk4(rhs, t, z, remaining, u0)
         t_end = t_next if cut == 0 else t + remaining
-        s1 = _switch_signs(switching, t_end, z_try, n, p0)
+        phi1 = switching(t_end, z_try[:n], z_try[n:], p0)
+        s1 = _signs(phi1)
         if not _crossed(s0, s1):
             return z_try, (s1 if t_end == t_next else None)
-        lo, hi = 0.0, remaining
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            z_mid = _rk4(rhs, t, z, mid, u0)
-            if _crossed(s0, _switch_signs(switching, t + mid, z_mid, n, p0)):
-                hi = mid
-            else:
-                lo = mid
+        if phi0 is None:
+            phi0 = switching(t, z[:n], z[n:], p0)
+        hi = _locate_crossing(rhs, switching, t, z, remaining, n, p0, s0, u0, phi0, phi1)
         step = min(remaining, hi + 1e-10)
         z = _rk4(rhs, t, z, step, u0)
         t += step
@@ -448,16 +501,31 @@ def pmp_shoot(
     the normalization ||p(0)||^2 = 1 to the residual and use a least-squares
     Newton step.
 
-    Newton runs on two grids.  A guess whose residual on the requested
-    `steps` grid is already below `tol` is returned at once.  Otherwise
-    Newton first runs on a coarse grid of `steps // 8` steps (skipped when
-    `steps` < 8 leaves it empty) until the coarse residual is below
-    max(tol, delta), where delta = ||r_fine - r_coarse|| at the guess is the
-    coarse grid's discretization floor, or until a step fails.  It then
-    continues on the requested grid, from the coarse iterate if that has the
-    smaller fine residual and from the guess otherwise.  `converged` means
-    the residual on the requested grid is below `tol`.  `newton_iters`
-    bounds the Newton iterations of both grids together.
+    Newton runs on two grids: a coarse one of `steps // 8` steps (none when
+    `steps` < 8) and the requested one; `converged` means the residual on
+    the requested grid is below `tol`, and `newton_iters` bounds the Newton
+    iterations of both grids together.  Coarse Newton stops below its
+    target, when a step fails, or when an accepted step has not halved its
+    residual, so a stalled coarse level leaves the budget to the requested
+    grid.
+
+    When `steps // 64` has at least 8 steps, the guess is swept first on
+    the coarse grid and then on that cheap one.  RK4 is fourth order, so the
+    coarse grid's error is about floor = ||r_coarse - r_cheap|| / (8^4 - 1)
+    (Richardson).  If ||r_coarse|| >= 4 max(tol, floor), coarse Newton runs
+    to max(tol, floor), its first Jacobian reusing the cheap sweep, and the
+    requested grid sweeps only the coarse iterate before its own Newton.
+    Otherwise the coarse grid cannot improve the guess, and the guess takes
+    the path below, with its coarse sweep reused; so does a guess whose
+    probe sweep raises IntegrationBlowup.  On that path, and below 512
+    steps, the guess is swept on the requested grid and returned if its
+    residual there is below `tol`.  A guess meeting `tol` has a coarse
+    residual of about the floor, so it takes that path and costs one sweep
+    on the requested grid, after the two probes from 512 steps up.
+    Otherwise coarse Newton runs to max(tol, delta), with delta =
+    ||r_fine - r_coarse|| at the guess, and the requested grid continues
+    from the coarse iterate if that has the smaller fine residual and from
+    the guess otherwise.
 
     A Newton iteration on an s-step grid takes its Jacobian from extremals
     on s // 8 steps, with one more sweep there for the base residual: a
@@ -505,28 +573,31 @@ def pmp_shoot(
             r = np.concatenate([r, [p_init @ p_init - 1.0]])
         return r, (times, Z)
 
-    def jacobian(z, r, grid):
+    def jacobian(z, r, grid, base=None):
         """Forward-difference Jacobian at z, from `grid // 8`-step extremals.
 
-        `r` is the residual at z on the `grid`-step extremal.  When `grid // 8`
-        is under 8 steps, or a cheap sweep blows up, the Jacobian comes from
-        `grid` steps.
+        `r` is the residual at z on the `grid`-step extremal, and `base` the
+        one on the `grid // 8`-step extremal when already swept.  When
+        `grid // 8` is under 8 steps, or a cheap sweep blows up, the Jacobian
+        comes from `grid` steps.
         """
         h = 1e-6 * (1.0 + np.abs(z))
         cheap = grid // 8
         if cheap >= 8:
             fun = lambda zv: shoot(zv, cheap)[0]
             try:
-                return fd_jacobian(fun, z, h, "forward", fun(z))
+                return fd_jacobian(fun, z, h, "forward", fun(z) if base is None else base)
             except IntegrationBlowup:
                 pass  # whether shooting blows up is for the iterate's own grid to say
         return fd_jacobian(lambda zv: shoot(zv, grid)[0], z, h, "forward", r)
 
-    def newton(z, shot, grid, target, iters):
+    def newton(z, shot, grid, target, iters, base=None):
         """Damped Newton on the `grid`-step shooting map until ||r|| < target or a step fails.
 
-        Runs at most `iters` iterations; returns the iterate, its shot and the
-        iterations run.
+        Below the requested grid it also stops once an accepted step has not
+        halved the residual.  `base` is the first Jacobian's cheap residual at
+        z, if swept.  Runs at most `iters` iterations; returns the iterate,
+        its shot and the iterations run.
         """
         history.append(float(np.linalg.norm(shot[0])))
         history_steps.append(grid)
@@ -534,7 +605,8 @@ def pmp_shoot(
             if history[-1] < target:
                 return z, shot, it
             r = shot[0]
-            step, *_ = np.linalg.lstsq(jacobian(z, r, grid), -r, rcond=1e-10)
+            step, *_ = np.linalg.lstsq(jacobian(z, r, grid, base), -r, rcond=1e-10)
+            base = None
             alpha = 1.0
             for _ in range(30):
                 trial = shoot(z + alpha * step, grid)
@@ -546,20 +618,38 @@ def pmp_shoot(
                 alpha *= 0.5
             else:
                 return z, shot, it + 1
+            if grid < steps and history[-1] > 0.5 * history[-2]:
+                return z, shot, it + 1  # stalled: leave the budget to the requested grid
         return z, shot, iters
 
-    shot = shoot(z, steps)
-    coarse = steps // 8
+    coarse, cheap = steps // 8, steps // 64
+    coarse_shot = cheap_r = floor = None
     used = 0
-    if np.linalg.norm(shot[0]) >= tol and coarse >= 1:
-        coarse_shot = shoot(z, coarse)
-        # The grids' disagreement at the guess: coarse Newton gains nothing below it.
-        floor = float(np.linalg.norm(shot[0] - coarse_shot[0]))
-        z_coarse, _, used = newton(z, coarse_shot, coarse, max(tol, floor), newton_iters)
-        if z_coarse is not z:  # newton hands back z itself when it took no step
-            trial = shoot(z_coarse, steps)
-            if np.linalg.norm(trial[0]) < np.linalg.norm(shot[0]):
-                z, shot = z_coarse, trial
+    if cheap >= 8:
+        try:
+            coarse_shot = shoot(z, coarse)
+            cheap_r = shoot(z, cheap)[0]
+            # Richardson: RK4's error on the coarse grid is 1 / (8^4 - 1) of the grids' gap.
+            floor = float(np.linalg.norm(coarse_shot[0] - cheap_r)) / 4095.0
+        except IntegrationBlowup:
+            pass  # the requested grid says whether shooting blows up
+    if floor is not None and np.linalg.norm(coarse_shot[0]) >= 4.0 * max(tol, floor):
+        z, _, used = newton(z, coarse_shot, coarse, max(tol, floor), newton_iters, cheap_r)
+        shot = shoot(z, steps)
+    else:
+        shot = shoot(z, steps)
+        if np.linalg.norm(shot[0]) >= tol and coarse >= 1:
+            if coarse_shot is None:
+                coarse_shot = shoot(z, coarse)
+            # The grids' disagreement at the guess: coarse Newton gains nothing below it.
+            floor = float(np.linalg.norm(shot[0] - coarse_shot[0]))
+            z_coarse, _, used = newton(
+                z, coarse_shot, coarse, max(tol, floor), newton_iters, cheap_r
+            )
+            if z_coarse is not z:  # newton hands back z itself when it took no step
+                trial = shoot(z_coarse, steps)
+                if np.linalg.norm(trial[0]) < np.linalg.norm(shot[0]):
+                    z, shot = z_coarse, trial
     z, (r, extremal), _ = newton(z, shot, steps, tol, newton_iters - used)
 
     converged = history[-1] < tol

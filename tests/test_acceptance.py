@@ -197,8 +197,8 @@ def test_criterion_07_riccati_lq():
     assert cost < best
 
 
-@pytest.fixture(scope="module")
-def extremals():
+def shoot_extremals():
+    """The three criterion 8/9 problems and their extremals, by name."""
     out = {}
     p = pr.brachistochrone_free_y(1.0, 9.81)
     out["brachistochrone"] = (p, ck.pmp_shoot(p, np.array([0.3, 0.1, 0.7])))
@@ -207,6 +207,11 @@ def extremals():
     p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
     out["double-integrator"] = (p, ck.pmp_shoot(p, np.array([-0.8, -1.2, 1.8])))
     return out
+
+
+@pytest.fixture(scope="module")
+def extremals():
+    return shoot_extremals()
 
 
 def test_criterion_08_pmp_shooting(extremals):

@@ -323,12 +323,16 @@ CORPUS_SHOTS = {
 
 
 # Extremal integrations per grid at 2000 steps, and accepted Newton steps.
-# Newton on 250 steps takes its Jacobians from 31-step sweeps, on 2000
-# steps from 250-step sweeps.
+# The guess is swept on 250 and 31 steps first.  Newton on 250 steps takes
+# its Jacobians from 31-step sweeps, the first one's base being the guess's
+# sweep, and on 2000 steps from 250-step sweeps.  Brachistochrone and
+# di_min_time sweep only their coarse iterate on 2000 steps; zermelo's guess
+# is already within the 250-step grid's floor, so it takes the 2000-step
+# path from its guess.
 CORPUS_WORK = {
-    "brachistochrone": ({31: 20, 250: 6, 2000: 2}, 5),
-    "di_min_time": ({31: 20, 250: 6, 2000: 2}, 5),
-    "zermelo": ({250: 5, 2000: 2}, 1),
+    "brachistochrone": ({31: 20, 250: 6, 2000: 1}, 5),
+    "di_min_time": ({31: 20, 250: 6, 2000: 1}, 5),
+    "zermelo": ({31: 1, 250: 5, 2000: 2}, 1),
 }
 
 
@@ -392,9 +396,10 @@ class TestTwoLevelShooting:
         assert e.converged
         assert abs(e.tf - tf) <= tol
         assert e.history_steps == corpus_shots["brachistochrone"][0].history_steps
-        # each of the 5 coarse iterations tries one 31-step sweep, then takes
-        # its Jacobian from 250-step sweeps
-        assert collections.Counter(grids) == {31: 5, 250: 21, 2000: 2}
+        # the 31-step probe of the guess blows up, so the guess is swept on
+        # 2000 steps; each of the 5 coarse iterations tries one 31-step sweep,
+        # then takes its Jacobian from 250-step sweeps
+        assert collections.Counter(grids) == {31: 6, 250: 21, 2000: 2}
 
     @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
     def test_tf_matches_single_grid_newton(self, corpus_shots, name):
@@ -417,7 +422,8 @@ class TestTwoLevelShooting:
         guess = np.array(CORPUS_SHOTS["zermelo"][1])
         e = ck.pmp_shoot(pr.zermelo_min_drift(), guess, steps=1000)
         assert e.converged
-        assert grids == [1000]
+        # the coarse and cheap probes of the guess, then one sweep on the requested grid
+        assert grids == [125, 15, 1000]
         assert e.history_steps == [1000]
         assert e.newton_iterations == 0
         assert np.array_equal(e.adjoint.states[0], guess[:2])
@@ -428,6 +434,14 @@ class TestTwoLevelShooting:
         e = ck.pmp_shoot(build(), np.array(guess), steps=2000, newton_iters=budget)
         assert e.newton_iterations == budget
         assert e.converged == converged
+
+    def test_stalled_coarse_newton_leaves_iterations_to_the_requested_grid(self):
+        # From this guess the 250-step residual sits at 1.0 while Newton creeps
+        # on; without the stall stop all 50 iterations went to that grid.
+        build = CORPUS_SHOTS["brachistochrone"][0]
+        guess = [-0.028329282336421846, 0.7789756686980005, 1.8812783287212493]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=2000)
+        assert e.history_steps.count(2000) > 1
 
     def test_small_grid_still_takes_two_levels(self):
         build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]
@@ -497,21 +511,9 @@ def _event_step_reference(rhs, maximizer, switching, t, z, h, n, p0):
 EVENT_TF, EVENT_STEPS = 1.8, 2000
 
 
-def _switch_between_step_ends():
-    """di_min_time whose switching function 1e5 (t - c) vanishes at c = t_k + h.
-
-    c lies one ulp above the grid time t_{k+1} = h (k + 1), so the signs at
-    the end of step k (0) and at the start of step k + 1 (-1) differ, and
-    only the latter sees the crossing inside step k + 1.
-    """
+def _di_switching_on(switching):
+    """di_min_time whose maximizer switches on `switching`, a function of t alone."""
     p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
-    h = EVENT_TF / EVENT_STEPS
-    times = h * np.arange(EVENT_STEPS + 1)
-    k = next(k for k in range(EVENT_STEPS // 2, EVENT_STEPS) if times[k] + h > times[k + 1])
-    c = times[k] + h
-
-    def switching(t, x, pv, p0):
-        return np.array([1e5 * (t - c)])
 
     def maximizer(t, x, pv, p0):
         phi = switching(t, x, pv, p0)
@@ -524,10 +526,56 @@ def _switch_between_step_ends():
     return dataclasses.replace(p, maximizer=maximizer)
 
 
+def _switch_between_step_ends():
+    """di_min_time whose switching function 1e5 (t - c) vanishes at c = t_k + h.
+
+    c lies one ulp above the grid time t_{k+1} = h (k + 1), so the signs at
+    the end of step k (0) and at the start of step k + 1 (-1) differ, and
+    only the latter sees the crossing inside step k + 1.
+    """
+    h = EVENT_TF / EVENT_STEPS
+    times = h * np.arange(EVENT_STEPS + 1)
+    k = next(k for k in range(EVENT_STEPS // 2, EVENT_STEPS) if times[k] + h > times[k + 1])
+    c = times[k] + h
+    return _di_switching_on(lambda t, x, pv, p0: np.array([1e5 * (t - c)]))
+
+
+def _switch_on_a_sine():
+    """di_min_time whose switching function sin(7 t) - 0.3 is nonlinear in t (4 crossings)."""
+    return _di_switching_on(lambda t, x, pv, p0: np.array([math.sin(7.0 * t) - 0.3]))
+
+
+def _two_fields_second_first():
+    """A two-field box x' = u_1 f_1(t) + u_2 f_2(t) whose fields both switch in one step.
+
+    With p = (-0.8, -1.2) constant, phi_1 = -0.08 (t - c1) and phi_2 = -1.2 (t - c2)
+    vanish at c2 < c1 inside step k; phi_1 has the smaller margin at the
+    step's start, phi_2 crosses first.
+    """
+    p = pr.double_integrator_min_time(np.array([1.0, 0.0]))
+    h = EVENT_TF / EVENT_STEPS
+    k = EVENT_STEPS // 2
+    c1, c2 = h * (k + 0.7), h * (k + 0.3)
+    fields = [lambda t, x: (0.1 * (t - c1), 0.0), lambda t, x: (0.0, t - c2)]
+    maximizer = ck.hamiltonian_maximizer_box(1.0, fields)
+
+    def f(t, x, u):
+        return (u[0] * 0.1 * (t - c1), u[1] * (t - c2))
+
+    return dataclasses.replace(
+        p, control_dim=2, f=f, maximizer=maximizer, hamiltonian_dx=lambda t, x, pv, p0, u: (0.0, 0.0)
+    )
+
+
 @pytest.mark.parametrize(
     "build",
-    [lambda: pr.double_integrator_min_time(np.array([1.0, 0.0])), _switch_between_step_ends],
-    ids=["di_min_time", "switch_between_step_ends"],
+    [
+        lambda: pr.double_integrator_min_time(np.array([1.0, 0.0])),
+        _switch_between_step_ends,
+        _switch_on_a_sine,
+        _two_fields_second_first,
+    ],
+    ids=["di_min_time", "switch_between_step_ends", "sine", "two_fields_second_first"],
 )
 def test_event_location_reuses_signs_bit_for_bit(build):
     p = build()
@@ -546,6 +594,52 @@ def test_event_location_reuses_signs_bit_for_bit(build):
     # the guess's extremal crosses the switching curve
     u = np.array([p.maximizer(t, x[:2], x[2:], -1.0)[0] for t, x in zip(times, Z)])
     assert np.any(u[:-1] != u[1:])
+
+
+@pytest.mark.parametrize("fraction", [1e-3, 0.37])
+def test_crossing_search_returns_the_step_of_sixty_halvings(fraction):
+    # A flip in the first 1/256 of the step leaves 60 halvings short of
+    # adjacent doubles; the search still returns their step, bit for bit.
+    h = EVENT_TF / EVENT_STEPS
+    c = fraction * h
+    switching = lambda t, x, pv, p0: [1e5 * (t - c)]
+    rhs = optctrl._ham_rhs(_di_switching_on(switching), -1.0)
+    z, s0, u0 = [1.0, 0.0, -0.8, -1.2], [-1.0], [-1.0]
+    z_h = optctrl._rk4(rhs, 0.0, z, h, u0)
+    phi0, phi1 = switching(0.0, z[:2], z[2:], -1.0), switching(h, z_h[:2], z_h[2:], -1.0)
+    lo, hi = 0.0, h
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        z_mid = optctrl._rk4(rhs, 0.0, z, mid, u0)
+        if switching(mid, z_mid[:2], z_mid[2:], -1.0)[0] >= 1e-12:
+            hi = mid
+        else:
+            lo = mid
+    assert optctrl._locate_crossing(rhs, switching, 0.0, z, h, 2, -1.0, s0, u0, phi0, phi1) == hi
+
+
+def test_crossings_take_a_few_rk4_steps(monkeypatch):
+    # Locating a switching time costs a few RK4 steps on average (60 by halving).
+    calls = collections.Counter()
+    rk4, locate = optctrl._rk4, optctrl._locate_crossing
+
+    def counting_rk4(*args):
+        calls["rk4"] += 1
+        return rk4(*args)
+
+    def counting_locate(*args):
+        before = calls["rk4"]
+        hi = locate(*args)
+        calls["crossings"] += 1
+        calls["search"] += calls["rk4"] - before
+        return hi
+
+    monkeypatch.setattr(optctrl, "_rk4", counting_rk4)
+    monkeypatch.setattr(optctrl, "_locate_crossing", counting_locate)
+    build, guess, _, _ = CORPUS_SHOTS["di_min_time"]
+    assert ck.pmp_shoot(build(), np.array(guess), steps=2000).converged
+    assert calls["crossings"] >= 20
+    assert calls["search"] <= 8 * calls["crossings"]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
