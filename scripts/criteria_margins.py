@@ -1,16 +1,18 @@
-"""How far inside its acceptance gate each shooting criterion runs.
+"""How far inside its acceptance gate each covered criterion runs.
 
 Usage, from any directory:
     python scripts/criteria_margins.py > margins.txt
 
-For criteria 8 and 9 of tests/test_acceptance.py, one line per quantity
-that the test compares with a tolerance: `criterion  quantity  value  gate
-margin`, where margin is log10(gate / value), "inf" for a value of 0.
-Values, gates and margins are rounded to 2 significant digits, so two runs
-print the same lines.  The extremals come from `shoot_extremals` of that
-file, the library calls and data its tests use.  The wall-clock bound, the
-`converged` flags and the switch count of criterion 8 are not margins and
-are left out, and the other criteria are not covered yet.
+For criteria 8, 9 and 14 of tests/test_acceptance.py, one line per
+quantity that the test compares with a tolerance: `criterion  quantity
+value  gate  margin`, where margin is log10(gate / value), "inf" for a
+value of 0 or less.  Values, gates and margins are rounded to 2
+significant digits, so two runs print the same lines.  The data come from
+`shoot_extremals` and `semilinear_heat_run` of that file, the library
+calls and data its tests use.  The wall-clock bound, the `converged`
+flags, the switch count of criterion 8 and the Kalman determinants of
+criterion 14 are not margins and are left out, and the other criteria are
+not covered yet.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np  # noqa: E402
 
 import ctrlkit as ck  # noqa: E402
 from conftest import di_min_time_oracle  # noqa: E402
-from test_acceptance import shoot_extremals  # noqa: E402
+from test_acceptance import semilinear_heat_run, shoot_extremals  # noqa: E402
 
 
 def line(criterion, quantity, value, gate):
@@ -49,6 +51,10 @@ def margins():
         d = ck.check_extremal(e, p)
         yield line(9, f"{name} hamiltonian_deviation", d["hamiltonian_deviation"], 1e-5)
         yield line(9, f"{name} |H(tf)|", abs(float(e.hamiltonian_samples[-1])), 1e-6)
+    identity_error, decay, res = semilinear_heat_run()
+    yield line(14, "max |a_j + lambda_j b_j - closed form|", identity_error, 1e-10)
+    yield line(14, "final / initial norm", decay, 1e-3)
+    yield line(14, "max diff(V)", float(np.max(np.diff(res.V))), 1e-12)
 
 
 for text in margins():

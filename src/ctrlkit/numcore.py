@@ -276,6 +276,8 @@ def rk4_linear_sweep(M, b, times, x0, h: float) -> np.ndarray:
     Phi = I + h/6 (M_0 + 2 K2 + 2 K3 + K4), K2 = M_h (I + h/2 M_0), K3 = M_h (I + h/2 K2),
     K4 = M_1 (I + h K3) come from batched products, 256 steps at a time, and one loop
     applies them: rk4_sweep's method and blow-up contract, its states to rounding.
+    A constant M passed as np.broadcast_to(M, ...) (stride 0 in time) with b None
+    has one step matrix, formed once per 256 steps from M[:3].
     """
     x = np.asarray(x0, dtype=float)
     n = x.shape[0]
@@ -284,15 +286,19 @@ def rk4_linear_sweep(M, b, times, x0, h: float) -> np.ndarray:
         x = np.concatenate([x, np.eye(b.shape[2]).reshape(b.shape[2:] + x.shape[1:])])
     states = np.empty((len(M) // 2 + 1,) + x.shape)
     states[0] = x
+    constant = b is None and M.strides[0] == 0
     for s in range(0, len(states) - 1, 256):  # bounds the temporaries
-        m = M[2 * s : 2 * s + 513]
+        m = M[2 * s : 2 * s + (3 if constant else 513)]
         if b is not None:
             m = np.block([[m, b[2 * s : 2 * s + 513]], [np.zeros((len(m), len(x) - n, len(x)))]])
         M0, Mh, M1 = m[:-1:2], m[1::2], m[2::2]
         K2 = Mh + (0.5 * h) * (Mh @ M0)
         K3 = Mh + (0.5 * h) * (Mh @ K2)
         K4 = M1 + h * (M1 @ K3)
-        for k, P in enumerate(np.eye(len(x)) + (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4), s + 1):
+        Phi = np.eye(len(x)) + (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+        if constant:
+            Phi = [Phi[0]] * min(256, len(states) - 1 - s)
+        for k, P in enumerate(Phi, s + 1):
             x = states[k] = np.dot(P, x)
     finite = np.isfinite(states[1:]).all(axis=tuple(range(1, states.ndim)))
     if not finite.all():

@@ -360,12 +360,17 @@ def semilinear_heat(
     N_sim: Optional[int] = None,
     gamma: Optional[float] = None,
 ) -> SemilinearPlant:
-    """Semilinear heat plant with the linear-rate nonlinearity f(y) = c y."""
+    """Semilinear heat plant with the linear-rate nonlinearity f(y) = c y, marked `linear`."""
     n_def, N_def, g_def = semilinear_defaults(L, c, gamma)
     n_val = n if n is not None else n_def
+
+    def f(y):
+        return c * y
+
+    f.linear = True
     return SemilinearPlant(
         L=L,
-        f=lambda y: c * y,
+        f=f,
         f_prime_0=c,
         n=n_val,
         N_sim=N_sim if N_sim is not None else max(2 * n_val, N_def),

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, expm, rk4_sweep, simpson_grid
+from .numcore import DimensionError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -530,9 +530,11 @@ class SemilinearPlant:
     """1D semilinear heat plant dt y = dxx y + f(y), y(t, L) = u(t).
 
     f acts elementwise on arrays: the simulation applies it to the whole
-    space grid at once.  n is the stabilized (finite-mode) count, N_sim the
-    Galerkin simulation size, gamma the weight of the finite-mode block in
-    the composite Lyapunov function.
+    space grid at once.  An f with the attribute `linear` set true is
+    f(y) = f_prime_0 y, and its simulation runs on rk4_linear_sweep.  n is
+    the stabilized (finite-mode) count, N_sim the Galerkin simulation size,
+    gamma the weight of the finite-mode block in the composite Lyapunov
+    function.
     """
 
     L: float
@@ -556,6 +558,10 @@ class SemilinearPlant:
             )
         if not abs(values[0]) <= 1e-12:
             raise ValueError("nonlinearity must satisfy f(0) = 0")
+        if getattr(self.f, "linear", False) and not np.array_equal(values, self.f_prime_0 * probe):
+            raise ValueError(
+                f"an f marked linear must be f(y) = f_prime_0 y; f({probe.tolist()}) gave {values.tolist()}"
+            )
 
 
 def semilinear_defaults(L: float, f_prime_0: float, gamma: Optional[float] = None):
@@ -619,14 +625,15 @@ def semilinear_steps(L: float, N_sim: int, T_sim: float, steps: int) -> int:
 
 
 def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
-    """The Galerkin right-hand side under v = K X_n, and the modal rates lambda_j.
+    """The Galerkin right-hand side under v = K X_n, its Jacobian M at 0, and the modal rates lambda_j.
 
     On s = (u, z_1..z_N_sim) it is s' = Lin s + F f(Y s), from matrices built
     once: Lin holds u' = v and z_j' = -mu_j z_j + b_j v, Y evaluates
     y = (x/L) u + sum z_j e_j on the 201 Simpson nodes of (0, L), and F
     projects f(y) on the modes, <f(y), e_j> by Simpson, below a zero row for
     u.  Lin and Y are stacked, so one call is two products, one f on the
-    whole space grid and one sum, whatever f is.
+    whole space grid and one sum, whatever f is.  M = Lin + f'(0) F Y keeps
+    the Simpson projection, so for f(y) = f'(0) y, s' = M s is the same ODE.
     """
     Ns, n, L = plant.N_sim, plant.n, plant.L
     jj = np.arange(1, Ns + 1)
@@ -647,7 +654,7 @@ def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
         w = np.dot(LinY, state)
         return w[:m] + np.dot(F, f(w[m:]))
 
-    return rhs, plant.f_prime_0 - mu
+    return rhs, Lin + plant.f_prime_0 * (F @ LinY[m:]), plant.f_prime_0 - mu
 
 
 def semilinear_stabilize(
@@ -664,8 +671,10 @@ def semilinear_stabilize(
     v = K X_n, u' = v, u(0) = 0 (z = y - (x/L) u substitution), recording
     the composite Lyapunov function V = gamma X'PX - (1/2) sum lambda_j z_j^2.
     The nonlinearity is projected on the modes by Simpson's rule on 201
-    space nodes.  The grid has `semilinear_steps` steps.  T_sim must be
-    positive: the heat flow is not reversible.
+    space nodes.  The grid has `semilinear_steps` steps.  An f marked
+    `linear` makes the system s' = M s, swept by rk4_linear_sweep from one
+    step matrix; any other f runs on rk4_sweep.  T_sim must be positive:
+    the heat flow is not reversible.
     """
     if not T_sim > 0:
         raise ValueError(f"T_sim must be positive, got {T_sim}")
@@ -676,14 +685,18 @@ def semilinear_stabilize(
     Krow = np.asarray(K).ravel()
     P = lyapunov_solve(A + B @ K)
 
-    rhs, lam_all = _semilinear_rhs(plant, Krow)
+    rhs, M, lam_all = _semilinear_rhs(plant, Krow)
     steps = semilinear_steps(plant.L, plant.N_sim, T_sim, steps)
     h = T_sim / steps
     times = h * np.arange(steps + 1)
     z0 = np.zeros(plant.N_sim)
     y0_coeffs = np.asarray(y0_coeffs, dtype=float)
     z0[: y0_coeffs.shape[0]] = y0_coeffs
-    states = rk4_sweep(rhs, times, np.concatenate([[0.0], z0]), h)
+    s0 = np.concatenate([[0.0], z0])
+    if getattr(plant.f, "linear", False):
+        states = rk4_linear_sweep(np.broadcast_to(M, (2 * steps + 1,) + M.shape), None, times, s0, h)
+    else:
+        states = rk4_sweep(rhs, times, s0, h)
     X = states[:, : n + 1]  # the model coordinates (u, z_1..z_n)
     v_samples = X @ Krow
     V = plant.gamma * np.einsum("ij,jk,ik->i", X, P, X) - 0.5 * (states[:, 1:] ** 2 @ lam_all)

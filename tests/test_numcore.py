@@ -177,11 +177,14 @@ class TestIntegrate:
             )
             return integrate_extremal(oc, np.array([1.0]), 1.0, 20)
 
+        constant = np.broadcast_to([[1e8]], (41, 1, 1))
         cases = [
             # x' = x^2 from 5 has its pole at t = 0.2.
             (lambda: sweep(lambda t, x: x * x, [5.0], 0.0, 2.0, 2000), 0.203),
             # matrix-valued state
             (lambda: linear_sweep(lambda t: np.diag([1e8, 1.0]), None, np.eye(2), 0.0, 1.0, 20), 0.65),
+            # one broadcast matrix for every time: one step matrix
+            (lambda: rk4_linear_sweep(constant, None, 0.05 * np.arange(21), [1.0], 0.05), 0.65),
             # reversed grid
             (lambda: sweep(lambda t, x: -1e8 * x, [1.0], 1.0, 0.0, 20), 0.35),
             (lambda: extremal(ones), 0.65),
@@ -433,6 +436,17 @@ class TestLinearSweep:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         _, R = linear_sweep(lambda t: A, None, np.eye(2), 0.0, 1.3, 400)
         assert np.allclose(R[-1], expm(1.3 * A), atol=1e-10)
+
+    def test_broadcast_constant_matches_the_stacked_matrices(self):
+        # A broadcast M (stride 0 in time) forms one step matrix per 256 steps;
+        # 600 steps take two full blocks and a partial one.
+        M = np.broadcast_to([[-0.3, 1.0], [-2.0, -0.1]], (1201, 2, 2))
+        times = 1.5 / 600 * np.arange(601)
+        x0 = np.array([1.0, -0.5])
+        once = rk4_linear_sweep(M, None, times, x0, times[1])
+        stacked = rk4_linear_sweep(np.array(M), None, times, x0, times[1])
+        assert once.shape == (601, 2)
+        assert np.max(np.abs(once - stacked)) <= 1e-15
 
     def test_no_steps_give_the_initial_state(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -1,14 +1,16 @@
 """Tests for spectral 1D heat/wave control: observability, HUM, moments,
 damping decay, and semilinear boundary stabilization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ctrlkit import problems as pr
+from ctrlkit import specpde
 from ctrlkit.lincontrol import kalman_matrix
-from ctrlkit.numcore import simpson_grid
+from ctrlkit.numcore import expm, simpson_grid
 from ctrlkit.specpde import (
     IllPosedError,
     _semilinear_rhs,
@@ -262,6 +264,11 @@ def _per_part_rhs(plant, Krow):
     return rhs
 
 
+def _marked_linear(f):
+    f.linear = True
+    return f
+
+
 class TestSemilinear:
     @pytest.mark.parametrize(
         "build",
@@ -277,12 +284,56 @@ class TestSemilinear:
         plant = build()
         rng = np.random.default_rng(11)
         Krow = rng.standard_normal(plant.n + 1)
-        rhs = _semilinear_rhs(plant, Krow)[0]
+        rhs, M = _semilinear_rhs(plant, Krow)[:2]
         ref = _per_part_rhs(plant, Krow)
+        linear = getattr(plant.f, "linear", False)
         for _ in range(20):
             state = 0.5 * rng.standard_normal(plant.N_sim + 1)
             want = ref(0.0, state)
             assert np.max(np.abs(rhs(0.0, state) - want)) <= 1e-14 * np.max(np.abs(want))
+            if linear:  # the system the linear-rate path sweeps: s' = M s
+                assert np.max(np.abs(M @ state - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_linear_rate_paths_agree(self, monkeypatch):
+        # f = 12 y marked linear runs on rk4_linear_sweep, unmarked on rk4_sweep:
+        # the same ODE on the same 2527-step grid.
+        swept, sweep = [], specpde.rk4_linear_sweep
+
+        def spy(*args):
+            swept.append(len(args[2]))
+            return sweep(*args)
+
+        monkeypatch.setattr(specpde, "rk4_linear_sweep", spy)
+        y0 = [0.003, 0.002, -0.004, 0.005, -0.003, 0.002, -0.001, 0.001]
+        plant = pr.semilinear_heat(n=1)
+        marked = semilinear_stabilize(plant, y0, T_sim=10.0)
+        assert swept == [2528]
+        plain = semilinear_stabilize(dataclasses.replace(plant, f=lambda y: 12.0 * y), y0, T_sim=10.0)
+        semilinear_stabilize(_cubic_plant(), y0, T_sim=10.0)
+        assert swept == [2528]  # neither the unmarked nor the cubic f
+        assert len(marked.times) == 2528
+        assert marked.times.tobytes() == plain.times.tobytes()
+        for a, b in ((marked.u, plain.u), (marked.z, plain.z)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_fourth_order_against_the_exponential(self, marked):
+        # s' = M s has the exact flow expm(T M) s0.  At T = 0.5 the 200 and
+        # 400 step grids are above the stability refinement (127 steps) and
+        # well above rounding (reached by 1600 steps), so halving h divides
+        # the final error by about 2^4.
+        plant = pr.semilinear_heat(L=1.0, N_sim=8)
+        if not marked:
+            plant = dataclasses.replace(plant, f=lambda y: 12.0 * y)
+        y0 = [0.3, -0.2, 0.1, 0.05, -0.04, 0.03, -0.02, 0.01]
+        errors = []
+        for steps in (200, 400):
+            res = semilinear_stabilize(plant, y0, 0.5, steps)
+            M = _semilinear_rhs(plant, res.K.ravel())[1]
+            exact = expm(0.5 * M) @ np.concatenate([[0.0], y0])
+            final = np.concatenate([[res.u[-1]], res.z[-1]])
+            errors.append(np.max(np.abs(final - exact)) / np.max(np.abs(exact)))
+        assert 14.0 < errors[0] / errors[1] < 18.0
 
     def test_cubic_small_data_decays(self):
         rng = np.random.default_rng(7)
@@ -321,8 +372,9 @@ class TestSemilinear:
             (lambda y: 12.0 * float(np.sum(y)), "gave shape ()"),
             (lambda y: 12.0 * np.sin(y) + 1.0, r"f\(0\) = 0"),
             (lambda y: np.full_like(y, math.nan), r"f\(0\) = 0"),
+            (_marked_linear(lambda y: 11.0 * y), r"an f marked linear must be f\(y\) = f_prime_0 y"),
         ],
-        ids=["scalar_only", "reduces", "f0_nonzero", "nan"],
+        ids=["scalar_only", "reduces", "f0_nonzero", "nan", "marked_linear_rate_differs"],
     )
     def test_plant_checks_f_on_an_array(self, f, message):
         # The simulation applies f to the whole space grid at once; before this
