@@ -134,13 +134,13 @@ WAVE_STATE = ck.WaveState(1.0 / np.arange(1.0, 9.0), (-1.0) ** np.arange(8) / np
 E1, ZERO = ck.WaveState(np.eye(8)[0], np.zeros(8)), ck.WaveState(np.zeros(8), np.zeros(8))
 
 
-def boundary_observation(steps):
-    return (ck.boundary_observation_energy(WAVE_BASIS, WAVE_STATE, 2.5, steps),)
+def boundary_observation(T):
+    return (ck.boundary_observation_energy(WAVE_BASIS, WAVE_STATE, T),)
 
 
-def internal_observation(steps):
+def internal_observation(T):
     omega = ck.IntervalUnion([(0.1, 0.3), (0.6, 0.75)])
-    return (ck.internal_wave_observation(WAVE_BASIS, WAVE_STATE, omega, 2.5, steps),)
+    return (ck.internal_wave_observation(WAVE_BASIS, WAVE_STATE, omega, T),)
 
 
 def wave_hum(steps):
@@ -178,8 +178,8 @@ LIBRARY = [
     ("simulate_closed_loop predator_prey jurdjevic_quinn", predator_prey),
     ("gramian dubins", ltv_gramian, *DUBINS[:2]),
     ("gramian kinked_tabulated", ltv_gramian, kinked_tabulated(), 2.0),
-    ("boundary_observation_energy steps=1999", boundary_observation, 1999),
-    ("internal_wave_observation steps=1999", internal_observation, 1999),
+    ("boundary_observation_energy T=2.5", boundary_observation, 2.5),
+    ("internal_wave_observation T=2.5", internal_observation, 2.5),
     ("hum_wave_boundary steps=1999", wave_hum, 1999),
     ("semilinear_stabilize cubic", semilinear_cubic),
 ]

@@ -1,9 +1,9 @@
 """Spectral control of 1D heat and wave equations on (0, L).
 
 Everything lives on the Dirichlet sine basis: heat and wave evolution are
-diagonal, observability functionals reduce to trigonometric quadrature with
-closed-form space integrals, the wave boundary-control Gramian is assembled
-mode by mode, the heat moment-method control uses an extended-precision
+diagonal, the wave observability functionals and the boundary-control
+Gramian are integrals of trigonometric products, taken in closed form in
+time and space, the heat moment-method control uses an extended-precision
 biorthogonal family, and the semilinear heat equation is stabilized through
 its finite-mode Galerkin truncation.
 """
@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
+from .numcore import DimensionError, GridError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -181,18 +181,30 @@ def wave_energy(basis: SineBasis, s: WaveState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def boundary_observation_energy(
-    basis: SineBasis, s: WaveState, T: float, time_steps: int = 2000
-) -> float:
+def _trig_gram(omega: np.ndarray, T: float) -> np.ndarray:
+    """K = int_0^T f f' dt for f(t) = (sin(omega t), cos(omega t)), in closed form.
+
+    Entries are half sums of int_0^T cos(x t) dt = T sinc(x T / pi) and int_0^T sin(x t) dt =
+    2 sin^2(x T / 2) / x = h (x h / 2), h = T sinc(x T / 2 pi), at x = omega_i -+ omega_j: exact
+    at x = 0, free of cancellation near it, finite for any finite T.  K is exactly symmetric.
+    """
+    if not 0.0 < T < np.inf:
+        raise GridError(f"the time integral needs 0 < T < inf, got T={T}")
+    x = np.stack([omega[:, None] - omega, omega[:, None] + omega])
+    Cm, Cp = T * np.sinc(x * (T / np.pi))
+    h = T * np.sinc(x * (T / (2.0 * np.pi)))
+    sc = 0.5 * np.sum(h * (0.5 * x * h), axis=0)  # int sin(omega_i t) cos(omega_j t) dt
+    return np.block([[0.5 * (Cm - Cp), sc], [sc.T, 0.5 * (Cm + Cp)]])
+
+
+def boundary_observation_energy(basis: SineBasis, s: WaveState, T: float) -> float:
     """int_0^T |dx psi(t, L)|^2 dt with the boundary trace computed modally.
 
     dx psi(t, L) = sum_k (-1)^k (a_k cos(k pi t / L) + b_k sin(k pi t / L)).
     """
-    times, weights = simpson_grid(T, time_steps)
     sign = (-1.0) ** basis.j[: s.N]
-    th = np.outer(times, basis.omega[: s.N])
-    trace = (np.cos(th) * (sign * s.a) + np.sin(th) * (sign * s.b)).sum(axis=1)
-    return float(weights @ trace**2)
+    v = np.concatenate([sign * s.b, sign * s.a])
+    return float(v @ _trig_gram(basis.omega[: s.N], T) @ v)
 
 
 def sin2_mass(omega: IntervalUnion, j: int, basis: SineBasis) -> float:
@@ -242,20 +254,15 @@ def _sin_product_integrals(omega: IntervalUnion, basis: SineBasis, N: int) -> np
     return S
 
 
-def internal_wave_observation(
-    basis: SineBasis, s: WaveState, omega: IntervalUnion, T: float, steps: int = 2000
-) -> float:
+def internal_wave_observation(basis: SineBasis, s: WaveState, omega: IntervalUnion, T: float) -> float:
     """int_0^T int_omega phi(t, x)^2 dx dt for the internal-observation solution.
 
     Here phi(t, x) = sum_j (a_j cos(j pi t/L) + b_j sin(j pi t/L))
-    sin(j pi x/L); the space integral is closed-form, time by Simpson.
+    sin(j pi x/L); both integrals are closed-form.
     """
-    times, weights = simpson_grid(T, steps)
-    N = s.N
-    S = _sin_product_integrals(omega, basis, N)
-    th = np.outer(times, basis.omega[:N])
-    C = np.cos(th) * s.a + np.sin(th) * s.b  # modal amplitudes per node
-    return float(weights @ np.einsum("ij,jk,ik->i", C, S, C))
+    S = _sin_product_integrals(omega, basis, s.N)
+    V = np.vstack([np.diag(s.b), np.diag(s.a)])  # phi's modal amplitudes are V' (sin, cos)
+    return float(np.sum(S * (V.T @ _trig_gram(basis.omega[: s.N], T) @ V)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +304,11 @@ def hum_wave_boundary(
 ) -> HumWaveResult:
     """Minimal-L2 boundary control steering the truncated wave y0 -> y1.
 
-    Assembles the 2N x 2N Gramian G = int_0^T S(T-t) D D' S(T-t)' dt on the
-    (a, b) coefficients, solves G z = y1 - S(T) y0, and applies
-    u(t) = D' S(T-t)' z.  The same Simpson grid is reused for the Gramian,
-    the control norm, and the re-simulated endpoint, so those identities are
-    exact up to round-off.  A Gramian condition number above 1e12 raises
-    IllPosedError.
+    Forms the 2N x 2N Gramian G = int_0^T S(T-t) D D' S(T-t)' dt on the (a, b)
+    coefficients in closed form, solves G z = y1 - S(T) y0, and samples u(t) = D' S(T-t)' z
+    on the `steps` Simpson grid, whose rule gives `control_l2_sq` and the endpoint.  The
+    control reaches y1 up to the solve's rounding, so `endpoint_error` is that rule's error.
+    A Gramian condition number above 1e12 raises IllPosedError.
     """
     N = y0.N
     if y1.N != N:
@@ -316,12 +322,11 @@ def hum_wave_boundary(
     if T <= 0.0:
         raise IllPosedError(f"T={T}: the Gramian needs a positive horizon", 0.0)
     times, wts = simpson_grid(T, steps)
-    d = _wave_control_operator(basis, N)
+    d = np.tile(_wave_control_operator(basis, N), 2)
     # Rows w_i = S(T - t_i) D = (sin, cos)(omega (T - t_i)) d of the observation map.
     th = np.outer(T - times, basis.omega[:N])
-    w = np.hstack([np.sin(th) * d, np.cos(th) * d])
-    G = (w.T * wts) @ w
-    G = 0.5 * (G + G.T)
+    w = np.hstack([np.sin(th), np.cos(th)]) * d
+    G = _trig_gram(basis.omega[:N], T) * np.outer(d, d)
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     if cond > 1e12:
@@ -514,7 +519,7 @@ def damping_decay_experiment(
         C1 = float(np.max(energy * np.exp(delta * times)) / energy[0])
         # Conservative observation integral on the undamped flow from the same
         # data: dt phi has the amplitudes (b, -a), and (L/2) B is the sin-sin mass.
-        obs = internal_wave_observation(basis, WaveState(y0.b, -y0.a), damping, T_fit, samples)
+        obs = internal_wave_observation(basis, WaveState(y0.b, -y0.a), damping, T_fit)
     else:
         delta, C1, obs = 0.0, 1.0, 0.0
     return DampingResult(delta, C1, obs, times, energy)

@@ -259,18 +259,16 @@ def _lq_cost(p, steps):
     return lq_cost(p, lq_feedback(riccati_solve(p, 2), p), [1.0], steps)
 
 
-# Every path that integrates by Simpson's rule, as a function of (T, steps).
+# Every path that integrates by Simpson's rule, as a function of (T, steps), and
+# the two wave observation functionals, which integrate in time in closed form
+# and so take no steps; they still refuse a horizon outside (0, inf).
 SIMPSON_PATHS = {
     "hum_control_finite": lambda T, steps: hum_control_finite(
         pr.double_integrator(), T, [0.0, 0.0], [1.0, 0.0], steps
     ),
     "lq_cost": lambda T, steps: _lq_cost(_lq_problem(T), steps),
-    "boundary_observation_energy": lambda T, steps: boundary_observation_energy(
-        _BASIS, _WAVE, T, steps
-    ),
-    "internal_wave_observation": lambda T, steps: internal_wave_observation(
-        _BASIS, _WAVE, _OMEGA, T, steps
-    ),
+    "boundary_observation_energy": lambda T, _: boundary_observation_energy(_BASIS, _WAVE, T),
+    "internal_wave_observation": lambda T, _: internal_wave_observation(_BASIS, _WAVE, _OMEGA, T),
     "hum_wave_boundary": lambda T, steps: hum_wave_boundary(_BASIS, _WAVE, _WAVE, T, steps),
     "damping_decay_experiment": lambda T, steps: damping_decay_experiment(
         _BASIS, _OMEGA, T, steps
@@ -287,11 +285,19 @@ def _bad_horizon_error(path, T):
     return GridError
 
 
+_CLOSED_FORM_IN_TIME = ("boundary_observation_energy", "internal_wave_observation")
+
+
 class TestSimpsonPaths:
     @pytest.mark.parametrize(
-        "T, steps", [(2.0, 0), (0.0, 20), (-1.0, 20), (math.nan, 20), (math.inf, 20)]
+        "path, T, steps",
+        [
+            (path, T, steps)
+            for path in SIMPSON_PATHS
+            for T, steps in [(2.0, 0), (0.0, 20), (-1.0, 20), (math.nan, 20), (math.inf, 20)]
+            if steps or path not in _CLOSED_FORM_IN_TIME
+        ],
     )
-    @pytest.mark.parametrize("path", SIMPSON_PATHS)
     def test_degenerate_grid_raises(self, path, T, steps):
         expected = GridError if steps == 0 else _bad_horizon_error(path, T)
         with pytest.raises(expected) as info:

@@ -4,6 +4,7 @@ damping decay, and semilinear boundary stabilization."""
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,8 @@ from ctrlkit.specpde import (
     IllPosedError,
     _semilinear_rhs,
     _sin_product_integrals,
+    _trig_gram,
+    _wave_control_operator,
     IntervalUnion,
     SemilinearPlant,
     SineBasis,
@@ -35,6 +38,27 @@ from ctrlkit.specpde import (
     wave_energy,
     wave_evolve,
 )
+
+
+def _gauss_legendre_40(T, rate):
+    """Nodes and weights on [0, T] for products of sines and cosines that turn
+    at most `rate` radians per unit time: 32-point Gauss-Legendre on pieces over
+    which they turn at most 4 pi, where its error is below 1e-50.  Call it, and
+    sum with its output, under mp.workdps(40)."""
+    X, W = mp.gauss_quadrature(32, "legendre")
+    m = max(1, math.ceil(T * rate / (4.0 * math.pi)))
+    half = mp.mpf(T) / (2 * m)
+    nodes = [half * (2 * k + 1 + x) for k in range(m) for x in X]
+    return nodes, [half * w for _ in range(m) for w in W]
+
+
+def _trig_gram_40(omega, T):
+    """int_0^T f f' dt, f(t) = (sin(omega t), cos(omega t)): rows of mpf, 40-digit quadrature."""
+    with mp.workdps(40):
+        t, w = _gauss_legendre_40(T, 2.0 * max(omega))
+        om = [mp.mpf(float(o)) for o in omega]
+        F = [[mp.sin(o * s) for s in t] for o in om] + [[mp.cos(o * s) for s in t] for o in om]
+        return [[mp.fdot([wi * fi for wi, fi in zip(w, row)], col) for col in F] for row in F]
 
 
 class TestEvolution:
@@ -84,6 +108,25 @@ class TestObservability:
             for j in range(1, 17)
         )
         assert abs(obs - diag) / abs(diag) < 1e-6
+
+    def test_functionals_off_the_period_match_a_40_digit_quadrature(self):
+        # At T = 2.5 the products do not integrate over whole periods; Simpson's
+        # rule on 2000 steps is about 1e-11 off here, relative.
+        basis, T = SineBasis(1.0, 8), 2.5
+        k = np.arange(1.0, 9.0)
+        s = WaveState(1.0 / k, (-1.0) ** k / k**2)
+        omega = IntervalUnion([(0.1, 0.3), (0.6, 0.75)])
+        S = _sin_product_integrals(omega, basis, 8)
+        with mp.workdps(40):
+            t, w = _gauss_legendre_40(T, 2.0 * basis.omega[-1])
+            om = [mp.mpf(float(o)) for o in basis.omega]
+            modes = list(zip(s.a, s.b, om))
+            amps = [[a * mp.cos(o * x) + b * mp.sin(o * x) for a, b, o in modes] for x in t]
+            trace = [mp.fsum((-1) ** j * cj for j, cj in enumerate(c, 1)) for c in amps]
+            boundary = float(mp.fdot(w, [v**2 for v in trace]))
+            internal = float(mp.fdot(w, [mp.fdot(c, [mp.fdot(row, c) for row in S]) for c in amps]))
+        assert abs(boundary_observation_energy(basis, s, T) - boundary) < 1e-14 * boundary
+        assert abs(internal_wave_observation(basis, s, omega, T) - internal) < 1e-14 * internal
 
     def test_sin2_mass_against_quadrature(self):
         basis = SineBasis(1.0, 4)
@@ -154,11 +197,59 @@ class TestHumWave:
         with pytest.raises(IllPosedError):
             hum_wave_boundary(basis, y0, WaveState(np.zeros(4), np.zeros(4)), T, force=True)
 
+    @pytest.mark.parametrize(
+        "T, steps, force",
+        [(2.5, 250, False), (2.5, 2000, False), (1.5, 2000, True), (1.0, 2000, True)],
+    )
+    def test_endpoint_error_bounds_the_miss(self, T, steps, force):
+        # How far the control leaves the truncated wave from y1 is |G z - (y1 - S(T) y0)|,
+        # with G from a 40-digit quadrature; the Simpson check must not report less.
+        basis = SineBasis(1.0, 8)
+        y0 = WaveState(np.eye(8)[0], np.zeros(8))
+        res = hum_wave_boundary(basis, y0, WaveState(np.zeros(8), np.zeros(8)), T, steps, force)
+        d = np.tile(_wave_control_operator(basis, 8), 2)
+        z = np.concatenate([res.z.a, res.z.b])
+        free = wave_evolve(basis, y0, T)
+        K = _trig_gram_40(basis.omega, T)
+        with mp.workdps(40):
+            dz = [mp.mpf(dj) * zj for dj, zj in zip(d, z)]
+            Gz = [d[i] * mp.fdot(row, dz) for i, row in enumerate(K)]
+            free_T = np.concatenate([free.a, free.b])
+            miss = mp.sqrt(mp.fsum((g + r) ** 2 for g, r in zip(Gz, free_T)))
+        assert res.endpoint_error >= miss
+
+
+class TestTrigGram:
+    @pytest.mark.parametrize(
+        "omega, T",
+        [
+            (SineBasis(1.0, 8).omega, 2.0),  # the period 2L
+            (SineBasis(1.0, 8).omega, 2.5),
+            (SineBasis(1.0, 8).omega, 1.0),
+            # Many periods, and a near-equal pair, where 1 - cos(x T) would cancel.
+            (np.array([0.3, 0.3 + 1e-9, 0.5]), 1e3),
+        ],
+    )
+    def test_matches_a_40_digit_quadrature(self, omega, T):
+        K = _trig_gram(omega, T)
+        ref = np.array(_trig_gram_40(omega, T), dtype=float)
+        assert np.array_equal(K, K.T)
+        assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_finite_and_exact_at_a_huge_horizon(self):
+        # T^2 overflows: (x / 2) (T sinc)^2 would give inf * 0 = nan where x = 0.
+        T = 1e200
+        K = _trig_gram(SineBasis(1.0, 4).omega, T)
+        assert np.all(np.isfinite(K))
+        # sin^2 and cos^2 integrate to T/2 up to 1/(4 omega), far below an ulp
+        # of T/2.  Every other entry is half a sum of two integrals of cos(x t)
+        # or sin(x t) with x = 0 (sin only, 0) or |x| >= pi (at most 2/pi each).
+        assert np.array_equal(np.diag(K), np.full(8, T / 2))
+        assert np.max(np.abs(K - np.diag(np.diag(K)))) <= 2.0 / np.pi
+
 
 class TestMomentMethod:
     def test_biorthogonality_residuals(self):
-        import mpmath as mp
-
         L, T, K = math.pi, 1.0, 6
         mu = [(j * math.pi / L) ** 2 for j in range(1, K + 1)]
         C, cond = biorthogonal_family(mu, T, K)
