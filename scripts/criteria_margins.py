@@ -6,10 +6,10 @@ Usage, from any directory:
 For criteria 8, 9, 10, 11, 13 and 14 of tests/test_acceptance.py, one
 line per quantity that the test compares with a tolerance: `criterion
 quantity  value  gate  margin`, where margin is log10(gate / value), "inf"
-for a value of 0 or less; for the one lower bound, the condition number of
-criterion 11, it is log10(value / gate).  Values, gates and margins are
-rounded to 2 significant digits, so two runs print the same lines.  The
-data come from `shoot_extremals`, `wave_observability_run`,
+for a value of 0 or less and "nan" for a NaN; for the one lower bound, the
+condition number of criterion 11, it is log10(value / gate).  Values, gates
+and margins are rounded to 2 significant digits, so two runs print the same
+lines.  The data come from `shoot_extremals`, `wave_observability_run`,
 `hum_wave_run`, `damping_run` and `semilinear_heat_run` of that file, the
 library calls and data its tests use.  The wall-clock bound, the
 `converged` flags, the switch count of criterion 8, the IllPosedError of
@@ -42,7 +42,7 @@ def line(criterion, quantity, value, gate, lower_bound=False):
     if lower_bound:
         margin = f"{math.log10(value / gate):.2g}"
     else:
-        margin = f"{math.log10(gate / value):.2g}" if value > 0.0 else "inf"
+        margin = "inf" if value <= 0.0 else f"{math.log10(gate / value):.2g}"
     return f"{criterion}  {quantity}  {value:.2g}  {gate:.2g}  {margin}"
 
 

@@ -186,7 +186,7 @@ def _trig_gram(omega: np.ndarray, T: float) -> np.ndarray:
 
     Entries are half sums of int_0^T cos(x t) dt = T sinc(x T / pi) and int_0^T sin(x t) dt =
     2 sin^2(x T / 2) / x = h (x h / 2), h = T sinc(x T / 2 pi), at x = omega_i -+ omega_j: exact
-    at x = 0, free of cancellation near it, finite for any finite T.  K is exactly symmetric.
+    at x = 0, free of cancellation near it, finite unless x T overflows.  K is exactly symmetric.
     """
     if not 0.0 < T < np.inf:
         raise GridError(f"the time integral needs 0 < T < inf, got T={T}")
@@ -286,8 +286,8 @@ class HumWaveResult:
     z: WaveState  # the HUM minimizer (adjoint datum psi)
     times: np.ndarray
     control: np.ndarray  # u(t) samples
-    endpoint: WaveState
-    endpoint_error: float
+    endpoint: WaveState  # Simpson check of the sampled control, not the state it reaches
+    endpoint_error: float  # that check's miss, not the control's true miss
     gramian: np.ndarray
     condition_number: float
     cost: float  # <G z, z>
