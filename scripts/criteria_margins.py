@@ -3,19 +3,21 @@
 Usage, from any directory:
     python scripts/criteria_margins.py > margins.txt
 
-For criteria 8, 9, 10, 11, 13 and 14 of tests/test_acceptance.py, one
+For criteria 3 and 7 to 14 of tests/test_acceptance.py, one
 line per quantity that the test compares with a tolerance: `criterion
 quantity  value  gate  margin`, where margin is log10(gate / value), "inf"
 for a value of 0 or less and "nan" for a NaN; for the one lower bound, the
-condition number of criterion 11, it is log10(value / gate).  Values, gates
-and margins are rounded to 2 significant digits, so two runs print the same
-lines.  The data come from `shoot_extremals`, `wave_observability_run`,
-`hum_wave_run`, `damping_run` and `semilinear_heat_run` of that file, the
-library calls and data its tests use.  The wall-clock bound, the
-`converged` flags, the switch count of criterion 8, the IllPosedError of
-criterion 11, the sign of delta in criterion 13 and the Kalman
-determinants of criterion 14 are not margins and are left out, and the
-other criteria are not covered yet.
+condition number of criterion 11, it is log10(value / gate).  The gate of
+criterion 7's cost is the lowest cost of the test's 1000 random controls.
+Values, gates and margins are rounded to 2 significant digits, so two runs
+print the same lines.  The data come from `gramian_hum_run`,
+`riccati_lq_run`, `shoot_extremals`, `wave_observability_run`,
+`hum_wave_run`, `moment_method_run`, `damping_run` and
+`semilinear_heat_run` of that file, the library calls and data its tests
+use.  The wall-clock bound, the `converged` flags, the switch count of
+criterion 8, the IllPosedError of criterion 11, the sign of delta in
+criterion 13 and the Kalman determinants of criterion 14 are not margins
+and are left out, and criteria 1, 2, 4, 5 and 6 are not covered yet.
 """
 
 import math
@@ -31,7 +33,10 @@ import ctrlkit as ck  # noqa: E402
 from conftest import di_min_time_oracle  # noqa: E402
 from test_acceptance import (  # noqa: E402
     damping_run,
+    gramian_hum_run,
     hum_wave_run,
+    moment_method_run,
+    riccati_lq_run,
     semilinear_heat_run,
     shoot_extremals,
     wave_observability_run,
@@ -47,6 +52,15 @@ def line(criterion, quantity, value, gate, lower_bound=False):
 
 
 def margins():
+    gramian_error, control_error, res = gramian_hum_run()
+    yield line(3, "double-integrator max |G - G exact|", gramian_error, 1e-9)
+    yield line(3, "double-integrator max |u - (6 - 12 t)|", control_error, 1e-6)
+    yield line(3, "double-integrator endpoint_error", res.endpoint_error, 1e-6)
+    yield line(3, "double-integrator |cost - 12|", abs(res.cost - 12.0), 1e-8)
+    riccati_error, value_gap, cost, best = riccati_lq_run()
+    yield line(7, "max |P(t) + tanh(2 - t)|", riccati_error, 1e-8)
+    yield line(7, "|cost - x0' (-P(0)) x0|", value_gap, 1e-6)
+    yield line(7, "cost, below the best random control", cost, best)
     ex = shoot_extremals()
     _, e = ex["brachistochrone"]
     ref = math.sqrt(2.0 * math.pi * 1.0 / 9.81)
@@ -74,6 +88,9 @@ def margins():
     yield line(11, "T=2 endpoint_error", res.endpoint_error, 1e-6)
     yield line(11, "T=2 |control_l2_sq - <G z, z>|", duality, 1e-8)
     yield line(11, "T=1 condition_number, at least", short.condition_number, 1e6, lower_bound=True)
+    worst, max_final = moment_method_run()
+    yield line(12, "worst biorthogonality residual", worst, 1e-8)
+    yield line(12, "max |y_j(T)|", max_final, 1e-6)
     res, cons = damping_run()
     envelope = 1.05 * res.C1 * res.energy[0] * np.exp(-res.delta * res.times)
     excess = float(np.max(res.energy - envelope))

@@ -13,7 +13,6 @@ build on these kernels so that results are bit-reproducible run to run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -112,7 +111,6 @@ class DenseOutput:
         if not np.all(np.diff(t) > 0):
             raise ValueError("dense output times must be strictly increasing")
         self._grid = t
-        self._times = t.tolist()  # bisect on a list beats np.searchsorted per call
         self._shape = y.shape[1:]
         y = y.reshape(t.shape[0], -1)
         if derivatives is None:
@@ -123,24 +121,11 @@ class DenseOutput:
         if d.shape[0] != t.shape[0] or d.shape[1:] != self._shape:
             raise DimensionError("derivatives must have the shape of the values")
         d = d.reshape(y.shape)
-        # Interval k holds (y_k, y'_k, y_k+1, y'_k+1): one dot product per call.
+        # Interval k holds (y_k, y'_k, y_k+1, y'_k+1).
         self._blocks = np.stack([y[:-1], d[:-1], y[1:], d[1:]], axis=1)
 
     def __call__(self, t) -> np.ndarray:
-        if isinstance(t, np.ndarray) and t.ndim:
-            return self._many(t)
-        g = self._times
-        t = min(max(t, g[0]), g[-1])
-        i = bisect_right(g, t, 1, len(g) - 1) - 1
-        h = g[i + 1] - g[i]
-        w = (t - g[i]) / h
-        if self._blocks is None:
-            p = (1.0 - w) * self._values[i] + w * self._values[i + 1]
-        else:
-            p = np.dot(_hermite_weights(w, h), self._blocks[i])
-        return p.reshape(self._shape) if len(self._shape) != 1 else p
-
-    def _many(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         g = self._grid
         s = np.clip(t.ravel(), g[0], g[-1])
         i = np.searchsorted(g, s, side="right").clip(1, len(g) - 1) - 1

@@ -3,9 +3,9 @@
 Everything lives on the Dirichlet sine basis: heat and wave evolution are
 diagonal, the wave observability functionals and the boundary-control
 Gramian are integrals of trigonometric products, taken in closed form in
-time and space, the heat moment-method control uses an extended-precision
-biorthogonal family, and the semilinear heat equation is stabilized through
-its finite-mode Galerkin truncation.
+time and in space by one helper (_trig_gram), the heat moment-method
+control uses an extended-precision biorthogonal family, and the semilinear
+heat equation is stabilized through its finite-mode Galerkin truncation.
 """
 
 from __future__ import annotations
@@ -181,20 +181,31 @@ def wave_energy(basis: SineBasis, s: WaveState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _trig_gram(omega: np.ndarray, T: float) -> np.ndarray:
-    """K = int_0^T f f' dt for f(t) = (sin(omega t), cos(omega t)), in closed form.
+def _trig_gram(k: np.ndarray, scale: float, intervals) -> np.ndarray:
+    """K = sum over [a, b] of int_a^b f f' dt, f(t) = (sin(omega t), cos(omega t)), omega = k scale.
 
-    Entries are half sums of int_0^T cos(x t) dt = T sinc(x T / pi) and int_0^T sin(x t) dt =
-    2 sin^2(x T / 2) / x = h (x h / 2), h = T sinc(x T / 2 pi), at x = omega_i -+ omega_j: exact
-    at x = 0, free of cancellation near it, finite unless x T overflows.  K is exactly symmetric.
+    Time integrals pass [(0, T)], space integrals the intervals of omega.  Entries are half sums of
+    F(b) - F(a) at x = (k_i -+ k_j) scale, rounded once from the mode numbers k: F(t) = t sinc(x t / pi)
+    for cos(x t), and 2 sin^2(x t / 2) / x = h (x h / 2), h = t sinc(x t / 2 pi), for sin(x t).  Exact
+    at x = 0, free of cancellation near it, finite unless x t overflows; K is exactly symmetric.
     """
-    if not 0.0 < T < np.inf:
-        raise GridError(f"the time integral needs 0 < T < inf, got T={T}")
-    x = np.stack([omega[:, None] - omega, omega[:, None] + omega])
-    Cm, Cp = T * np.sinc(x * (T / np.pi))
-    h = T * np.sinc(x * (T / (2.0 * np.pi)))
-    sc = 0.5 * np.sum(h * (0.5 * x * h), axis=0)  # int sin(omega_i t) cos(omega_j t) dt
-    return np.block([[0.5 * (Cm - Cp), sc], [sc.T, 0.5 * (Cm + Cp)]])
+    if not all(-np.inf < a < b < np.inf for a, b in intervals):
+        raise GridError(f"the integral needs intervals -inf < a < b < inf, got {list(intervals)}")
+    t = np.array(intervals, dtype=float).reshape(-1, 2).T[:, :, None, None, None]  # (end, interval, -+, i, j)
+    x = np.stack([k[:, None] - k, k[:, None] + k]) * scale
+    y = x * (t / np.pi)
+    h = t * np.sinc(0.5 * y)
+    C, S = t * np.sinc(y), h * (0.5 * x * h)  # F of cos(x t) and of sin(x t)
+    Cm, Cp = np.sum(C[1] - C[0], axis=0)
+    sc = 0.5 * np.sum(S[1] - S[0], axis=(0, 1))  # int sin(omega_i t) cos(omega_j t) dt
+    return np.vstack([np.hstack([0.5 * (Cm - Cp), sc]), np.hstack([sc.T, 0.5 * (Cm + Cp)])])
+
+
+def _time_gram(basis: SineBasis, N: int, T: float) -> np.ndarray:
+    """_trig_gram of the first N wave frequencies over [0, T]; N may not exceed the basis."""
+    if N > basis.N:
+        raise DimensionError(f"a wave state of {N} modes does not fit a basis of {basis.N}")
+    return _trig_gram(basis.j[:N], np.pi / basis.L, [(0.0, T)])
 
 
 def boundary_observation_energy(basis: SineBasis, s: WaveState, T: float) -> float:
@@ -202,20 +213,15 @@ def boundary_observation_energy(basis: SineBasis, s: WaveState, T: float) -> flo
 
     dx psi(t, L) = sum_k (-1)^k (a_k cos(k pi t / L) + b_k sin(k pi t / L)).
     """
+    K = _time_gram(basis, s.N, T)
     sign = (-1.0) ** basis.j[: s.N]
     v = np.concatenate([sign * s.b, sign * s.a])
-    return float(v @ _trig_gram(basis.omega[: s.N], T) @ v)
+    return float(v @ K @ v)
 
 
 def sin2_mass(omega: IntervalUnion, j: int, basis: SineBasis) -> float:
-    """int_omega sin^2(j pi x / L) dx by the closed-form antiderivative."""
-    L = basis.L
-    w = 2.0 * j * np.pi / L
-
-    def anti(x):
-        return 0.5 * x - np.sin(w * x) / (2.0 * w)
-
-    return float(sum(anti(hi) - anti(lo) for lo, hi in omega.intervals))
+    """int_omega sin^2(j pi x / L) dx, in closed form."""
+    return float(_trig_gram(np.array([j]), np.pi / basis.L, omega.intervals)[0, 0])
 
 
 def periago_bound(measure: float, L: float) -> float:
@@ -240,18 +246,7 @@ def optimal_interval_union(j: int, measure: float, L: float) -> IntervalUnion:
 
 def _sin_product_integrals(omega: IntervalUnion, basis: SineBasis, N: int) -> np.ndarray:
     """S[j-1, k-1] = int_omega sin(j pi x/L) sin(k pi x/L) dx, closed form."""
-    L = basis.L
-    S = np.diag([sin2_mass(omega, j, basis) for j in range(1, N + 1)])
-    r, c = np.triu_indices(N, 1)  # the pairs j = r + 1 < k = c + 1
-    wm = (r - c) * np.pi / L
-    wp = (r + c + 2) * np.pi / L
-    val = 0.0
-    for lo, hi in omega.intervals:
-        val = val + 0.5 * (
-            (np.sin(wm * hi) - np.sin(wm * lo)) / wm - (np.sin(wp * hi) - np.sin(wp * lo)) / wp
-        )
-    S[r, c] = S[c, r] = val
-    return S
+    return _trig_gram(np.arange(1, N + 1), np.pi / basis.L, omega.intervals)[:N, :N]
 
 
 def internal_wave_observation(basis: SineBasis, s: WaveState, omega: IntervalUnion, T: float) -> float:
@@ -262,7 +257,7 @@ def internal_wave_observation(basis: SineBasis, s: WaveState, omega: IntervalUni
     """
     S = _sin_product_integrals(omega, basis, s.N)
     V = np.vstack([np.diag(s.b), np.diag(s.a)])  # phi's modal amplitudes are V' (sin, cos)
-    return float(np.sum(S * (V.T @ _trig_gram(basis.omega[: s.N], T) @ V)))
+    return float(np.sum(S * (V.T @ _time_gram(basis, s.N, T) @ V)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,10 @@ def hum_wave_boundary(
         raise IllPosedError(f"T={T}: the Gramian needs a positive horizon", 0.0)
     times, wts = simpson_grid(T, steps)
     d = np.tile(_wave_control_operator(basis, N), 2)
+    G = _time_gram(basis, N, T) * np.outer(d, d)
     # Rows w_i = S(T - t_i) D = (sin, cos)(omega (T - t_i)) d of the observation map.
     th = np.outer(T - times, basis.omega[:N])
     w = np.hstack([np.sin(th), np.cos(th)]) * d
-    G = _trig_gram(basis.omega[:N], T) * np.outer(d, d)
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     if cond > 1e12:
@@ -496,15 +491,14 @@ def damping_decay_experiment(
     """
     N = basis.N
     y0 = WaveState(np.ones(N), np.zeros(N))
-    times, _ = simpson_grid(T_fit, samples)
+    if not (samples >= 1 and 0.0 < T_fit < np.inf):
+        raise GridError(f"sampling needs samples >= 1 and 0 < T_fit < inf, got {samples=}, {T_fit=}")
+    times = (T_fit / samples) * np.arange(samples + 1)
     om = basis.omega
     M = np.zeros((2 * N, 2 * N))
     M[:N, N:] = np.diag(om)
     M[N:, :N] = np.diag(-om)
-    if damping is not None and damping.intervals:
-        B = (2.0 / basis.L) * _sin_product_integrals(damping, basis, N)
-    else:
-        B = np.zeros((N, N))
+    B = (2.0 / basis.L) * _sin_product_integrals(damping or IntervalUnion([]), basis, N)
     M[N:, N:] = -B
     step = expm(times[1] * M)
     Z = np.empty((len(times), 2 * N))

@@ -91,13 +91,22 @@ def test_criterion_02_hautus_kalman_property():
         assert ck.kalman_test(sys2).rank == rank
 
 
-def test_criterion_03_gramian_and_hum():
+def gramian_hum_run():
+    """The criterion 3 data: the double integrator's Gramian error at T = 1,
+    and the max error of its HUM control from 6 - 12 t, with the control's
+    endpoint_error and cost."""
     sys_ = pr.double_integrator()
     rep = ck.gramian(sys_, 1.0)
-    assert np.max(np.abs(rep.G - np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]]))) < 1e-9
+    gramian_error = float(np.max(np.abs(rep.G - np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]]))))
     res = ck.hum_control_finite(sys_, 1.0, np.zeros(2), np.array([1.0, 0.0]))
     u = np.array([res.law(t) for t in res.times]).ravel()
-    assert np.max(np.abs(u - (6.0 - 12.0 * res.times))) < 1e-6
+    return gramian_error, float(np.max(np.abs(u - (6.0 - 12.0 * res.times)))), res
+
+
+def test_criterion_03_gramian_and_hum():
+    gramian_error, control_error, res = gramian_hum_run()
+    assert gramian_error < 1e-9
+    assert control_error < 1e-6
     assert res.endpoint_error < 1e-6
     assert abs(res.cost - 12.0) < 1e-8
 
@@ -174,17 +183,19 @@ def _scalar_lq():
     )
 
 
-def test_criterion_07_riccati_lq():
+def riccati_lq_run():
+    """The criterion 7 data: the max error of the scalar Riccati solution from
+    -tanh(2 - t), the LQ cost, its gap from x0' (-P(0)) x0, and the lowest cost
+    of 1000 random piecewise-constant open-loop controls."""
     p = _scalar_lq()
     sol = ck.riccati_solve(p, steps=2000)
     ts = np.linspace(0.0, 2.0, 2001)
     got = np.array([sol.at(t)[0, 0] for t in ts])
-    assert np.max(np.abs(got + np.tanh(2.0 - ts))) < 1e-8
+    riccati_error = float(np.max(np.abs(got + np.tanh(2.0 - ts))))
     law = ck.lq_feedback(sol, p)
     x0 = np.array([1.0])
     cost, _, _ = ck.lq_cost(p, law, x0, steps=2000)
-    assert abs(cost - float(x0 @ (-sol.at(0.0)) @ x0)) < 1e-6
-    # beat 1000 random piecewise-constant open-loop controls
+    value_gap = abs(cost - float(x0 @ (-sol.at(0.0)) @ x0))
     rng = np.random.default_rng(0)
     steps, nseg = 2000, 40
     h = p.T / steps
@@ -194,7 +205,14 @@ def test_criterion_07_riccati_lq():
         u = rng.normal(-0.5, 0.7, nseg)[seg]
         x = np.concatenate([[1.0], 1.0 + np.cumsum(u) * h])
         best = min(best, float(np.sum(x[:-1] ** 2 + u**2) * h))
-    assert cost < best
+    return riccati_error, value_gap, cost, best
+
+
+def test_criterion_07_riccati_lq():
+    riccati_error, value_gap, cost, best = riccati_lq_run()
+    assert riccati_error < 1e-8
+    assert value_gap < 1e-6
+    assert cost < best  # beat 1000 random piecewise-constant open-loop controls
 
 
 def shoot_extremals():
@@ -327,7 +345,10 @@ def test_criterion_11_hum_wave_synthesis():
                           WaveState(np.zeros(16), np.zeros(16)), 1.0, force=True)
 
 
-def test_criterion_12_moment_method():
+def moment_method_run():
+    """The criterion 12 data: the worst 80-digit biorthogonality residual of
+    the K = 6 family at T = 1, and the largest final mode of the moment control
+    of four heat modes, whose coupling comes from _sin_product_integrals."""
     import mpmath as mp
 
     L, T, K = math.pi, 1.0, 6
@@ -342,12 +363,17 @@ def test_criterion_12_moment_method():
                     s = mp.mpf(mu[i]) + mp.mpf(mu[j])
                     val += C[i, k] * (1 - mp.e ** (-s * T)) / s
                 worst = max(worst, float(abs(val - (1 if j == k else 0))))
-    assert worst < 1e-8
     basis = SineBasis(L, 4)
     res = moment_heat_control(
         basis, IntervalUnion([[0.0, L / 2.0]]), np.array([1.0, -0.5, 0.3, 0.2]), T, 4
     )
-    assert res.max_final < 1e-6
+    return worst, res.max_final
+
+
+def test_criterion_12_moment_method():
+    worst, max_final = moment_method_run()
+    assert worst < 1e-8
+    assert max_final < 1e-6
 
 
 def damping_run():

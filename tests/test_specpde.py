@@ -11,7 +11,7 @@ import pytest
 from ctrlkit import problems as pr
 from ctrlkit import specpde
 from ctrlkit.lincontrol import kalman_matrix
-from ctrlkit.numcore import expm, simpson_grid
+from ctrlkit.numcore import DimensionError, GridError, expm, simpson_grid
 from ctrlkit.specpde import (
     IllPosedError,
     _semilinear_rhs,
@@ -59,6 +59,30 @@ def _trig_gram_40(omega, T):
         om = [mp.mpf(float(o)) for o in omega]
         F = [[mp.sin(o * s) for s in t] for o in om] + [[mp.cos(o * s) for s in t] for o in om]
         return [[mp.fdot([wi * fi for wi, fi in zip(w, row)], col) for col in F] for row in F]
+
+
+def _trig_gram_exact(k, L, intervals):
+    """sum over [a, b] of int_a^b f f' dt, f(t) = (sin, cos)(k pi t / L) at the exact frequencies:
+    the antiderivatives sin(x t) / x and -cos(x t) / x at 40 digits, rounded to floats at the end."""
+    with mp.workdps(40):
+        om = [int(j) * mp.pi / L for j in k]
+        ivs = [(mp.mpf(a), mp.mpf(b)) for a, b in intervals]
+
+        def cos_int(x):
+            return mp.fsum(b - a if x == 0 else (mp.sin(x * b) - mp.sin(x * a)) / x for a, b in ivs)
+
+        def sin_int(x):
+            return mp.fsum(0 if x == 0 else (mp.cos(x * a) - mp.cos(x * b)) / x for a, b in ivs)
+
+        ss, sc, cc = (
+            np.array([[float(g(p, q)) for q in om] for p in om])
+            for g in (
+                lambda p, q: (cos_int(p - q) - cos_int(p + q)) / 2,
+                lambda p, q: (sin_int(p - q) + sin_int(p + q)) / 2,
+                lambda p, q: (cos_int(p - q) + cos_int(p + q)) / 2,
+            )
+        )
+    return np.block([[ss, sc], [sc.T, cc]])
 
 
 class TestEvolution:
@@ -132,9 +156,23 @@ class TestObservability:
         basis = SineBasis(1.0, 4)
         omega = IntervalUnion([[0.2, 0.55]])
         for j in (1, 3, 9):
-            xs = np.linspace(0.2, 0.55, 20001)
-            ref = np.trapezoid(np.sin(j * np.pi * xs) ** 2, xs)
-            assert abs(sin2_mass(omega, j, basis) - ref) < 1e-9
+            with mp.workdps(40):
+                ref = float(mp.quad(lambda x: mp.sin(j * mp.pi * x) ** 2, [0.2, 0.55]))
+            assert abs(sin2_mass(omega, j, basis) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda basis, s: boundary_observation_energy(basis, s, 2.0),
+            lambda basis, s: internal_wave_observation(basis, s, IntervalUnion([(0.2, 0.5)]), 2.0),
+            lambda basis, s: hum_wave_boundary(basis, s, s, 2.0),
+        ],
+        ids=["boundary_observation_energy", "internal_wave_observation", "hum_wave_boundary"],
+    )
+    def test_more_modes_than_the_basis(self, call):
+        s = WaveState(np.ones(6), np.zeros(6))
+        with pytest.raises(DimensionError, match="of 6 modes does not fit a basis of 4"):
+            call(SineBasis(1.0, 4), s)
 
     def test_periago_lower_bound(self):
         L = 1.0
@@ -231,7 +269,7 @@ class TestTrigGram:
         ],
     )
     def test_matches_a_40_digit_quadrature(self, omega, T):
-        K = _trig_gram(omega, T)
+        K = _trig_gram(omega, 1.0, [(0.0, T)])
         ref = np.array(_trig_gram_40(omega, T), dtype=float)
         assert np.array_equal(K, K.T)
         assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -239,13 +277,42 @@ class TestTrigGram:
     def test_finite_and_exact_at_a_huge_horizon(self):
         # T^2 overflows: (x / 2) (T sinc)^2 would give inf * 0 = nan where x = 0.
         T = 1e200
-        K = _trig_gram(SineBasis(1.0, 4).omega, T)
+        K = _trig_gram(SineBasis(1.0, 4).j, np.pi, [(0.0, T)])
         assert np.all(np.isfinite(K))
         # sin^2 and cos^2 integrate to T/2 up to 1/(4 omega), far below an ulp
         # of T/2.  Every other entry is half a sum of two integrals of cos(x t)
         # or sin(x t) with x = 0 (sin only, 0) or |x| >= pi (at most 2/pi each).
         assert np.array_equal(np.diag(K), np.full(8, T / 2))
         assert np.max(np.abs(K - np.diag(np.diag(K)))) <= 2.0 / np.pi
+
+    @pytest.mark.parametrize("N, L, T", [(32, 1.0, 2.0), (16, 3.0, 7.7)])
+    def test_exact_frequencies(self, N, L, T):
+        # x = (i -+ j) pi / L is rounded once from the mode numbers; the difference of the
+        # rounded omega_i and omega_j was 3.5e-15 and 1.3e-15 (relative) off here.
+        K = _trig_gram(np.arange(1, N + 1), np.pi / L, [(0.0, T)])
+        ref = _trig_gram_exact(range(1, N + 1), L, [(0.0, T)])
+        assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            [(0.0, 0.0)],
+            [(0.5, 0.2)],
+            [(0.0, math.nan)],
+            [(0.0, math.inf)],
+            [(-math.inf, 0.0)],
+            [(0.0, 1.0), (2.0, 2.0)],
+        ],
+    )
+    def test_bad_interval_raises(self, intervals):
+        with pytest.raises(GridError):
+            _trig_gram(np.arange(1, 4), np.pi, intervals)
+
+    def test_no_intervals_give_zeros(self):
+        basis, empty = SineBasis(1.0, 4), IntervalUnion([])
+        assert sin2_mass(empty, 3, basis) == 0.0
+        assert np.array_equal(_sin_product_integrals(empty, basis, 4), np.zeros((4, 4)))
+        assert np.array_equal(_trig_gram(np.arange(1, 4), np.pi, []), np.zeros((6, 6)))
 
 
 class TestMomentMethod:
@@ -300,35 +367,22 @@ class TestDamping:
         res = damping_decay_experiment(basis, None, 8.0)
         assert np.max(np.abs(res.energy - res.energy[0])) < 1e-10
 
+    def test_samples_the_requested_count(self):
+        basis, omega = SineBasis(1.0, 4), IntervalUnion([[0.2, 0.8]])
+        odd = damping_decay_experiment(basis, omega, 8.0, samples=3)
+        assert np.array_equal(odd.times, (8.0 / 3.0) * np.arange(4))
+        even = damping_decay_experiment(basis, omega, 8.0, samples=400)
+        assert np.array_equal(even.times, simpson_grid(8.0, 400)[0])
+
 
 class TestSinProductIntegrals:
-    @staticmethod
-    def loop(omega, basis, N):
-        """The double loop over mode pairs that the array expressions replace."""
-        L = basis.L
-        S = np.empty((N, N))
-        for j in range(1, N + 1):
-            for k in range(j, N + 1):
-                if j == k:
-                    val = sin2_mass(omega, j, basis)
-                else:
-                    wm = (j - k) * np.pi / L
-                    wp = (j + k) * np.pi / L
-                    val = 0.0
-                    for lo, hi in omega.intervals:
-                        val += 0.5 * (
-                            (np.sin(wm * hi) - np.sin(wm * lo)) / wm
-                            - (np.sin(wp * hi) - np.sin(wp * lo)) / wp
-                        )
-                S[j - 1, k - 1] = S[k - 1, j - 1] = val
-        return S
-
-    @pytest.mark.parametrize("L", [1.0, math.pi])
-    def test_bit_identical_to_the_loop(self, L):
+    @pytest.mark.parametrize("L", [1.0, math.pi, 7.3])
+    def test_matches_40_digits(self, L):
         basis = SineBasis(L, 16)
-        omega = IntervalUnion([[0.1 * L, 0.35 * L], [0.55 * L, 0.9 * L]])
-        S = _sin_product_integrals(omega, basis, 16)
-        assert S.tobytes() == self.loop(omega, basis, 16).tobytes()
+        intervals = [(0.1 * L, 0.35 * L), (0.55 * L, 0.9 * L)]
+        S = _sin_product_integrals(IntervalUnion(intervals), basis, 16)
+        ref = _trig_gram_exact(range(1, 17), L, intervals)[:16, :16]
+        assert np.max(np.abs(S - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def _cubic_plant(L=1.0, n=1, N_sim=8):
