@@ -3,7 +3,7 @@
 Usage, from any directory:
     python scripts/criteria_margins.py > margins.txt
 
-For criteria 3 and 7 to 14 of tests/test_acceptance.py, one
+For criteria 3, 4 and 6 to 14 of tests/test_acceptance.py, one
 line per quantity that the test compares with a tolerance: `criterion
 quantity  value  gate  margin`, where margin is log10(gate / value), "inf"
 for a value of 0 or less and "nan" for a NaN; for the one lower bound, the
@@ -11,13 +11,15 @@ condition number of criterion 11, it is log10(value / gate).  The gate of
 criterion 7's cost is the lowest cost of the test's 1000 random controls.
 Values, gates and margins are rounded to 2 significant digits, so two runs
 print the same lines.  The data come from `gramian_hum_run`,
-`riccati_lq_run`, `shoot_extremals`, `wave_observability_run`,
-`hum_wave_run`, `moment_method_run`, `damping_run` and
-`semilinear_heat_run` of that file, the library calls and data its tests
-use.  The wall-clock bound, the `converged` flags, the switch count of
-criterion 8, the IllPosedError of criterion 11, the sign of delta in
-criterion 13 and the Kalman determinants of criterion 14 are not margins
-and are left out, and criteria 1, 2, 4, 5 and 6 are not covered yet.
+`time_varying_run`, `pole_placement_run`, `riccati_lq_run`,
+`shoot_extremals`, `wave_observability_run`, `hum_wave_run`,
+`moment_method_run`, `damping_run` and `semilinear_heat_run` of that file,
+the library calls and data its tests use.  The wall-clock bound of
+criterion 1, the ranks and `ok` flags of criterion 4, the `converged`
+flags, the switch count of criterion 8, the IllPosedError of criterion 11,
+the sign of delta in criterion 13 and the Kalman determinants of criterion
+14 are not margins and are left out.  Criteria 1, 2 and 5 compare no number
+with a tolerance, so they print no line.
 """
 
 import math
@@ -36,9 +38,11 @@ from test_acceptance import (  # noqa: E402
     gramian_hum_run,
     hum_wave_run,
     moment_method_run,
+    pole_placement_run,
     riccati_lq_run,
     semilinear_heat_run,
     shoot_extremals,
+    time_varying_run,
     wave_observability_run,
 )
 
@@ -57,6 +61,15 @@ def margins():
     yield line(3, "double-integrator max |u - (6 - 12 t)|", control_error, 1e-6)
     yield line(3, "double-integrator endpoint_error", res.endpoint_error, 1e-6)
     yield line(3, "double-integrator |cost - 12|", abs(res.cost - 12.0), 1e-8)
+    _, _, reports = time_varying_run()
+    for T, rep in reports.items():
+        yield line(4, f"rotating frame C_T at T = {T:g}", rep.C_T, 1e-12)
+    eig_error, coeff_error, skipped, pendulum_eig, pendulum_coeff = pole_placement_run()
+    yield line(6, "worst max |eig - target|", eig_error, 1e-6)
+    yield line(6, "worst single-input max |coefficient - target|", coeff_error, 1e-8)
+    yield line(6, "pairs skipped as too non-normal", skipped, 40)
+    yield line(6, "pendulum max |eig - target|", pendulum_eig, 1e-6)
+    yield line(6, "pendulum max |coefficient - target|", pendulum_coeff, 1e-8)
     riccati_error, value_gap, cost, best = riccati_lq_run()
     yield line(7, "max |P(t) + tanh(2 - t)|", riccati_error, 1e-8)
     yield line(7, "|cost - x0' (-P(0)) x0|", value_gap, 1e-6)

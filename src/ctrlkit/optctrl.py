@@ -504,28 +504,16 @@ def pmp_shoot(
     Newton runs on two grids: a coarse one of `steps // 8` steps (none when
     `steps` < 8) and the requested one; `converged` means the residual on
     the requested grid is below `tol`, and `newton_iters` bounds the Newton
-    iterations of both grids together.  Coarse Newton stops below its
-    target, when a step fails, or when an accepted step has not halved its
-    residual, so a stalled coarse level leaves the budget to the requested
-    grid.
-
-    When `steps // 64` has at least 8 steps, the guess is swept first on
-    the coarse grid and then on that cheap one.  RK4 is fourth order, so the
-    coarse grid's error is about floor = ||r_coarse - r_cheap|| / (8^4 - 1)
+    iterations of both grids together.  The guess is swept on the coarse
+    grid and on one other: `steps // 64` when that has at least 8 steps,
+    `steps` otherwise.  RK4 is fourth order, so the coarse grid's error is
+    about floor = ||r_coarse - r_other|| / |1 - (coarse / other)^4|
     (Richardson).  If ||r_coarse|| >= 4 max(tol, floor), coarse Newton runs
-    to max(tol, floor), its first Jacobian reusing the cheap sweep, and the
-    requested grid sweeps only the coarse iterate before its own Newton.
-    Otherwise the coarse grid cannot improve the guess, and the guess takes
-    the path below, with its coarse sweep reused; so does a guess whose
-    probe sweep raises IntegrationBlowup.  On that path, and below 512
-    steps, the guess is swept on the requested grid and returned if its
-    residual there is below `tol`.  A guess meeting `tol` has a coarse
-    residual of about the floor, so it takes that path and costs one sweep
-    on the requested grid, after the two probes from 512 steps up.
-    Otherwise coarse Newton runs to max(tol, delta), with delta =
-    ||r_fine - r_coarse|| at the guess, and the requested grid continues
-    from the coarse iterate if that has the smaller fine residual and from
-    the guess otherwise.
+    to max(tol, floor), stopping early when a step fails or an accepted step
+    has not halved its residual; the requested grid then starts from the
+    coarse iterate.  Otherwise, or when a probe sweep raises
+    IntegrationBlowup, it starts from the guess, reusing the guess's sweep
+    when the other grid is the requested one.
 
     A Newton iteration on an s-step grid takes its Jacobian from extremals
     on s // 8 steps, with one more sweep there for the base residual: a
@@ -622,41 +610,33 @@ def pmp_shoot(
                 return z, shot, it + 1  # stalled: leave the budget to the requested grid
         return z, shot, iters
 
-    coarse, cheap = steps // 8, steps // 64
-    coarse_shot = cheap_r = floor = None
-    used = 0
-    if cheap >= 8:
+    coarse, shot, used = steps // 8, None, 0
+    if coarse >= 1:
+        other = steps // 64 if steps >= 512 else steps
         try:
-            coarse_shot = shoot(z, coarse)
-            cheap_r = shoot(z, cheap)[0]
-            # Richardson: RK4's error on the coarse grid is 1 / (8^4 - 1) of the grids' gap.
-            floor = float(np.linalg.norm(coarse_shot[0] - cheap_r)) / 4095.0
+            coarse_shot, other_shot = shoot(z, coarse), shoot(z, other)
         except IntegrationBlowup:
-            pass  # the requested grid says whether shooting blows up
-    if floor is not None and np.linalg.norm(coarse_shot[0]) >= 4.0 * max(tol, floor):
-        z, _, used = newton(z, coarse_shot, coarse, max(tol, floor), newton_iters, cheap_r)
-        shot = shoot(z, steps)
-    else:
-        shot = shoot(z, steps)
-        if np.linalg.norm(shot[0]) >= tol and coarse >= 1:
-            if coarse_shot is None:
-                coarse_shot = shoot(z, coarse)
-            # The grids' disagreement at the guess: coarse Newton gains nothing below it.
-            floor = float(np.linalg.norm(shot[0] - coarse_shot[0]))
-            z_coarse, _, used = newton(
-                z, coarse_shot, coarse, max(tol, floor), newton_iters, cheap_r
-            )
-            if z_coarse is not z:  # newton hands back z itself when it took no step
-                trial = shoot(z_coarse, steps)
-                if np.linalg.norm(trial[0]) < np.linalg.norm(shot[0]):
-                    z, shot = z_coarse, trial
-    z, (r, extremal), _ = newton(z, shot, steps, tol, newton_iters - used)
+            pass  # no coarse level: the requested grid says whether shooting blows up
+        else:
+            # Richardson: RK4's error on the coarse grid, from its gap to the other grid.
+            gap = float(np.linalg.norm(coarse_shot[0] - other_shot[0]))
+            target = max(tol, gap / abs(1.0 - (coarse / other) ** 4))
+            if other == steps:
+                shot = other_shot
+            if np.linalg.norm(coarse_shot[0]) >= 4.0 * target:
+                base = other_shot[0] if other < coarse else None
+                z_coarse, _, used = newton(z, coarse_shot, coarse, target, newton_iters, base)
+                if z_coarse is not z:  # newton hands back z itself when it took no step
+                    z, shot = z_coarse, None
+    z, (r, extremal), _ = newton(
+        z, shoot(z, steps) if shot is None else shot, steps, tol, newton_iters - used
+    )
 
     converged = history[-1] < tol
     tf = float(z[n]) if p.horizon is None else float(p.horizon)
     if not tf / steps > 0.0:
         raise ShootingError(f"Newton ended at t_f = {tf:.6g}: no positive grid step", history)
-    times, Z = extremal if extremal is not None else integrate_extremal(p, z[:n], tf, steps, p0)
+    times, Z = extremal
     # Sample the extremal on Python floats: the controls, f and f0 for H, and
     # the smallest |switching function| at each node.
     switching = getattr(p.maximizer, "switching", None)

@@ -156,16 +156,24 @@ class IntervalUnion:
 # ---------------------------------------------------------------------------
 
 
+def _check_modes(basis: SineBasis, N: int) -> None:
+    """Raise DimensionError unless a state of N modes fits the basis."""
+    if N > basis.N:
+        raise DimensionError(f"a state of {N} modes does not fit a basis of {basis.N}")
+
+
 def heat_evolve(basis: SineBasis, coeffs, t: float) -> np.ndarray:
     """Heat semigroup on coefficients: multiply mode j by exp(-mu_j t)."""
     if t < 0:
         raise ValueError("the heat semigroup is not reversible: t must be >= 0")
     c = np.asarray(coeffs, dtype=float)
+    _check_modes(basis, c.shape[0])
     return c * np.exp(-basis.mu[: c.shape[0]] * t)
 
 
 def wave_evolve(basis: SineBasis, s: WaveState, t: float) -> WaveState:
     """Wave group: rotation by angle j pi t / L in each (a_j, b_j) plane."""
+    _check_modes(basis, s.N)
     th = basis.omega[: s.N] * t
     co, si = np.cos(th), np.sin(th)
     return WaveState(s.a * co + s.b * si, -s.a * si + s.b * co)
@@ -203,8 +211,7 @@ def _trig_gram(k: np.ndarray, scale: float, intervals) -> np.ndarray:
 
 def _time_gram(basis: SineBasis, N: int, T: float) -> np.ndarray:
     """_trig_gram of the first N wave frequencies over [0, T]; N may not exceed the basis."""
-    if N > basis.N:
-        raise DimensionError(f"a wave state of {N} modes does not fit a basis of {basis.N}")
+    _check_modes(basis, N)
     return _trig_gram(basis.j[:N], np.pi / basis.L, [(0.0, T)])
 
 

@@ -322,17 +322,17 @@ CORPUS_SHOTS = {
 }
 
 
-# Extremal integrations per grid at 2000 steps, and accepted Newton steps.
-# The guess is swept on 250 and 31 steps first.  Newton on 250 steps takes
-# its Jacobians from 31-step sweeps, the first one's base being the guess's
-# sweep, and on 2000 steps from 250-step sweeps.  Brachistochrone and
-# di_min_time sweep only their coarse iterate on 2000 steps; zermelo's guess
-# is already within the 250-step grid's floor, so it takes the 2000-step
-# path from its guess.
+# Extremal integrations per grid at 2000 steps, accepted Newton steps and
+# history_steps.  The guess is swept on 250 and 31 steps first.  Newton on
+# 250 steps takes its Jacobians from 31-step sweeps, the first one's base
+# being the guess's sweep, and on 2000 steps from 250-step sweeps.
+# Brachistochrone and di_min_time sweep only their coarse iterate on 2000
+# steps; zermelo's guess is already within the 250-step grid's floor, so it
+# skips the coarse level and starts from its guess on 2000 steps.
 CORPUS_WORK = {
-    "brachistochrone": ({31: 20, 250: 6, 2000: 1}, 5),
-    "di_min_time": ({31: 20, 250: 6, 2000: 1}, 5),
-    "zermelo": ({31: 1, 250: 5, 2000: 2}, 1),
+    "brachistochrone": ({31: 20, 250: 6, 2000: 1}, 5, [250] * 6 + [2000]),
+    "di_min_time": ({31: 20, 250: 6, 2000: 1}, 5, [250] * 6 + [2000]),
+    "zermelo": ({31: 1, 250: 5, 2000: 2}, 1, [2000, 2000]),
 }
 
 
@@ -378,15 +378,25 @@ class TestTwoLevelShooting:
         e, _ = corpus_shots[name]
         assert e.newton_iterations == CORPUS_WORK[name][1]
 
-    def test_blowup_on_the_jacobian_grid_falls_back_to_the_iterate_grid(
-        self, corpus_shots, monkeypatch
-    ):
+    @pytest.mark.parametrize(
+        "bad, work",
+        [
+            # the 31-step probe blows up, so there is no coarse level; each of
+            # the 5 Newton iterations on 2000 steps takes its Jacobian on 250
+            (31, {31: 1, 250: 21, 2000: 6}),
+            # the 250-step probe blows up, and so does each iteration's first
+            # Jacobian sweep there; the Jacobians come from 2000 steps
+            (250, {250: 6, 2000: 21}),
+        ],
+        ids=["31", "250"],
+    )
+    def test_probe_blowup_skips_the_coarse_level(self, monkeypatch, bad, work):
         grids = []
         integrate = optctrl.integrate_extremal
 
         def blowing_up(p, p_init, tf, steps, p0=-1.0):
             grids.append(steps)
-            if steps == 31:
+            if steps == bad:
                 raise IntegrationBlowup(0.0)
             return integrate(p, p_init, tf, steps, p0)
 
@@ -395,11 +405,8 @@ class TestTwoLevelShooting:
         e = ck.pmp_shoot(build(), np.array(guess), steps=2000)
         assert e.converged
         assert abs(e.tf - tf) <= tol
-        assert e.history_steps == corpus_shots["brachistochrone"][0].history_steps
-        # the 31-step probe of the guess blows up, so the guess is swept on
-        # 2000 steps; each of the 5 coarse iterations tries one 31-step sweep,
-        # then takes its Jacobian from 250-step sweeps
-        assert collections.Counter(grids) == {31: 6, 250: 21, 2000: 2}
+        assert e.history_steps == [2000] * 6
+        assert collections.Counter(grids) == work
 
     @pytest.mark.parametrize("name", sorted(CORPUS_SHOTS))
     def test_tf_matches_single_grid_newton(self, corpus_shots, name):
@@ -410,9 +417,7 @@ class TestTwoLevelShooting:
     def test_history_is_coarse_first_and_ends_on_requested_grid(self, corpus_shots, name):
         e, _ = corpus_shots[name]
         assert len(e.history_steps) == len(e.residual_history)
-        assert e.history_steps == sorted(e.history_steps)
-        assert set(e.history_steps) <= {250, 2000}
-        assert e.history_steps[-1] == 2000
+        assert e.history_steps == CORPUS_WORK[name][2]
         assert e.residual_history[-1] < 1e-9
         levels = len(set(e.history_steps))
         assert e.newton_iterations == len(e.residual_history) - levels
@@ -442,6 +447,25 @@ class TestTwoLevelShooting:
         guess = [-0.028329282336421846, 0.7789756686980005, 1.8812783287212493]
         e = ck.pmp_shoot(build(), np.array(guess), steps=2000)
         assert e.history_steps.count(2000) > 1
+
+    @pytest.mark.parametrize(
+        "name, steps, work",
+        [
+            ("brachistochrone", 100, {12: 25, 100: 4}),
+            ("di_min_time", 100, {12: 17, 100: 4}),
+            ("brachistochrone", 200, {25: 21, 200: 3}),
+            ("di_min_time", 200, {25: 21, 200: 2}),
+        ],
+    )
+    def test_work_below_512_steps(self, monkeypatch, name, steps, work):
+        # The other grid is the requested one: the guess is swept on steps // 8
+        # and on steps.  Coarse Newton takes its Jacobians on its own grid,
+        # because one eighth of it has fewer than 8 steps.
+        grids = _count_grids(monkeypatch)
+        build, guess, _, _ = CORPUS_SHOTS[name]
+        e = ck.pmp_shoot(build(), np.array(guess), steps=steps)
+        assert e.converged
+        assert collections.Counter(grids) == work
 
     def test_small_grid_still_takes_two_levels(self):
         build, guess, _, _ = CORPUS_SHOTS["brachistochrone"]

@@ -166,8 +166,16 @@ class TestObservability:
             lambda basis, s: boundary_observation_energy(basis, s, 2.0),
             lambda basis, s: internal_wave_observation(basis, s, IntervalUnion([(0.2, 0.5)]), 2.0),
             lambda basis, s: hum_wave_boundary(basis, s, s, 2.0),
+            lambda basis, s: heat_evolve(basis, s.a, 0.3),
+            lambda basis, s: wave_evolve(basis, s, 0.3),
         ],
-        ids=["boundary_observation_energy", "internal_wave_observation", "hum_wave_boundary"],
+        ids=[
+            "boundary_observation_energy",
+            "internal_wave_observation",
+            "hum_wave_boundary",
+            "heat_evolve",
+            "wave_evolve",
+        ],
     )
     def test_more_modes_than_the_basis(self, call):
         s = WaveState(np.ones(6), np.zeros(6))
