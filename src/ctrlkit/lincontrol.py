@@ -434,8 +434,8 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    times = simpson_grid(T, steps)[0]
-    stage_times = 0.5 * times[1] * np.arange(2 * len(times) - 1)  # RK4 nodes and midpoints
+    grid = simpson_grid(T, steps)[0]
+    times, stage_times = grid.times, grid.stages
     if isinstance(sys, LtiSystem):
         rep = gramian(sys, T)
         R = _transition_grid(sys, times)
@@ -455,7 +455,7 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
         return np.asarray(sys.B(t) if callable(sys.B) else sys.B).T @ adjoint(t)
 
     u = (adjoint(stage_times)[:, None] @ B)[:, 0]
-    endpoint = rk4_linear_sweep(A, (B @ u[:, :, None])[..., 0], times, x0, times[1])[-1]
+    endpoint = rk4_linear_sweep(A, (B @ u[:, :, None])[..., 0], grid, x0)[-1]
     return HumControl(
         law=ufun,
         times=times,

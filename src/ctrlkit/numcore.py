@@ -1,11 +1,11 @@
 """Shared deterministic numerical kernels.
 
 Dense matrix exponential (Pade 13 with scaling and squaring, of one matrix
-or a stack), classical RK4
-integration on uniform grids (linear ODEs from batched step matrices), dense
-output between grid nodes, finite-difference Jacobians, SVD-based numerical
-rank, the composite Simpson grid, and Chebyshev interpolation (nodes,
-differentiation, quadrature, barycentric evaluation and a tail test).
+or a stack), the uniform grid every fixed-step path runs on (`Grid`),
+classical RK4 integration on it (linear ODEs from batched step matrices),
+dense output between grid nodes, finite-difference Jacobians, SVD-based
+numerical rank, the composite Simpson grid, and Chebyshev interpolation
+(nodes, differentiation, quadrature, barycentric evaluation and a tail test).
 Everything here is a pure function of its inputs; all downstream modules
 build on these kernels so that results are bit-reproducible run to run.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "DimensionError",
     "IntegrationBlowup",
     "GridError",
+    "Grid",
     "Trajectory",
     "DenseOutput",
     "expm",
@@ -54,7 +55,24 @@ class IntegrationBlowup(RuntimeError):
 
 
 class GridError(ValueError):
-    """Raised for an invalid quadrature grid (no steps, or a horizon not in (0, inf))."""
+    """Raised for an invalid grid (steps not an integer >= 1, or a horizon not in (0, inf))."""
+
+
+@dataclass(frozen=True)
+class Grid:
+    """`steps` equal steps on [0, T]: h = T / steps, the nodes `times` = h k and the RK4 `stages`
+    = (h / 2) k, nodes and midpoints.  GridError unless steps is an integer >= 1 and 0 < T < inf."""
+
+    T: float
+    steps: int
+
+    def __post_init__(self):
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1 and 0.0 < self.T < np.inf):
+            raise GridError(f"steps must be an integer >= 1 and 0 < T < inf, got steps={self.steps}, T={self.T}")
+
+    h = property(lambda self: self.T / self.steps)
+    times = property(lambda self: self.h * np.arange(self.steps + 1))
+    stages = property(lambda self: (0.5 * self.h) * np.arange(2 * self.steps + 1))
 
 
 @dataclass(frozen=True)
@@ -230,23 +248,21 @@ def rk4_step(rhs, t: float, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
-    """The state at every node of `times`, one fixed RK4 step per interval.
+def rk4_sweep(rhs, grid: Grid, x0, step=None) -> np.ndarray:
+    """The state at every node of `grid`, one RK4 step per interval.
 
-    Step k starts at times[k] with the signed step h, so a reversed grid
-    with h < 0 sweeps backward.  States may have any shape (axis 0 of the
-    result is time).  `step(t, x, t_next)`, when given, replaces the RK4
-    step and gets `x0` as it is, so it may carry the state as a flat list
-    of floats.  Times are handed out as Python floats.  Raises
-    IntegrationBlowup(times[k + 1]) on a non-finite state.
+    States may have any shape (axis 0 of the result is time).  `step(t, x,
+    t_next)`, when given, replaces the RK4 step and gets `x0` as it is, so it
+    may carry the state as a flat list of floats.  Times are handed out as
+    Python floats.  Raises IntegrationBlowup(t_k+1) on a non-finite state x_k+1.
     """
     x = np.asarray(x0, dtype=float) if step is None else x0
     # On a flat list of floats, math.isfinite costs a tenth of np.isfinite.
     finite = (lambda x: all(map(math.isfinite, x))) if step else (lambda x: np.isfinite(x).all())
+    h, times = grid.h, grid.times.tolist()
     states = np.empty((len(times),) + np.shape(x))
     states[0] = x
-    times = np.asarray(times, dtype=float).tolist()
-    for k in range(len(times) - 1):
+    for k in range(grid.steps):
         x = rk4_step(rhs, times[k], x, h) if step is None else step(times[k], x, times[k + 1])
         if not finite(x):
             raise IntegrationBlowup(times[k + 1])
@@ -254,22 +270,25 @@ def rk4_sweep(rhs, times, x0, h: float, step=None) -> np.ndarray:
     return states
 
 
-def rk4_linear_sweep(M, b, times, x0, h: float) -> np.ndarray:
+def rk4_linear_sweep(M, b, grid: Grid, x0) -> np.ndarray:
     """rk4_sweep of x' = M(t) x + b(t) (b None for 0), from batched step matrices.
 
-    M[2k] and b[2k] are taken at times[k], M[2k + 1] and b[2k + 1] at times[k] + h/2.
-    Phi = I + h/6 (M_0 + 2 K2 + 2 K3 + K4), K2 = M_h (I + h/2 M_0), K3 = M_h (I + h/2 K2),
-    K4 = M_1 (I + h K3) come from batched products, 256 steps at a time, and one loop
-    applies them: rk4_sweep's method and blow-up contract, its states to rounding.
-    A constant M passed as np.broadcast_to(M, ...) (stride 0 in time) with b None
-    has one step matrix, formed once per 256 steps from M[:3].
+    M and b hold one sample per time of grid.stages.  With h = grid.h, Phi = I + h/6 (M_0 +
+    2 K2 + 2 K3 + K4), K2 = M_h (I + h/2 M_0), K3 = M_h (I + h/2 K2), K4 = M_1 (I + h K3)
+    come from batched products, 256 steps at a time, and one loop applies them: rk4_sweep's
+    method and blow-up contract, its states to rounding.  A constant M passed as
+    np.broadcast_to(M, ...) (stride 0 in time) with b None has one step matrix, formed once
+    per 256 steps from M[:3].
     """
+    if len(M) != 2 * grid.steps + 1:
+        raise DimensionError(f"M must hold one matrix per stage, {2 * grid.steps + 1}, got {len(M)}")
+    h = grid.h
     x = np.asarray(x0, dtype=float)
     n = x.shape[0]
     if b is not None:  # x' = M x + b is z' = [[M, b], [0, 0]] z for z = [x; I]
         b = np.asarray(b, dtype=float).reshape(len(M), n, -1)
         x = np.concatenate([x, np.eye(b.shape[2]).reshape(b.shape[2:] + x.shape[1:])])
-    states = np.empty((len(M) // 2 + 1,) + x.shape)
+    states = np.empty((grid.steps + 1,) + x.shape)
     states[0] = x
     constant = b is None and M.strides[0] == 0
     for s in range(0, len(states) - 1, 256):  # bounds the temporaries
@@ -287,7 +306,7 @@ def rk4_linear_sweep(M, b, times, x0, h: float) -> np.ndarray:
             x = states[k] = np.dot(P, x)
     finite = np.isfinite(states[1:]).all(axis=tuple(range(1, states.ndim)))
     if not finite.all():
-        raise IntegrationBlowup(float(times[int(finite.argmin()) + 1]))
+        raise IntegrationBlowup(float(grid.times[int(finite.argmin()) + 1]))
     return states if b is None else states[:, :n]
 
 
@@ -346,22 +365,18 @@ def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9) -> int:
 
 
 def simpson_grid(T: float, steps: int):
-    """Nodes and composite Simpson weights on [0, T]: (times, weights).
+    """The Grid of the composite Simpson rule on [0, T] and its weights: (grid, weights).
 
     Simpson's rule needs an even step count, so an odd `steps` is rounded up
-    here and nowhere else: len(times) - 1 is the count used.  The nodes are
-    h * arange, h = T / n, like every rk4_sweep grid; the weights are
-    (h/3)(1, 4, 2, 4, ..., 2, 4, 1), and the rule is weights @ samples, or
-    np.tensordot(weights, stack, axes=1) for a stack of arrays.
+    here and nowhere else: grid.steps is the count used.  The weights are
+    (h/3)(1, 4, 2, 4, ..., 2, 4, 1) on grid.times, and the rule is weights @
+    samples, or np.tensordot(weights, stack, axes=1) for a stack of arrays.
     """
-    if not (steps >= 1 and 0.0 < T < np.inf):
-        raise GridError(f"Simpson needs steps >= 1 and 0 < T < inf, got steps={steps}, T={T}")
-    n = steps + steps % 2
-    h = T / n
-    w = np.ones(n + 1)
+    grid = Grid(T, steps + Grid(T, steps).steps % 2)  # checks steps, then rounds it up to even
+    w = np.ones(grid.steps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return h * np.arange(n + 1), w * (h / 3.0)
+    return grid, w * (grid.h / 3.0)
 
 
 # ---------------------------------------------------------------------------

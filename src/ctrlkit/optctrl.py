@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import fd_jacobian, rk4_linear_sweep, rk4_sweep, simpson_grid
+from .numcore import Grid, fd_jacobian, rk4_linear_sweep, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 
 __all__ = [
@@ -136,11 +136,10 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
     A, B = p.sys.A, p.sys.B
     n = p.sys.n
     S = B @ np.linalg.solve(p.U, B.T)
-    h = p.T / steps
-    hM = h * np.block([[A, S], [p.W, -A.T]])
+    grid = Grid(p.T, steps)
+    hM = grid.h * np.block([[A, S], [p.W, -A.T]])
     b = max(1, min(steps, int(1.0 / max(np.linalg.norm(hM, 1), 1.0 / 256))))
     P = expm(-np.arange(1.0, b + 1)[:, None, None] * hM)  # P^1 ... P^b
-    grid = h * np.arange(steps + 1)
     E = np.empty((steps + 1, n, n))
     E[-1] = -p.Q
     for a in range(steps, 0, -b):  # the anchor node a fills nodes a - 1 ... a - m
@@ -154,10 +153,10 @@ def riccati_solve(p: LqProblem, steps: int = 2000) -> RiccatiSolution:
         j = j if ok.all() else int(ok.argmin())
         E[a - j : a] = Em[:j][::-1]
         if j < m:
-            t = grid[a - j - 1]
+            t = grid.times[a - j - 1]
             raise RiccatiBlowup(t, f"Riccati solution blew up near t={t:.6g}")
     dE = p.W - A.T @ E - E @ A - E @ S @ E
-    return RiccatiSolution(grid, E, 0.5 * (dE + dE.transpose(0, 2, 1)))
+    return RiccatiSolution(grid.times, E, 0.5 * (dE + dE.transpose(0, 2, 1)))
 
 
 def lq_feedback(sol: RiccatiSolution, p: LqProblem) -> Callable:
@@ -188,13 +187,13 @@ def lq_cost(p: LqProblem, law: Callable, x0, steps: int = 2000):
     if not hasattr(law, "gain"):
         raise TypeError("lq_cost needs the feedback that lq_feedback returns")
     x0 = np.asarray(x0, dtype=float).reshape(p.sys.n)
-    times, weights = simpson_grid(p.T, steps)
-    K = law.gain(0.5 * times[1] * np.arange(2 * len(times) - 1))
-    X = rk4_linear_sweep(p.sys.A + p.sys.B @ K, None, times, x0, times[1])
+    grid, weights = simpson_grid(p.T, steps)
+    K = law.gain(grid.stages)
+    X = rk4_linear_sweep(p.sys.A + p.sys.B @ K, None, grid, x0)
     controls = (K[::2] @ X[:, :, None])[:, :, 0]
     running = np.sum((X @ p.W) * X, axis=1) + np.sum((controls @ p.U) * controls, axis=1)
     cost = float(weights @ running) + float(X[-1] @ p.Q @ X[-1])
-    return cost, Trajectory(times, X), controls
+    return cost, Trajectory(grid.times, X), controls
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +447,11 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
         if getattr(p.maximizer, "bang_bang", False)
         else None
     )
-    h = tf / steps
-    times = h * np.arange(steps + 1)
+    grid = Grid(tf, steps)
+    h = grid.h
     z0 = np.concatenate([p.x0, p_init]).tolist()
     if switching is None:
-        return times, rk4_sweep(rhs, times, z0, h, lambda t, z, t_next: _rk4(rhs, t, z, h))
+        return grid.times, rk4_sweep(rhs, grid, z0, lambda t, z, t_next: _rk4(rhs, t, z, h))
     signs = None  # switching signs at the start of the next step, when known
 
     def step(t, z, t_next):
@@ -460,7 +459,7 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
         z, signs = _event_step(rhs, p.maximizer, switching, t, z, h, n, p0, signs, t_next)
         return z
 
-    return times, rk4_sweep(rhs, times, z0, h, step)
+    return grid.times, rk4_sweep(rhs, grid, z0, step)
 
 
 def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):
@@ -538,8 +537,8 @@ def pmp_shoot(
     the shooting map stays smooth in the guess and the forward-difference
     Jacobian, with step 1e-6 (1 + |z|), applies to them too.
 
-    Raises ShootingError when Newton ends at a final time t_f with
-    t_f / steps <= 0: that extremal has no grid to be sampled on.
+    Raises ShootingError when Newton ends at a t_f outside (0, inf), or so
+    small that t_f / steps is 0: that extremal has no grid to be sampled on.
     """
     n = p.dimension
     z = np.asarray(guess, dtype=float).copy()
@@ -552,8 +551,8 @@ def pmp_shoot(
         """Residual at zv on a `grid`-step extremal, and that extremal (None if penalized)."""
         p_init = zv[:n]
         tf = float(zv[n]) if p.horizon is None else float(p.horizon)
-        if tf <= 0:
-            # Penalize nonpositive horizons smoothly so backtracking recovers.
+        if not 0.0 < tf < np.inf:
+            # Penalize horizons outside (0, inf) smoothly so backtracking recovers.
             return np.full(expect + (1 if p0 == 0.0 else 0), 1e6 * (1.0 - tf)), None
         times, Z = integrate_extremal(p, p_init, tf, grid, p0)
         r = _terminal_residual(p, tf, Z[-1, :n], Z[-1, n:], p0)
@@ -634,7 +633,7 @@ def pmp_shoot(
 
     converged = history[-1] < tol
     tf = float(z[n]) if p.horizon is None else float(p.horizon)
-    if not tf / steps > 0.0:
+    if extremal is None or not tf / steps > 0.0:
         raise ShootingError(f"Newton ended at t_f = {tf:.6g}: no positive grid step", history)
     times, Z = extremal
     # Sample the extremal on Python floats: the controls, f and f0 for H, and

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, GridError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
+from .numcore import DimensionError, Grid, GridError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -262,7 +262,11 @@ def internal_wave_observation(basis: SineBasis, s: WaveState, omega: IntervalUni
     Here phi(t, x) = sum_j (a_j cos(j pi t/L) + b_j sin(j pi t/L))
     sin(j pi x/L); both integrals are closed-form.
     """
-    S = _sin_product_integrals(omega, basis, s.N)
+    return _internal_observation(basis, s, _sin_product_integrals(omega, basis, s.N), T)
+
+
+def _internal_observation(basis: SineBasis, s: WaveState, S: np.ndarray, T: float) -> float:
+    """internal_wave_observation from the space integrals S = _sin_product_integrals(omega, basis, s.N)."""
     V = np.vstack([np.diag(s.b), np.diag(s.a)])  # phi's modal amplitudes are V' (sin, cos)
     return float(np.sum(S * (V.T @ _time_gram(basis, s.N, T) @ V)))
 
@@ -323,11 +327,11 @@ def hum_wave_boundary(
         )
     if T <= 0.0:
         raise IllPosedError(f"T={T}: the Gramian needs a positive horizon", 0.0)
-    times, wts = simpson_grid(T, steps)
+    grid, wts = simpson_grid(T, steps)
     d = np.tile(_wave_control_operator(basis, N), 2)
     G = _time_gram(basis, N, T) * np.outer(d, d)
     # Rows w_i = S(T - t_i) D = (sin, cos)(omega (T - t_i)) d of the observation map.
-    th = np.outer(T - times, basis.omega[:N])
+    th = np.outer(T - grid.times, basis.omega[:N])
     w = np.hstack([np.sin(th), np.cos(th)]) * d
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
@@ -345,7 +349,7 @@ def hum_wave_boundary(
     endpoint = WaveState(endpoint_vec[:N], endpoint_vec[N:])
     return HumWaveResult(
         z=WaveState(z[:N], z[N:]),
-        times=times,
+        times=grid.times,
         control=control,
         endpoint=endpoint,
         endpoint_error=float(np.linalg.norm(endpoint_vec - Z1)),
@@ -498,16 +502,15 @@ def damping_decay_experiment(
     """
     N = basis.N
     y0 = WaveState(np.ones(N), np.zeros(N))
-    if not (samples >= 1 and 0.0 < T_fit < np.inf):
-        raise GridError(f"sampling needs samples >= 1 and 0 < T_fit < inf, got {samples=}, {T_fit=}")
-    times = (T_fit / samples) * np.arange(samples + 1)
+    grid = Grid(T_fit, samples)
+    times = grid.times
     om = basis.omega
     M = np.zeros((2 * N, 2 * N))
     M[:N, N:] = np.diag(om)
     M[N:, :N] = np.diag(-om)
-    B = (2.0 / basis.L) * _sin_product_integrals(damping or IntervalUnion([]), basis, N)
-    M[N:, N:] = -B
-    step = expm(times[1] * M)
+    S = _sin_product_integrals(damping or IntervalUnion([]), basis, N)
+    M[N:, N:] = -(2.0 / basis.L) * S
+    step = expm(grid.h * M)
     Z = np.empty((len(times), 2 * N))
     Z[0] = np.concatenate([y0.a, y0.b])
     for i in range(len(times) - 1):
@@ -519,8 +522,8 @@ def damping_decay_experiment(
         delta = -float(slope)
         C1 = float(np.max(energy * np.exp(delta * times)) / energy[0])
         # Conservative observation integral on the undamped flow from the same
-        # data: dt phi has the amplitudes (b, -a), and (L/2) B is the sin-sin mass.
-        obs = internal_wave_observation(basis, WaveState(y0.b, -y0.a), damping, T_fit)
+        # data: dt phi has the amplitudes (b, -a), and S is the sin-sin mass.
+        obs = _internal_observation(basis, WaveState(y0.b, -y0.a), S, T_fit)
     else:
         delta, C1, obs = 0.0, 1.0, 0.0
     return DampingResult(delta, C1, obs, times, energy)
@@ -625,9 +628,9 @@ def semilinear_steps(L: float, N_sim: int, T_sim: float, steps: int) -> int:
     """
     k = N_sim * math.pi / L
     need = T_sim * (k * k) / 2.5
-    if not math.isfinite(need):
+    if need == math.inf:
         raise ValueError(f"T_sim = {T_sim} needs more RK4 steps than a float can count")
-    return max(steps, math.ceil(need))
+    return math.ceil(need) if need > steps else steps  # a T_sim that Grid refuses keeps `steps`
 
 
 def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
@@ -646,7 +649,8 @@ def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
     mu = (jj * np.pi / L) ** 2
     I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
     b_all = -I_all / L
-    xs, weights = simpson_grid(L, 200)
+    space, weights = simpson_grid(L, 200)
+    xs = space.times
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on the grid
     Kfull = np.zeros(Ns + 1)  # v = K X_n = Kfull s
     Kfull[: n + 1] = Krow
@@ -682,8 +686,7 @@ def semilinear_stabilize(
     step matrix; any other f runs on rk4_sweep.  T_sim must be positive:
     the heat flow is not reversible.
     """
-    if not T_sim > 0:
-        raise ValueError(f"T_sim must be positive, got {T_sim}")
+    grid = Grid(T_sim, semilinear_steps(plant.L, plant.N_sim, T_sim, steps))
     A, B = semilinear_matrices(plant)[:2]
     n = plant.n
     target = np.poly(-np.ones(n + 1))  # (s+1)^(n+1)
@@ -692,17 +695,14 @@ def semilinear_stabilize(
     P = lyapunov_solve(A + B @ K)
 
     rhs, M, lam_all = _semilinear_rhs(plant, Krow)
-    steps = semilinear_steps(plant.L, plant.N_sim, T_sim, steps)
-    h = T_sim / steps
-    times = h * np.arange(steps + 1)
     z0 = np.zeros(plant.N_sim)
     y0_coeffs = np.asarray(y0_coeffs, dtype=float)
     z0[: y0_coeffs.shape[0]] = y0_coeffs
     s0 = np.concatenate([[0.0], z0])
     if getattr(plant.f, "linear", False):
-        states = rk4_linear_sweep(np.broadcast_to(M, (2 * steps + 1,) + M.shape), None, times, s0, h)
+        states = rk4_linear_sweep(np.broadcast_to(M, (2 * grid.steps + 1,) + M.shape), None, grid, s0)
     else:
-        states = rk4_sweep(rhs, times, s0, h)
+        states = rk4_sweep(rhs, grid, s0)
     X = states[:, : n + 1]  # the model coordinates (u, z_1..z_n)
     v_samples = X @ Krow
     V = plant.gamma * np.einsum("ij,jk,ik->i", X, P, X) - 0.5 * (states[:, 1:] ** 2 @ lam_all)
@@ -710,7 +710,7 @@ def semilinear_stabilize(
         K=K,
         A_n=A,
         B_n=B,
-        times=times,
+        times=grid.times,
         u=states[:, 0],
         z=states[:, 1:],
         v=v_samples,

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, Trajectory, fd_jacobian, rk4_sweep
+from .numcore import DimensionError, Grid, Trajectory, fd_jacobian, rk4_sweep
 from .lincontrol import LtiSystem, NotControllableError, kalman_test
 
 __all__ = [
@@ -274,22 +274,15 @@ def simulate_closed_loop(
 ):
     """RK4 simulation of dx/dt = f(x, law(t, x)) on `steps` equal steps of [0, T].
 
-    An open-loop control u(t) goes in as lambda t, x: u(t).  Raises ValueError
-    for steps < 1, T <= 0 or an x0 that is not a vector.  Returns
-    (trajectory, control samples at nodes, V samples or None).
+    An open-loop control u(t) goes in as lambda t, x: u(t).  Raises GridError
+    for a grid that Grid refuses and DimensionError for an x0 that is not a
+    vector.  Returns (trajectory, control samples at nodes, V samples or None).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1:
         raise DimensionError(f"x0 must be a vector, got shape {x0.shape}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not T > 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
-    h = T / steps
-    times = h * np.arange(steps + 1)
-    states = rk4_sweep(lambda t, x: np.asarray(f(x, law(t, x)), dtype=float), times, x0, h)
-    controls = np.array([law(t, x) for t, x in zip(times, states)])
-    v_samples = None
-    if V is not None:
-        v_samples = np.array([float(V(x)) for x in states])
-    return Trajectory(times, states), controls, v_samples
+    grid = Grid(T, steps)
+    states = rk4_sweep(lambda t, x: np.asarray(f(x, law(t, x)), dtype=float), grid, x0)
+    controls = np.array([law(t, x) for t, x in zip(grid.times, states)])
+    v_samples = None if V is None else np.array([float(V(x)) for x in states])
+    return Trajectory(grid.times, states), controls, v_samples

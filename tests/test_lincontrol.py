@@ -247,7 +247,7 @@ class TestGramianAndHum:
         # R(T, t) = [[1, T - t], [0, 1]] up to the rounding of T - t; powers of
         # expm(h A) gathered 2.2e-13 over 2000 steps, and the endpoint 3.7e-13.
         sys = pr.double_integrator()
-        times = simpson_grid(1.0, 2000)[0]
+        times = simpson_grid(1.0, 2000)[0].times
         R = lincontrol._transition_grid(sys, times)
         exact = np.zeros_like(R)
         exact[:, 0, 0] = exact[:, 1, 1] = 1.0

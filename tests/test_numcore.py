@@ -1,8 +1,9 @@
-"""Tests for the numerical core: expm, RK4 integration, dense output,
-finite differences, the Simpson grid and every path that uses it, rank, and
-Chebyshev interpolation."""
+"""Tests for the numerical core: expm, the fixed-step grid and every path
+that uses it, RK4 integration, dense output, finite differences, the Simpson
+grid, rank, and Chebyshev interpolation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ctrlkit import (
     DenseOutput,
     DimensionError,
+    Grid,
     GridError,
     IllPosedError,
     IntegrationBlowup,
@@ -32,6 +34,7 @@ from ctrlkit import (
     numerical_rank,
     riccati_solve,
     simpson_grid,
+    simulate_closed_loop,
 )
 from ctrlkit import problems as pr
 from ctrlkit.numcore import Chebyshev, chebyshev, fd_jacobian, rk4_linear_sweep, rk4_sweep
@@ -115,32 +118,47 @@ class TestExpm:
             expm(np.zeros(shape))
 
 
-def sweep(rhs, x0, t0, t1, steps):
-    """RK4 from (t0, x0) to t1 in `steps` equal steps: (times, states)."""
-    h = (t1 - t0) / steps
-    times = t0 + h * np.arange(steps + 1)
-    return times, rk4_sweep(rhs, times, np.asarray(x0, dtype=float), h)
+def sweep(rhs, x0, T, steps):
+    """RK4 from (0, x0) to T in `steps` equal steps: (times, states)."""
+    grid = Grid(T, steps)
+    return grid.times, rk4_sweep(rhs, grid, np.asarray(x0, dtype=float))
 
 
-def linear_sweep(M, b, x0, t0, t1, steps):
-    """rk4_linear_sweep of x' = M(t) x + b(t) (b None for 0) from (t0, x0) to t1: (times, states)."""
-    h = (t1 - t0) / steps
-    times = t0 + h * np.arange(steps + 1)
-    half = t0 + 0.5 * h * np.arange(2 * steps + 1)
-    Ms = np.array([M(t) for t in half])
-    bs = None if b is None else np.array([b(t) for t in half])
-    return times, rk4_linear_sweep(Ms, bs, times, np.asarray(x0, dtype=float), h)
+def linear_sweep(M, b, x0, T, steps):
+    """rk4_linear_sweep of x' = M(t) x + b(t) (b None for 0) from (0, x0) to T: (times, states)."""
+    grid = Grid(T, steps)
+    Ms = np.array([M(t) for t in grid.stages])
+    bs = None if b is None else np.array([b(t) for t in grid.stages])
+    return grid.times, rk4_linear_sweep(Ms, bs, grid, np.asarray(x0, dtype=float))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("T, steps", [(1.0, 1), (2.5, 7), (2.0 * math.pi, 2000)])
+    def test_nodes_and_stages_are_step_multiples(self, T, steps):
+        grid = Grid(T, np.int64(steps))
+        assert grid.h == T / steps
+        assert np.array_equal(grid.times, (T / steps) * np.arange(steps + 1))
+        assert grid.stages.shape == (2 * steps + 1,)
+        assert np.array_equal(grid.stages[::2], grid.times)  # (h/2)(2k) rounds as h k
+
+    @pytest.mark.parametrize(
+        "T, steps",
+        [(1.0, 0), (1.0, -1), (1.0, 2.5), (1.0, 2.0), (0.0, 4), (-1.0, 4), (math.nan, 4), (math.inf, 4)],
+    )
+    def test_refuses_a_grid_with_no_positive_step(self, T, steps):
+        with pytest.raises(GridError, match=re.escape(f"got steps={steps}, T={T}")):
+            Grid(T, steps)
 
 
 class TestIntegrate:
     def test_exponential_decay(self):
-        _, states = sweep(lambda t, x: -x, [1.0], 0.0, 1.0, 200)
+        _, states = sweep(lambda t, x: -x, [1.0], 1.0, 200)
         assert abs(states[-1][0] - math.exp(-1.0)) < 1e-9
 
     def test_fourth_order_convergence(self):
         errors = []
         for steps in (25, 50, 100):
-            _, states = sweep(lambda t, x: -x, [1.0], 0.0, 1.0, steps)
+            _, states = sweep(lambda t, x: -x, [1.0], 1.0, steps)
             errors.append(abs(states[-1][0] - math.exp(-1.0)))
         # halving h should cut the error by about 2**4
         assert errors[0] / errors[1] > 12.0
@@ -148,18 +166,18 @@ class TestIntegrate:
 
     def test_nonautonomous(self):
         # x' = 2t, x(0)=0 -> x(1)=1, exact for RK4
-        _, states = sweep(lambda t, x: np.array([2.0 * t]), [0.0], 0.0, 1.0, 10)
+        _, states = sweep(lambda t, x: np.array([2.0 * t]), [0.0], 1.0, 10)
         assert abs(states[-1][0] - 1.0) < 1e-13
 
     def test_trajectory_interpolation(self):
-        traj = Trajectory(*sweep(lambda t, x: -x, [1.0], 0.0, 1.0, 400))
+        traj = Trajectory(*sweep(lambda t, x: -x, [1.0], 1.0, 400))
         assert abs(traj.interp(0.5)[0] - math.exp(-0.5)) < 1e-6
 
     def test_blowup_detection(self):
         """Every fixed-grid sweep raises at the first node with a non-finite state.
 
         x' = 1e8 x over 20 steps of 0.05 multiplies x by about 2.6e25 per
-        step, so it overflows on step 13: t = 0.65 forward, 0.35 backward.
+        step, so it overflows on step 13, at t = 0.65.
         """
         def ones(t, x, p, p0):
             return np.ones(1)
@@ -180,13 +198,11 @@ class TestIntegrate:
         constant = np.broadcast_to([[1e8]], (41, 1, 1))
         cases = [
             # x' = x^2 from 5 has its pole at t = 0.2.
-            (lambda: sweep(lambda t, x: x * x, [5.0], 0.0, 2.0, 2000), 0.203),
+            (lambda: sweep(lambda t, x: x * x, [5.0], 2.0, 2000), 0.203),
             # matrix-valued state
-            (lambda: linear_sweep(lambda t: np.diag([1e8, 1.0]), None, np.eye(2), 0.0, 1.0, 20), 0.65),
+            (lambda: linear_sweep(lambda t: np.diag([1e8, 1.0]), None, np.eye(2), 1.0, 20), 0.65),
             # one broadcast matrix for every time: one step matrix
-            (lambda: rk4_linear_sweep(constant, None, 0.05 * np.arange(21), [1.0], 0.05), 0.65),
-            # reversed grid
-            (lambda: sweep(lambda t, x: -1e8 * x, [1.0], 1.0, 0.0, 20), 0.35),
+            (lambda: rk4_linear_sweep(constant, None, Grid(1.0, 20), [1.0]), 0.65),
             (lambda: extremal(ones), 0.65),
             (lambda: extremal(bang_bang), 0.65),
         ]
@@ -201,12 +217,12 @@ class TestIntegrate:
 
 class TestSimpsonGrid:
     def test_cubic_exact(self):
-        xs, w = simpson_grid(1.0, 20)
-        assert abs(w @ xs**3 - 0.25) < 1e-15
+        grid, w = simpson_grid(1.0, 20)
+        assert abs(w @ grid.times**3 - 0.25) < 1e-15
 
     def test_sine(self):
-        xs, w = simpson_grid(math.pi, 200)
-        assert abs(w @ np.sin(xs) - 2.0) < 1e-9
+        grid, w = simpson_grid(math.pi, 200)
+        assert abs(w @ np.sin(grid.times) - 2.0) < 1e-9
 
     def test_matrix_stack_is_the_entrywise_rule(self):
         y = np.random.default_rng(4).standard_normal((21, 2, 3))
@@ -223,8 +239,9 @@ class TestSimpsonGrid:
 
     @pytest.mark.parametrize("steps", [1, 3, 201])
     def test_odd_steps_give_the_grid_of_the_even_count_above(self, steps):
-        for odd, even in zip(simpson_grid(2.5, steps), simpson_grid(2.5, steps + 1)):
-            assert np.array_equal(odd, even)
+        (odd, w_odd), (even, w_even) = simpson_grid(2.5, steps), simpson_grid(2.5, steps + 1)
+        assert odd == even == Grid(2.5, steps + 1)
+        assert np.array_equal(w_odd, w_even)
 
     @pytest.mark.parametrize("T, steps", [(1.0, 2), (math.pi, 7), (1e-3, 200), (40.0, 2001)])
     def test_weights_sum_to_the_horizon(self, T, steps):
@@ -232,10 +249,9 @@ class TestSimpsonGrid:
 
     @pytest.mark.parametrize("T, steps", [(1.0, 2), (2.0 * math.pi, 2000), (3.0, 7)])
     def test_nodes_are_step_multiples(self, T, steps):
-        times, _ = simpson_grid(T, steps)
-        n = len(times) - 1
-        assert n == steps + steps % 2
-        assert np.array_equal(times, (T / n) * np.arange(n + 1))
+        grid, w = simpson_grid(T, steps)
+        assert grid == Grid(T, steps + steps % 2)
+        assert len(w) == grid.steps + 1
 
     @pytest.mark.parametrize(
         "T, steps", [(0.1, 0), (0.1, -2), (0.0, 4), (-1.0, 4), (math.nan, 4), (math.inf, 4)]
@@ -320,6 +336,47 @@ class TestSimpsonPaths:
         assert np.array_equal(x_odd.times, x_even.times)
         assert np.array_equal(x_odd.states, x_even.states)
         assert np.array_equal(u_odd, u_even)
+
+
+def _extremal(tf, steps):
+    """integrate_extremal of x' = -x, p' = p from (1, 1)."""
+    oc = OcProblem(
+        1, 1, lambda t, x, u: (-x[0],), lambda t, x, p, p0: np.zeros(1), [1.0],
+        terminal_kind="free", hamiltonian_dx=lambda t, x, p, p0, u: (-p[0],),
+    )
+    return integrate_extremal(oc, np.array([1.0]), tf, steps)
+
+
+def _closed_loop(T, steps):
+    return simulate_closed_loop(lambda x, u: -x, lambda t, x: np.zeros(1), [1.0], T, steps)
+
+
+# Inputs that a fixed-step path once took without a GridError, and what it did then.
+GRID_FAULTS = [
+    ("riccati_solve", 1.0, 0),  # ZeroDivisionError
+    ("riccati_solve", 1.0, -1),  # IndexError
+    ("integrate_extremal", 0.8, 0),  # ZeroDivisionError
+    ("integrate_extremal", 0.8, -3),  # IndexError
+    ("integrate_extremal", 0.8, 2.5),  # 4 nodes, ending at t = 0.96
+    ("integrate_extremal", 0.0, 20),  # all-zero times
+    ("integrate_extremal", -1.0, 20),  # a backward sweep
+    ("simulate_closed_loop", 1.0, 2.5),  # times [0, 0.4, 0.8, 1.2], past the horizon
+    ("simulate_closed_loop", math.inf, 20),  # IntegrationBlowup at t = inf
+    ("damping_decay_experiment", 1.0, 2.5),  # times [0, 0.4, 0.8, 1.2]
+]
+
+FIXED_STEP_PATHS = {
+    "riccati_solve": lambda T, steps: riccati_solve(_lq_problem(T), steps),
+    "integrate_extremal": _extremal,
+    "simulate_closed_loop": _closed_loop,
+    "damping_decay_experiment": lambda T, steps: damping_decay_experiment(_BASIS, _OMEGA, T, steps),
+}
+
+
+@pytest.mark.parametrize("path, T, steps", GRID_FAULTS)
+def test_fixed_step_paths_refuse_a_bad_grid(path, T, steps):
+    with pytest.raises(GridError, match=re.escape(f"got steps={steps}, T={T}")):
+        FIXED_STEP_PATHS[path](T, steps)
 
 
 class TestFdJacobian:
@@ -408,20 +465,20 @@ def _forcing(t):
 
 
 class TestLinearSweep:
-    @pytest.mark.parametrize("t0, t1", [(0.0, 2.5), (2.5, 0.0)])
-    def test_vector_state_matches_rk4_sweep(self, t0, t1):
+    @pytest.mark.parametrize("T", [2.5], ids=["0.0-2.5"])
+    def test_vector_state_matches_rk4_sweep(self, T):
         x0 = [1.0, -0.5]
-        _, got = linear_sweep(_rotation, _forcing, x0, t0, t1, 600)  # 256-step blocks and a rest
-        _, ref = sweep(lambda t, x: _rotation(t) @ x + _forcing(t), x0, t0, t1, 600)
+        _, got = linear_sweep(_rotation, _forcing, x0, T, 600)  # 256-step blocks and a rest
+        _, ref = sweep(lambda t, x: _rotation(t) @ x + _forcing(t), x0, T, 600)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("t0, t1", [(0.0, 2.5), (2.5, 0.0)])
-    def test_matrix_state_matches_rk4_sweep(self, t0, t1):
+    @pytest.mark.parametrize("T", [2.5], ids=["0.0-2.5"])
+    def test_matrix_state_matches_rk4_sweep(self, T):
         def b(t):
             return np.outer(_forcing(t), [1.0, -2.0])
 
-        _, got = linear_sweep(_rotation, b, np.eye(2), t0, t1, 600)
-        _, ref = sweep(lambda t, X: _rotation(t) @ X + b(t), np.eye(2), t0, t1, 600)
+        _, got = linear_sweep(_rotation, b, np.eye(2), T, 600)
+        _, ref = sweep(lambda t, X: _rotation(t) @ X + b(t), np.eye(2), T, 600)
         assert got.shape == (601, 2, 2)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
@@ -432,7 +489,7 @@ class TestLinearSweep:
             _, states = linear_sweep(
                 lambda t: np.array([[math.cos(t)]]),
                 lambda t: np.array([2.0 * t * math.exp(math.sin(t))]),
-                [0.5], 0.0, 3.0, steps,
+                [0.5], 3.0, steps,
             )
             errors.append(abs(states[-1][0] - (0.5 + 9.0) * math.exp(math.sin(3.0))))
         for coarse, fine in zip(errors, errors[1:]):
@@ -440,28 +497,26 @@ class TestLinearSweep:
 
     def test_constant_transition_matrix_matches_expm(self):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        _, R = linear_sweep(lambda t: A, None, np.eye(2), 0.0, 1.3, 400)
+        _, R = linear_sweep(lambda t: A, None, np.eye(2), 1.3, 400)
         assert np.allclose(R[-1], expm(1.3 * A), atol=1e-10)
 
     def test_broadcast_constant_matches_the_stacked_matrices(self):
         # A broadcast M (stride 0 in time) forms one step matrix per 256 steps;
         # 600 steps take two full blocks and a partial one.
         M = np.broadcast_to([[-0.3, 1.0], [-2.0, -0.1]], (1201, 2, 2))
-        times = 1.5 / 600 * np.arange(601)
-        x0 = np.array([1.0, -0.5])
-        once = rk4_linear_sweep(M, None, times, x0, times[1])
-        stacked = rk4_linear_sweep(np.array(M), None, times, x0, times[1])
+        grid, x0 = Grid(1.5, 600), np.array([1.0, -0.5])
+        once = rk4_linear_sweep(M, None, grid, x0)
+        stacked = rk4_linear_sweep(np.array(M), None, grid, x0)
         assert once.shape == (601, 2)
         assert np.max(np.abs(once - stacked)) <= 1e-15
 
-    def test_no_steps_give_the_initial_state(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        states = rk4_linear_sweep(A[None], None, [0.7], np.eye(2), 0.0)
-        assert np.array_equal(states, np.eye(2)[None])
+    def test_refuses_matrices_off_the_stages(self):
+        with pytest.raises(DimensionError, match="one matrix per stage"):
+            rk4_linear_sweep(np.zeros((6, 1, 1)), None, Grid(1.0, 3), [1.0])
 
     def test_scalar_time_varying_transition(self):
         # x' = t x -> R(t, 0) = exp(t^2 / 2)
-        _, R = linear_sweep(lambda t: np.array([[t]]), None, np.eye(1), 0.0, 1.0, 400)
+        _, R = linear_sweep(lambda t: np.array([[t]]), None, np.eye(1), 1.0, 400)
         assert abs(R[-1][0, 0] - math.exp(0.5)) < 1e-9
 
 

@@ -11,7 +11,7 @@ import pytest
 import ctrlkit as ck
 from ctrlkit import LtiSystem
 from ctrlkit import optctrl
-from ctrlkit.numcore import DenseOutput, IntegrationBlowup, rk4_step, rk4_sweep
+from ctrlkit.numcore import DenseOutput, Grid, IntegrationBlowup, rk4_step, rk4_sweep
 from ctrlkit.optctrl import LqProblem
 from ctrlkit import problems as pr
 
@@ -689,7 +689,7 @@ def test_float_flow_equals_array_rk4_sweep(name):
     p_init, tf, steps = np.array(guess[:2]), guess[2], 2000
     times, Z = ck.integrate_extremal(p, p_init, tf, steps, -1.0)
     ham = optctrl._ham_rhs(p, -1.0)
-    ref = rk4_sweep(lambda t, z: np.array(ham(t, z)), times, np.concatenate([p.x0, p_init]), tf / steps)
+    ref = rk4_sweep(lambda t, z: np.array(ham(t, z)), Grid(tf, steps), np.concatenate([p.x0, p_init]))
     assert np.array_equal(Z, ref)
 
 

@@ -27,3 +27,20 @@ def test_every_imported_name_is_used(path):
         for elt in node.value.elts
     }
     assert sorted(imported - used - exported) == []
+
+
+def test_only_numcore_builds_a_time_grid():
+    """No module but numcore multiplies by np.arange(...): every fixed-step grid comes from numcore.Grid."""
+    built = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "numcore.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(side, ast.Call) and ast.unparse(side.func) == "np.arange"
+            for side in (node.left, node.right)
+        )
+    ]
+    assert built == []

@@ -380,7 +380,7 @@ class TestDamping:
         odd = damping_decay_experiment(basis, omega, 8.0, samples=3)
         assert np.array_equal(odd.times, (8.0 / 3.0) * np.arange(4))
         even = damping_decay_experiment(basis, omega, 8.0, samples=400)
-        assert np.array_equal(even.times, simpson_grid(8.0, 400)[0])
+        assert np.array_equal(even.times, simpson_grid(8.0, 400)[0].times)
 
 
 class TestSinProductIntegrals:
@@ -404,7 +404,8 @@ def _per_part_rhs(plant, Krow):
     jj = np.arange(1, Ns + 1)
     mu = (jj * np.pi / L) ** 2
     b_all = -math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi) / L
-    xs, weights = simpson_grid(L, 200)
+    space, weights = simpson_grid(L, 200)
+    xs = space.times
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)
     project = E.T * weights
 
@@ -453,7 +454,7 @@ class TestSemilinear:
         swept, sweep = [], specpde.rk4_linear_sweep
 
         def spy(*args):
-            swept.append(len(args[2]))
+            swept.append(len(args[2].times))
             return sweep(*args)
 
         monkeypatch.setattr(specpde, "rk4_linear_sweep", spy)
@@ -590,5 +591,5 @@ class TestSemilinear:
     @pytest.mark.parametrize("T_sim", [0.0, -1.0, float("nan")])
     def test_nonpositive_horizon_is_rejected(self, T_sim):
         # Backward in time the heat flow blows up instead of decaying.
-        with pytest.raises(ValueError, match="T_sim must be positive"):
+        with pytest.raises(GridError, match="steps must be an integer >= 1 and 0 < T < inf"):
             semilinear_stabilize(pr.semilinear_heat(n=1), [0.01], T_sim=T_sim)

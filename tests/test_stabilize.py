@@ -219,11 +219,11 @@ class TestClosedLoop:
     @pytest.mark.parametrize(
         "x0, T, steps, message",
         [
-            ([1.0, 0.5], 1.0, 0, "steps must be >= 1"),
+            ([1.0, 0.5], 1.0, 0, "steps must be an integer >= 1 and 0 < T < inf"),
             ([[1.0, 0.5]], 1.0, 10, "x0 must be a vector"),
             (1.0, 1.0, 10, "x0 must be a vector"),
-            ([1.0, 0.5], 0.0, 10, "horizon T must be positive"),
-            ([1.0, 0.5], -1.0, 10, "horizon T must be positive"),
+            ([1.0, 0.5], 0.0, 10, "steps must be an integer >= 1 and 0 < T < inf"),
+            ([1.0, 0.5], -1.0, 10, "steps must be an integer >= 1 and 0 < T < inf"),
         ],
     )
     def test_rejects_bad_horizon_grid_or_state(self, x0, T, steps, message):
