@@ -381,6 +381,7 @@ def cmd_lq(args):
         "E0": sol.E[0],
         "closed_loop_cost": cost,
         "value_identity": float(x0 @ (-sol.E[0]) @ x0),
+        "diagnostics": {"steps_integrated": len(traj.times) - 1},
     }
     return spec, results, (traj.times, traj.states, controls)
 
@@ -446,6 +447,7 @@ def _wave_hum(spec, path, basis, args):
         "condition_number": res.condition_number,
         "cost": res.cost,
         "control_l2_sq": res.control_l2_sq,
+        "diagnostics": {"steps_integrated": len(res.times) - 1},
     }, (res.times, res.control.reshape(-1, 1))
 
 

@@ -336,6 +336,18 @@ class TestSemilinearReport:
         assert rep["results"]["V_monotone"] is True
 
 
+class TestSimpsonReports:
+    @pytest.mark.parametrize("argv", [["lq", "scalar_lq.json"], ["pde", "wave_hum.json"]], ids=["lq", "wave-hum"])
+    @pytest.mark.parametrize("steps, integrated", [(3, 4), (250, 250)])
+    def test_reports_the_steps_integrated(self, argv, steps, integrated, tmp_path, monkeypatch):
+        # Simpson's rule rounds an odd --steps up to even.
+        monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))
+        assert main([argv[0], spec(argv[1]), f"--steps={steps}", "--out", "r.json"]) == 0
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["diagnostics"]["steps"] == steps
+        assert rep["results"]["diagnostics"] == {"steps_integrated": integrated}
+
+
 class TestShootReport:
     def test_results_carry_newton_history(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CTRL_OUT_DIR", str(tmp_path))
