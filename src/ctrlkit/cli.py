@@ -24,7 +24,6 @@ from .lincontrol import (
     LtiSystem,
     LtvSystem,
     NotControllableError,
-    controllable_decomposition,
     gramian,
     hautus_test,
     kalman_test,
@@ -251,14 +250,13 @@ def _analyze_lti(sys_: LtiSystem, args) -> dict:
     tol = args.tol
     rep = kalman_test(sys_, tol)
     ok, per_eig = hautus_test(sys_, tol)
-    _, _, _, _, _, r = controllable_decomposition(sys_, tol)
     return {
         "kalman": {"rank": rep.rank, "controllable": rep.controllable},
         "hautus": {
             "controllable": ok,
             "per_eigenvalue": [{"eigenvalue": lam, "rank": rk} for lam, rk in per_eig],
         },
-        "controllable_subspace_dim": r,
+        "controllable_subspace_dim": rep.rank,
         **_gramian_results(sys_, args),
     }
 

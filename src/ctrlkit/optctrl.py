@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import Grid, fd_jacobian, rk4_linear_sweep, rk4_sweep, simpson_grid
+from .numcore import Grid, fd_jacobian, rk4_linear_sweep, simpson_grid
 from .lincontrol import LtiSystem
 
 __all__ = [
@@ -338,20 +338,19 @@ def _margin(s0, phi):
 
 
 def _locate_crossing(rhs, switching, t, z, h, n, p0, s0, u0, phi0, phi1):
-    """The step in (0, h] that 60 halvings of [0, h] reach on a sign flip of s0.
+    """The first step in (0, h] at which an RK4 step flips a sign of s0.
 
-    The halvings test, at each midpoint m, whether an RK4 step of length m
-    under the frozen control u0 flips a sign of s0; phi0 and phi1 are the
-    switching values at the start and at the end of the full step.  Instead
-    of halving, false position on the margin (`_margin`) of those values
-    picks each trial step, with the Illinois rule (Dowell and Jarratt, BIT
-    11, 1971) halving the margin at an end that stays put twice, and every
-    fourth trial a plain halving.  The same test keeps the bracket: it
-    fails at lo and holds at hi throughout.  The search stops when lo and
-    hi are adjacent doubles, or after 60 trials.  The halvings are then
-    replayed with each test answered by m >= hi, which is where they end
-    whenever the test is monotone in m; only their float midpoints are
-    computed, not their RK4 steps.
+    The test at a trial step m is whether an RK4 step of length m under the
+    frozen control u0 flips a sign of s0; phi0 and phi1 are the switching
+    values at the start and at the end of the full step.  False position on
+    the margin (`_margin`) of those values picks each trial step, with the
+    Illinois rule (Dowell and Jarratt, BIT 11, 1971) halving the margin at an
+    end that stays put twice, and every fourth trial a plain halving.  The
+    bracket keeps the test failing at lo and holding at hi throughout, and
+    the search returns hi when lo and hi are adjacent doubles, or after 60
+    trials.  On adjacent doubles, and where the test is monotone in m, hi is
+    the first double at which a sign of s0 flips; 60 halvings of [0, h]
+    end at or after it.
     """
     lo, hi = 0.0, h
     g_lo, g_hi = _margin(s0, phi0), _margin(s0, phi1)
@@ -376,13 +375,6 @@ def _locate_crossing(rhs, switching, t, z, h, n, p0, s0, u0, phi0, phi1):
             if side == 1:
                 g_hi *= 0.5
             side = 1
-    flip, lo, hi = hi, 0.0, h
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid >= flip:
-            hi = mid
-        else:
-            lo = mid
     return hi
 
 
@@ -448,18 +440,20 @@ def integrate_extremal(p: OcProblem, p_init, tf: float, steps: int, p0: float = 
         else None
     )
     grid = Grid(tf, steps)
-    h = grid.h
-    z0 = np.concatenate([p.x0, p_init]).tolist()
-    if switching is None:
-        return grid.times, rk4_sweep(rhs, grid, z0, lambda t, z, t_next: _rk4(rhs, t, z, h))
+    h, times = grid.h, grid.times.tolist()
+    z = np.concatenate([p.x0, p_init]).tolist()
+    states = np.empty((len(times), len(z)))
+    states[0] = z
     signs = None  # switching signs at the start of the next step, when known
-
-    def step(t, z, t_next):
-        nonlocal signs
-        z, signs = _event_step(rhs, p.maximizer, switching, t, z, h, n, p0, signs, t_next)
-        return z
-
-    return grid.times, rk4_sweep(rhs, grid, z0, step)
+    for k in range(steps):
+        if switching is None:
+            z = _rk4(rhs, times[k], z, h)
+        else:
+            z, signs = _event_step(rhs, p.maximizer, switching, times[k], z, h, n, p0, signs, times[k + 1])
+        if not all(map(math.isfinite, z)):
+            raise IntegrationBlowup(times[k + 1])
+        states[k + 1] = z
+    return grid.times, states
 
 
 def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):

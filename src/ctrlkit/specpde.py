@@ -383,22 +383,17 @@ def biorthogonal_family(exponents: Sequence[float], T: float, K: int):
     dps = 80
     with mp.workdps(dps):
         Tm = mp.mpf(T)
-
-        def gram(KK):
-            M = mp.matrix(KK, KK)
-            for i in range(KK):
-                for j in range(KK):
-                    s = mus[i] + mus[j]
-                    M[i, j] = (1 - mp.exp(-s * Tm)) / s
-            return M
-
-        M = gram(K)
+        M = mp.matrix(K, K)
+        for i in range(K):
+            for j in range(K):
+                s = mus[i] + mus[j]
+                M[i, j] = (1 - mp.exp(-s * Tm)) / s
         sv = mp.svd_r(M, compute_uv=False)
         cond = float(sv[0] / sv[K - 1]) if sv[K - 1] > 0 else float("inf")
         if not math.isfinite(cond) or cond > mp.mpf(10) ** (dps - 15):
             feasible = 0
-            for KK in range(K - 1, 0, -1):
-                svk = mp.svd_r(gram(KK), compute_uv=False)
+            for KK in range(K - 1, 0, -1):  # the leading KK x KK block is the Gram of the first KK
+                svk = mp.svd_r(M[:KK, :KK], compute_uv=False)
                 ck = svk[0] / svk[KK - 1] if svk[KK - 1] > 0 else mp.inf
                 if ck < mp.mpf(10) ** (dps - 15):
                     feasible = KK
@@ -625,12 +620,14 @@ def semilinear_steps(L: float, N_sim: int, T_sim: float, steps: int) -> int:
 
     Explicit RK4 is stable for the fastest mode mu_N = (N_sim pi / L)^2 only
     while h < 2.78 / mu_N, so a grid coarser than h = 2.5 / mu_N is refined.
+    A `steps` or `T_sim` that Grid refuses raises its GridError.
     """
+    Grid(T_sim, steps)
     k = N_sim * math.pi / L
     need = T_sim * (k * k) / 2.5
     if need == math.inf:
         raise ValueError(f"T_sim = {T_sim} needs more RK4 steps than a float can count")
-    return math.ceil(need) if need > steps else steps  # a T_sim that Grid refuses keeps `steps`
+    return max(steps, math.ceil(need))
 
 
 def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):

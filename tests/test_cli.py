@@ -99,6 +99,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: no local model" in err and "Traceback" not in err
 
+    def test_overflowing_expm_norm_is_numerical_failure(self, capsys):
+        # The rlc Gramian's expm of A T has finite entries and a 1-norm past the float range.
+        assert main(["analyze", spec("rlc.json"), "--T=1e308"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: expm requires finite entries whose 1-norm does not overflow" in err
+        assert "Traceback" not in err
+
     def test_uncontrollable_placement_is_numerical_failure(self, tmp_path):
         path = write_spec(
             tmp_path,

@@ -112,6 +112,11 @@ class TestExpm:
         with pytest.raises(FloatingPointError):
             expm(stack)
 
+    def test_overflowing_norm_raises(self):
+        # Finite entries whose 1-norm, 2e308, is past the float range.
+        with pytest.raises(FloatingPointError, match="1-norm does not overflow"):
+            expm(np.array([[1e308, 0.0], [1e308, 0.0]]))
+
     @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 2, 2), (4,)])
     def test_rejects_non_square_stack(self, shape):
         with pytest.raises(DimensionError):

@@ -621,25 +621,27 @@ def test_event_location_reuses_signs_bit_for_bit(build):
 
 
 @pytest.mark.parametrize("fraction", [1e-3, 0.37])
-def test_crossing_search_returns_the_step_of_sixty_halvings(fraction):
-    # A flip in the first 1/256 of the step leaves 60 halvings short of
-    # adjacent doubles; the search still returns their step, bit for bit.
+def test_crossing_search_returns_the_first_flipping_double(fraction):
+    # The returned step flips the sign of s0 and the double below it does not,
+    # including a flip in the first 1/256 of the step, which 60 halvings
+    # leave short of adjacent doubles.
     h = EVENT_TF / EVENT_STEPS
     c = fraction * h
     switching = lambda t, x, pv, p0: [1e5 * (t - c)]
     rhs = optctrl._ham_rhs(_di_switching_on(switching), -1.0)
     z, s0, u0 = [1.0, 0.0, -0.8, -1.2], [-1.0], [-1.0]
+
+    def flips(m):
+        z_m = optctrl._rk4(rhs, 0.0, z, m, u0)
+        return optctrl._crossed(s0, optctrl._signs(switching(m, z_m[:2], z_m[2:], -1.0)))
+
+    phi0 = switching(0.0, z[:2], z[2:], -1.0)
     z_h = optctrl._rk4(rhs, 0.0, z, h, u0)
-    phi0, phi1 = switching(0.0, z[:2], z[2:], -1.0), switching(h, z_h[:2], z_h[2:], -1.0)
-    lo, hi = 0.0, h
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        z_mid = optctrl._rk4(rhs, 0.0, z, mid, u0)
-        if switching(mid, z_mid[:2], z_mid[2:], -1.0)[0] >= 1e-12:
-            hi = mid
-        else:
-            lo = mid
-    assert optctrl._locate_crossing(rhs, switching, 0.0, z, h, 2, -1.0, s0, u0, phi0, phi1) == hi
+    phi1 = switching(h, z_h[:2], z_h[2:], -1.0)
+    step = optctrl._locate_crossing(rhs, switching, 0.0, z, h, 2, -1.0, s0, u0, phi0, phi1)
+    assert 0.0 < step <= h
+    assert flips(step)
+    assert not flips(math.nextafter(step, 0.0))
 
 
 def test_crossings_take_a_few_rk4_steps(monkeypatch):

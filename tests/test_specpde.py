@@ -3,6 +3,7 @@ damping decay, and semilinear boundary stabilization."""
 
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from ctrlkit.specpde import (
     _trig_gram,
     _wave_control_operator,
     IntervalUnion,
+    KTooLargeError,
     SemilinearPlant,
     SineBasis,
     WaveState,
@@ -341,6 +343,13 @@ class TestMomentMethod:
                     worst = max(worst, float(err))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("N, T, feasible", [(12, 1e-4, 9), (8, 1e-6, 6)])
+    def test_ill_conditioned_family_names_the_feasible_size(self, N, T, feasible):
+        # The Gram condition passes 1e65 past K = feasible; the error says where.
+        with pytest.raises(KTooLargeError, match=f"largest feasible K={feasible}$") as info:
+            biorthogonal_family([float(k * k) for k in range(1, N + 1)], T, N)
+        assert info.value.feasible_K == feasible
+
     def test_heat_control_four_modes(self):
         L = math.pi
         basis = SineBasis(L, 4)
@@ -535,6 +544,15 @@ class TestSemilinear:
         # check a scalar-only f constructed and then failed inside the sweep.
         with pytest.raises(ValueError, match=message):
             SemilinearPlant(L=1.0, f=f, f_prime_0=12.0, n=1, N_sim=8, gamma=120.0)
+
+    @pytest.mark.parametrize("steps", [2.5, 0, -1])
+    def test_step_count_refuses_what_grid_refuses(self, steps):
+        # Before the check, a stability refinement of 2527 steps hid these.
+        message = f"steps must be an integer >= 1 and 0 < T < inf, got steps={steps}, T=10.0"
+        with pytest.raises(GridError, match=re.escape(message)):
+            semilinear_steps(1.0, 8, 10.0, steps)
+        with pytest.raises(GridError, match=re.escape(message)):
+            semilinear_stabilize(pr.semilinear_heat(n=1), [0.01], 10.0, steps)
 
     def test_step_count_past_float_range(self):
         with pytest.raises(ValueError, match="RK4 steps"):
