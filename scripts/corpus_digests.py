@@ -17,12 +17,15 @@ grid.  Last, one readable line `work  argv  ...` per corpus shoot: how many
 extremals `integrate_extremal` swept on each grid (`steps:count`), how many
 RK4 steps `optctrl._rk4` took in all (switching-time searches included) and
 the report's `newton_iterations`, so a change in shooting work shows in the
-diff too.  A refactor shows that no output moved by a `diff` of this
+diff too.  Then one line `work  library  ...` per time-varying
+`hum_control_finite` call: how many calls it made into the system's A and
+into its B.  A refactor shows that no output moved by a `diff` of this
 script's output on the parent commit and on the change.
 """
 
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -78,6 +81,22 @@ def shoot_work(argv):
     sweeps = " ".join(f"{steps}:{count}" for steps, count in sorted(grids.items()))
     iters = report["results"]["newton_iterations"]
     return f"integrate_extremal {sweeps}  rk4 {rk4_steps}  newton_iterations {iters}"
+
+
+def ltv_work(sys_, T, x0, x1, steps):
+    """Calls into A and into B of one time-varying `hum_control_finite` run."""
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def g(t):
+            calls[name] += 1
+            return f(t)
+
+        return g
+
+    counted = dataclasses.replace(sys_, A=counting("A", sys_.A), B=counting("B", sys_.B))
+    ck.hum_control_finite(counted, T, x0, x1, steps)
+    return f"A {calls['A']}  B {calls['B']}"
 
 
 def array_digest(*values):
@@ -193,3 +212,5 @@ for name, call, *args in LIBRARY:
 for argv in CLI_CORPUS:
     if argv[0] == "shoot":
         print(f"work  {' '.join(argv)}  {shoot_work(argv)}")
+for steps in (250, 2000):
+    print(f"work  library  hum_control_finite dubins steps={steps}  {ltv_work(*DUBINS, steps)}")

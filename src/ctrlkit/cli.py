@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -573,7 +574,9 @@ def _emit(args, spec: dict, results: dict, columns, diagnostics=None) -> None:
         sys.stdout.write(text if csv is None else csv)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first `main` call and kept for the process."""
     ap = argparse.ArgumentParser(
         prog="ctrl", description="Batch control-theory analysis and synthesis"
     )

@@ -9,8 +9,7 @@ The Gramian route also yields the explicit minimum-L2-norm steering control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,14 +86,17 @@ class LtiSystem:
 class LtvSystem:
     """Time-varying linear plant dx/dt = A(t) x + B(t) u.
 
-    The evaluation callables must be stateless (they are invoked repeatedly
-    and possibly from concurrent contexts).
+    A and B are called with a 1-D array of k times and return the k samples
+    in one array, of shape (k, n, n) for A and (k, n, m) for B, or one matrix,
+    (n, n) or (n, m), that holds at every time.  Any other shape raises
+    DimensionError; no result is reshaped.  The callables must be stateless
+    (they are invoked repeatedly and possibly from concurrent contexts).
     """
 
     n: int
     m: int
-    A: Callable[[float], np.ndarray]
-    B: Callable[[float], np.ndarray]
+    A: Callable[[np.ndarray], np.ndarray]
+    B: Callable[[np.ndarray], np.ndarray]
     breaks: Sequence[float] = ()  # times where A or B may have a kink
 
 
@@ -219,8 +221,16 @@ _COLLOCATION_SIZE = 1600
 
 
 def _samples(f, times, shape):
-    """f(t) at each Python float of `times`, one call each, straight into an array."""
-    return np.fromiter(map(f, times), (float, shape), len(times))
+    """f at the 1-D array `times` in one call: (k,) + shape, a constant f broadcast to it."""
+    want = (len(times),) + shape
+    v = np.asarray(f(times), dtype=float)
+    if v.shape == shape:
+        return np.broadcast_to(v, want)
+    if v.shape != want:
+        raise DimensionError(
+            f"A(t) or B(t) for {len(times)} times must have shape {want} or {shape}, got {v.shape}"
+        )
+    return v
 
 
 def gramian(sys, T: float) -> GramianReport:
@@ -261,11 +271,8 @@ def _ltv_adjoint(sys: LtvSystem, T: float):
     """
     inner = sorted({float(t) for t in sys.breaks if 0.0 < t < T})
     edges = list(zip([0.0] + inner, inner + [T]))[::-1]  # backward from T
-    # The Lobatto nodes of degree N are the even ones of 2N, to the bit: each
-    # doubling calls A and B only at the new nodes.
-    cached = replace(sys, A=lru_cache(maxsize=None)(sys.A), B=lru_cache(maxsize=None)(sys.B))
     N = 16
-    while (found := _collocate(cached, edges, chebyshev(N))) is None:
+    while (found := _collocate(sys, edges, chebyshev(N))) is None:
         N *= 2
         if sys.n * (N + 1) > _COLLOCATION_SIZE:
             raise FloatingPointError(
@@ -282,7 +289,7 @@ def _collocate(sys: LtvSystem, edges, cheb: Chebyshev):
     Y_end, G, pieces = np.eye(n), np.zeros((n, n)), []
     for a, b in edges:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = (mid + half * cheb.nodes).tolist()  # from b down to a
+        t = mid + half * cheb.nodes  # from b down to a
         A = _samples(sys.A, t, (n, n))
         if not cheb.resolved(A):
             return None
@@ -340,8 +347,8 @@ def ltv_kalman_test(sys: LtvSystem, t: float, depth: int = 3, tol: float = 1e-6)
             raise FloatingPointError(f"no local model of A and B is resolved at t={t:.6g}")
         taus = t + rho * chebyshev(_CHEB_DEG, kind=1).nodes
         model = Chebyshev((taus - t) / rho)
-        A = np.array([np.asarray(sys.A(tau), dtype=float).reshape(sys.n, sys.n) for tau in taus])
-        Bk = np.array([np.asarray(sys.B(tau), dtype=float).reshape(sys.n, sys.m) for tau in taus])
+        A = _samples(sys.A, taus, (sys.n, sys.n))
+        Bk = _samples(sys.B, taus, (sys.n, sys.m))
         if model.resolved(A) and model.resolved(Bk):
             break
         rho *= 0.5
@@ -446,13 +453,14 @@ def hum_control_finite(sys, T: float, x0, x1, steps: int = 2000) -> HumControl:
     else:
         rep, pieces = _ltv_adjoint(sys, T)
         psi = _steering_adjoint(rep, pieces[0][2][-1].T, x0, x1)  # R(T, 0) = Y(0)^T
-        t = stage_times.tolist()
-        A, B = _samples(sys.A, t, (sys.n, sys.n)), _samples(sys.B, t, (sys.n, sys.m))
+        A = _samples(sys.A, stage_times, (sys.n, sys.n))
+        B = _samples(sys.B, stage_times, (sys.n, sys.m))
         adjoint = _barycentric_adjoint(chebyshev(rep.degree), pieces, psi)
     cost = float(psi @ rep.G @ psi)
 
     def ufun(t):
-        return np.asarray(sys.B(t) if callable(sys.B) else sys.B).T @ adjoint(t)
+        Bt = _samples(sys.B, np.array([t], dtype=float), (sys.n, sys.m))[0] if callable(sys.B) else sys.B
+        return Bt.T @ adjoint(t)
 
     u = (adjoint(stage_times)[:, None] @ B)[:, 0]
     endpoint = rk4_linear_sweep(A, (B @ u[:, :, None])[..., 0], grid, x0)[-1]

@@ -148,11 +148,11 @@ def dubins_linearized(T: float) -> LtvSystem:
     if not T > 0:
         raise ValueError(f"the loop period T must be positive, got {T}")
 
-    def A(t):  # two entries into zeros: half the cost of np.array of nested lists
-        w = 2.0 * np.pi * t / T
-        M = np.zeros((3, 3))
-        M[0, 2] = -np.sin(w)
-        M[1, 2] = np.cos(w)
+    def A(t):
+        w = 2.0 * np.pi * np.asarray(t) / T
+        M = np.zeros(w.shape + (3, 3))
+        M[..., 0, 2] = -np.sin(w)
+        M[..., 1, 2] = np.cos(w)
         return M
 
     B = np.array([[0.0], [0.0], [1.0]])
@@ -162,7 +162,7 @@ def dubins_linearized(T: float) -> LtvSystem:
 def rotating_frame() -> LtvSystem:
     """x' = -y + u cos t, y' = x + u sin t; never controllable."""
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return LtvSystem(2, 1, lambda t: A, lambda t: np.array([[np.cos(t)], [np.sin(t)]]))
+    return LtvSystem(2, 1, lambda t: A, lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None])
 
 
 def triangular_ltv() -> LtvSystem:
@@ -173,7 +173,10 @@ def triangular_ltv() -> LtvSystem:
     """
 
     def A(t):
-        return np.array([[t, 1.0, 0.0], [0.0, t**3, 0.0], [0.0, 0.0, t**2]])
+        t = np.asarray(t, dtype=float)
+        M = np.zeros(t.shape + (3, 3))
+        M[..., 0, 0], M[..., 0, 1], M[..., 1, 1], M[..., 2, 2] = t, 1.0, t**3, t**2
+        return M
 
     B = np.array([[0.0], [1.0], [1.0]])
     return LtvSystem(3, 1, A, lambda t: B)

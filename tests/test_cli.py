@@ -487,6 +487,29 @@ class TestRouth:
         assert rep["results"]["routh"]["hurwitz"] is False
 
 
+class TestParserCache:
+    def test_successive_calls_share_no_flags(self, capsys):
+        # One parser serves every call of the process: a flag of one call
+        # must not become the default of the next, and a usage error must
+        # leave the parser usable.
+        def depth(*flags):
+            assert main(["analyze", spec("rotating_frame.json"), *flags]) == 0
+            return json.loads(capsys.readouterr().out)["results"]["ltv_kalman"]["depth"]
+
+        assert depth("--depth", "6") == 6
+        assert depth() == 3
+        assert main(["analyze"]) == 2
+        assert "required: spec" in capsys.readouterr().err
+        assert main(["analyze", spec("rlc.json")]) == 0
+        assert cli._build_parser.cache_info().currsize == 1
+
+    def test_not_built_at_import(self):
+        code = "import ctrlkit.cli as c; print(c._build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ctrlkit.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.stdout.strip() == "0"
+
+
 class TestEntryPoint:
     @pytest.mark.skipif(
         shutil.which("ctrl") is None,

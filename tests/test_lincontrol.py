@@ -3,6 +3,7 @@ time-varying rank tests, and Lie-bracket rank."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,7 +307,10 @@ class TestTimeVarying:
     def test_rank_from_derivatives_alone(self):
         # A = 0 and B(t) = (1, t, t^2): B_k = (-1)^k d^kB/dt^k, so depth 1 spans
         # two directions and depth 2 adds the constant third one, (0, 0, 2).
-        sys = ck.LtvSystem(3, 1, lambda t: np.zeros((3, 3)), lambda t: np.array([1.0, t, t * t]))
+        def B(t):
+            return np.stack([np.ones_like(t), t, t * t], axis=-1)[..., None]
+
+        sys = ck.LtvSystem(3, 1, lambda t: np.zeros((3, 3)), B)
         for t in (0.0, 1.0, 3.0):
             assert ck.ltv_kalman_test(sys, t, depth=1) == (2, False)
             for depth in (2, 3):
@@ -325,7 +329,9 @@ class TestTimeVarying:
         # resolved (rank 2, sigma_2 / sigma_1 = 2.6e-5); a halved rho is.
         w = 30.0
         A = w * np.array([[0.0, -1.0], [1.0, 0.0]])
-        sys = ck.LtvSystem(2, 1, lambda t: A, lambda t: np.array([[np.cos(w * t)], [np.sin(w * t)]]))
+        sys = ck.LtvSystem(
+            2, 1, lambda t: A, lambda t: np.stack([np.cos(w * t), np.sin(w * t)], axis=-1)[..., None]
+        )
         for t in (0.0, 1.0):
             assert ck.ltv_kalman_test(sys, t, depth=3) == (1, False)
 
@@ -333,7 +339,7 @@ class TestTimeVarying:
         "sys, t",
         [
             # B = |t| has its kink at the centre at every rho.
-            (ck.LtvSystem(1, 1, lambda t: np.zeros((1, 1)), lambda t: np.array([[abs(t)]])), 0.0),
+            (ck.LtvSystem(1, 1, lambda t: np.zeros((1, 1)), lambda t: np.abs(t)[:, None, None]), 0.0),
             # rho = 0.1 is under 1e3 ulps of t.
             (pr.rotating_frame(), 1e12),
         ],
@@ -359,6 +365,59 @@ class TestTimeVarying:
         sys = pr.dubins_linearized(2.0 * np.pi)
         rep = ck.gramian(sys, 2.0 * np.pi)
         assert rep.invertible
+
+
+class TestLtvArrayContract:
+    """A and B take a 1-D array of k times and return (k, n, .) samples or one matrix."""
+
+    @pytest.mark.parametrize(
+        "A, B, want",
+        [
+            # Written for one scalar t: an array of times lands on the last axis.
+            (lambda t: np.array([[0.0, -1.0], [1.0, 0.0]]), lambda t: np.array([[np.cos(t)], [np.sin(t)]]), (2, 1)),
+            # Flattened samples are refused, not reshaped.
+            (lambda t: np.zeros((len(t), 4)), lambda t: np.ones((2, 1)), (2, 2)),
+        ],
+        ids=["scalar_B", "flat_A"],
+    )
+    def test_wrong_shape_names_the_expected_one(self, A, B, want):
+        sys = ck.LtvSystem(2, 1, A, B)
+        times = np.linspace(0.0, 1.0, 5)
+        if want == (2, 1):
+            assert B(times).shape == (2, 1, 5)
+        # The rank test samples 17 nodes, the Gramian and HUM 17 Lobatto nodes first.
+        calls = [
+            lambda: ck.ltv_kalman_test(sys, 0.0),
+            lambda: ck.gramian(sys, 1.0),
+            lambda: ck.hum_control_finite(sys, 1.0, [0.0, 0.0], [1.0, 0.0], 100),
+        ]
+        for call in calls:
+            with pytest.raises(ck.DimensionError, match=re.escape(f"shape {(17,) + want} or {want}")):
+                call()
+
+    def test_one_call_samples_every_time(self):
+        # Each collocation degree samples A and B once, and the HUM's RK4
+        # stages once more, whatever the step count.
+        base = pr.dubins_linearized(2.0 * np.pi)
+        for steps in (250, 2000):
+            calls = {"A": 0, "B": 0}
+
+            def counting(name, f):
+                def g(t):
+                    assert np.ndim(t) == 1
+                    calls[name] += 1
+                    return f(t)
+
+                return g
+
+            sys = dataclasses.replace(base, A=counting("A", base.A), B=counting("B", base.B))
+            ck.hum_control_finite(sys, 2.0 * np.pi, np.zeros(3), [1.0, 0.0, 0.0], steps)
+            assert calls == {"A": 3, "B": 2}
+
+    def test_law_takes_a_scalar_time(self):
+        res = ck.hum_control_finite(pr.dubins_linearized(2.0), 2.0, np.zeros(3), [1.0, 0.0, 0.0], 100)
+        for k in (0, 37, 100):
+            assert np.array_equal(res.law(float(res.times[k])), res.samples[k])
 
 
 class TestLie:

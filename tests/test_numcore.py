@@ -220,6 +220,72 @@ class TestIntegrate:
             assert info.value.time == pytest.approx(time, abs=1e-12)
 
 
+class TestBlockedLinearSweep:
+    """rk4_linear_sweep carries the state across blocks of steps and fills each block from its start."""
+
+    @staticmethod
+    def rate(t):  # ||h M||_1 <= 1/16 at h = 1: blocks of 16 steps
+        return 0.0625 * (0.75 + 0.25 * np.sin(t))
+
+    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b"])
+    @pytest.mark.parametrize(
+        "step",
+        [23, 32, 263, 288],
+        ids=["inside_a_block", "on_a_block_edge", "second_chunk", "second_chunk_block_edge"],
+    )
+    def test_blowup_time_is_rk4_sweeps(self, kind, step):
+        # x' = a(t) x (+ b(t)) grows by at most e^(1/16) a step, and its RK4
+        # sums stay below the state, so the first state past the largest
+        # float is the first non-finite one of either sweep.  x0 puts it at
+        # `step`: the growth from 1 is g_k, and x0 g_step-1 < max < x0 g_step.
+        grid = Grid(320.0, 320)
+        a = (lambda t: 0.0625 + 0.0 * t) if kind == "constant" else self.rate
+        b = (lambda t: 1.0 + 0.5 * np.cos(t)) if kind == "varying_b" else (lambda t: 0.0 * t)
+        g = rk4_sweep(lambda t, x: a(t) * x, grid, [1.0])[:, 0]
+        x0 = np.finfo(float).max / math.sqrt(g[step - 1] * g[step])
+        if kind == "constant":
+            M = np.broadcast_to([[0.0625]], (641, 1, 1))
+        else:
+            M = a(grid.stages)[:, None, None]
+        bs = b(grid.stages)[:, None] if kind == "varying_b" else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup) as plain:
+                rk4_sweep(lambda t, x: a(t) * x + b(t), grid, [x0])
+            with pytest.raises(IntegrationBlowup) as linear:
+                rk4_linear_sweep(M, bs, grid, [x0])
+        assert plain.value.time == linear.value.time == float(step)
+
+    @pytest.mark.parametrize("steady", [True, False], ids=["broadcast", "stacked"])
+    def test_block_products_overflow_no_earlier_than_the_states(self, steady):
+        # At h M = 1e6 one step multiplies x by about 4e22, so the product of
+        # 14 steps (1e317) overflows while a state from 1e-300 is still
+        # finite.  Blocks of one step keep the blow-up at the states', t = 27.
+        grid = Grid(40.0, 40)
+        M = np.broadcast_to([[1e6]], (81, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup) as plain:
+                rk4_sweep(lambda t, x: 1e6 * x, grid, [1e-300])
+            with pytest.raises(IntegrationBlowup) as linear:
+                rk4_linear_sweep(M if steady else np.array(M), None, grid, [1e-300])
+        assert plain.value.time == linear.value.time == 27.0
+
+    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b"])
+    def test_states_match_rk4_sweep(self, kind):
+        # 600 steps: two full chunks of 256 and a partial one, with a partial last block.
+        A = np.array([[-0.3, 1.0], [-2.0, -0.1]])
+        grid = Grid(6.0, 600)
+        scale = (lambda t: 1.0 + 0.0 * t) if kind == "constant" else (lambda t: 1.0 + 0.5 * np.sin(t))
+        b = (lambda t: np.stack([np.cos(t), np.ones_like(t)], axis=-1)) if kind == "varying_b" else None
+        if kind == "constant":
+            M = np.broadcast_to(A, (1201, 2, 2))
+        else:
+            M = scale(grid.stages)[:, None, None] * A
+        x0 = np.array([1.0, -0.5])
+        swept = rk4_linear_sweep(M, None if b is None else b(grid.stages), grid, x0)
+        plain = rk4_sweep(lambda t, x: scale(t) * (A @ x) + (0.0 if b is None else b(t)), grid, x0)
+        assert np.max(np.abs(swept - plain)) <= 1e-14 * np.max(np.abs(plain))
+
+
 class TestSimpsonGrid:
     def test_cubic_exact(self):
         grid, w = simpson_grid(1.0, 20)

@@ -498,6 +498,21 @@ class TestSemilinear:
             errors.append(np.max(np.abs(final - exact)) / np.max(np.abs(exact)))
         assert 14.0 < errors[0] / errors[1] < 18.0
 
+    def test_rounding_floor_is_flat_in_the_step_count(self):
+        # From 1600 steps on the marked plant's error is rounding alone.  A
+        # step matrix applied whole rounds its diagonal 1 + Delta the same way
+        # at every step, so its error grows with the step count (1.8e-13 at
+        # 1600 steps, 2.1e-12 at 25600); products kept as I + D read 2e-14 to
+        # 3e-14.
+        plant = pr.semilinear_heat(L=1.0, N_sim=8)
+        y0 = [0.3, -0.2, 0.1, 0.05, -0.04, 0.03, -0.02, 0.01]
+        for steps in (1600, 3200, 6400, 25600):
+            res = semilinear_stabilize(plant, y0, 0.5, steps)
+            M = _semilinear_rhs(plant, res.K.ravel())[1]
+            exact = expm(0.5 * M) @ np.concatenate([[0.0], y0])
+            final = np.concatenate([[res.u[-1]], res.z[-1]])
+            assert np.max(np.abs(final - exact)) / np.max(np.abs(exact)) < 1e-13, steps
+
     def test_cubic_small_data_decays(self):
         rng = np.random.default_rng(7)
         y0 = np.zeros(8)
