@@ -13,14 +13,17 @@ splits into Chebyshev pieces), the two wave observation functionals,
 `hum_wave_boundary` and `semilinear_stabilize` with the cubic
 f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
-grid.  Last, one readable line `work  argv  ...` per corpus shoot: how many
+grid.  Then one readable line `work  argv  ...` per corpus shoot: how many
 extremals `integrate_extremal` swept on each grid (`steps:count`), how many
 RK4 steps `optctrl._rk4` took in all (switching-time searches included) and
 the report's `newton_iterations`, so a change in shooting work shows in the
 diff too.  Then one line `work  library  ...` per time-varying
 `hum_control_finite` call: how many calls it made into the system's A and
-into its B.  A refactor shows that no output moved by a `diff` of this
-script's output on the parent commit and on the change.
+into its B.  Last, one line `work  argv  ...` for `pde damping.json` and
+`pde semilinear.json`: the calls of `numcore._step_scan`, counted per
+(steps, block length L), so a change in the scan's block length shows too.
+A refactor shows that no output moved by a `diff` of this script's output
+on the parent commit and on the change.
 """
 
 import collections
@@ -38,7 +41,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import numpy as np  # noqa: E402
 
 import ctrlkit as ck  # noqa: E402
-from ctrlkit import optctrl  # noqa: E402
+from ctrlkit import numcore, optctrl, specpde  # noqa: E402
 from ctrlkit import problems as pr  # noqa: E402
 from ctrlkit.cli import main  # noqa: E402
 from test_acceptance import CLI_CORPUS, SPECS  # noqa: E402
@@ -81,6 +84,23 @@ def shoot_work(argv):
     sweeps = " ".join(f"{steps}:{count}" for steps, count in sorted(grids.items()))
     iters = report["results"]["newton_iterations"]
     return f"integrate_extremal {sweeps}  rk4 {rk4_steps}  newton_iterations {iters}"
+
+
+def scan_work(argv):
+    """(steps, block length): calls of numcore._step_scan in one `ctrl pde` run."""
+    calls = collections.Counter()
+    scan = numcore._step_scan
+
+    def counting(delta, x, steps, n=None):
+        calls[steps, min(steps, numcore._block_length(delta, n))] += 1
+        return scan(delta, x, steps, n)
+
+    numcore._step_scan = specpde._step_scan = counting
+    try:
+        run(argv, "report")
+    finally:
+        numcore._step_scan = specpde._step_scan = scan
+    return "_step_scan steps,L:calls " + " ".join(f"{s},{L}:{c}" for (s, L), c in sorted(calls.items()))
 
 
 def ltv_work(sys_, T, x0, x1, steps):
@@ -214,3 +234,6 @@ for argv in CLI_CORPUS:
         print(f"work  {' '.join(argv)}  {shoot_work(argv)}")
 for steps in (250, 2000):
     print(f"work  library  hum_control_finite dubins steps={steps}  {ltv_work(*DUBINS, steps)}")
+for argv in CLI_CORPUS:
+    if argv[:2] in (["pde", "damping.json"], ["pde", "semilinear.json"]):
+        print(f"work  {' '.join(argv)}  {scan_work(argv)}")

@@ -254,7 +254,10 @@ def rk4_sweep(rhs, grid: Grid, x0) -> np.ndarray:
 
     States may have any shape (axis 0 of the result is time).  Times are
     handed out as Python floats.  Raises IntegrationBlowup(t_k+1) on a
-    non-finite state x_k+1.
+    non-finite state x_k+1, or on a non-finite stage of that step: a state
+    within RK4's stage growth of the largest float can raise here on a step
+    whose result is finite (x' = 1e6 x from 1e285 over h = 1 raises at t = 1,
+    where rk4_linear_sweep returns 4.17e307).
     """
     x = np.asarray(x0, dtype=float)
     h, times = grid.h, grid.times.tolist()
@@ -273,16 +276,13 @@ def rk4_linear_sweep(M, b, grid: Grid, x0) -> np.ndarray:
 
     M and b hold one sample per time of grid.stages.  With h = grid.h, each step matrix is
     I + Delta, Delta = h/6 (M_0 + 2 K2 + 2 K3 + K4), K2 = M_h (I + h/2 M_0), K3 = M_h (I + h/2
-    K2), K4 = M_1 (I + h K3), from batched products 256 steps at a time.  The steps are
-    grouped in blocks of L <= min(16, 1 / ||h M||_1) (max over the 256 steps), so a block's
-    product grows by at most e (Kenney & Leipnik, IEEE TAC 30(10), 1985), and each block
-    product is kept as I + D: D_j = Delta_j + D_j-1 + Delta_j D_j-1, batched over the blocks.
-    One loop carries the state x_s from block start to block start, and every state is x_s
-    + D_j x_s, one batched product (a two-level prefix product: Blelloch, CMU-CS-90-190,
-    1990).  Products and states thus overflow together: rk4_sweep's method and blow-up
-    contract, its states to rounding, and no rounding of 1 + Delta that grows with the step
-    count.  A constant M passed as np.broadcast_to(M, ...) (stride 0 in time) with b None
-    has one step matrix and one set of block products, formed once per 256 steps from M[:3].
+    K2), K4 = M_1 (I + h K3), from batched products 256 steps at a time, and _step_scan applies
+    them.  Its block products overflow no earlier than the states, so this is rk4_sweep's
+    method and blow-up contract, its states to rounding, and no rounding of 1 + Delta that
+    grows with the step count.  The blow-up times differ only for a state within RK4's stage
+    growth of the largest float, where rk4_sweep's stages overflow first.  A constant M passed
+    as np.broadcast_to(M, ...) (stride 0 in time) with b None has one step matrix, formed once
+    per 256 steps from M[:3].
     """
     if len(M) != 2 * grid.steps + 1:
         raise DimensionError(f"M must hold one matrix per stage, {2 * grid.steps + 1}, got {len(M)}")
@@ -295,14 +295,10 @@ def rk4_linear_sweep(M, b, grid: Grid, x0) -> np.ndarray:
     N = len(x)
     states = np.empty((grid.steps + 1,) + x.shape)
     states[0] = x
-    flat = states.reshape(len(states), N, -1)  # a view: states as (N, r) matrices
-    steady = M.strides[0] == 0  # one M for every time
-    constant = b is None and steady
+    constant = b is None and M.strides[0] == 0  # one M for every time
     for s in range(0, grid.steps, 256):  # bounds the temporaries
         c = min(256, grid.steps - s)
         m = M[2 * s : 2 * s + (3 if constant else 2 * c + 1)]
-        norm = h * float(np.abs(m[:1] if steady else m).sum(axis=-2).max())  # NaN or inf give L = 1
-        L = min(c, 16 if norm <= 1.0 / 16.0 else int(1.0 / norm) if norm <= 1.0 else 1)
         if b is not None:
             m, mx = np.zeros((len(m), N, N)), m
             m[:, :n, :n], m[:, :n, n:] = mx, b[2 * s : 2 * s + 2 * c + 1]
@@ -310,23 +306,53 @@ def rk4_linear_sweep(M, b, grid: Grid, x0) -> np.ndarray:
         K2 = Mh + (0.5 * h) * (Mh @ M0)
         K3 = Mh + (0.5 * h) * (Mh @ K2)
         K4 = M1 + h * (M1 @ K3)
-        blocks = -(-c // L)
-        D = np.zeros((L if constant else blocks * L, N, N))  # zero padding steps are I
-        D[: len(D) if constant else c] = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
-        D = np.ascontiguousarray(D.reshape(-1, L, N, N).swapaxes(0, 1))  # D[j] of every block
-        for Dp, Dj in zip(D, D[1:]):
-            Dj += Dj @ Dp
-            Dj += Dp
-        starts = np.empty((blocks,) + flat.shape[1:])
-        y = starts[0] = flat[s]
-        for E, start in zip(np.broadcast_to(D[-1], (blocks, N, N)), starts[1:]):
-            y = np.add(y, E @ y, out=start)
-        fill = starts + D @ starts  # (L, blocks, N, r)
-        flat[s + 1 : s + c + 1] = fill.swapaxes(0, 1).reshape((-1,) + flat.shape[1:])[:c]
+        delta = (h / 6.0) * (M0 + 2.0 * K2 + 2.0 * K3 + K4)
+        states[s + 1 : s + c + 1] = _step_scan(delta[0] if constant else delta, states[s], c, n)
     finite = np.isfinite(states[1:]).all(axis=tuple(range(1, states.ndim)))
     if not finite.all():
         raise IntegrationBlowup(float(grid.times[int(finite.argmin()) + 1]))
     return states if b is None else states[:, :n]
+
+
+def _block_length(delta, n=None) -> int:
+    """Steps per block of _step_scan: min(16, floor(1 / log g)), g the largest ||I + Delta_k||_1
+    of the state block, the leading n x n block (the whole matrix for n None).
+
+    A block product then grows by at most g^L <= e (Kenney & Leipnik, IEEE TAC 30(10), 1985).
+    g is the growth of the step matrices themselves, which e^||h M||_1 only bounds (the
+    logarithmic-norm argument: Soderlind, BIT 46, 2006), so a stiff, stable step matrix gets
+    long blocks.  16 for g <= e^(1/16), 1 for g > e, NaN or inf.
+    """
+    n = n or delta.shape[-1]
+    g = float(np.einsum("...ij->...j", np.abs(delta[..., :n, :n] + np.eye(n))).max())  # column sums
+    return 16 if g <= np.exp(1.0 / 16.0) else int(1.0 / np.log(g)) if g <= np.e else 1
+
+
+def _step_scan(delta, x, steps: int, n=None) -> np.ndarray:
+    """The states x_1 .. x_steps of x_k+1 = (I + Delta_k) x_k from x_0 = x, of any shape (N, ...).
+
+    delta is a (steps, N, N) stack, or one (N, N) matrix for every step.  The steps are grouped
+    in blocks of L = _block_length(delta, n) (at most `steps`), and each block product is kept
+    as I + D: D_j = Delta_j + D_j-1 + Delta_j D_j-1, batched over the blocks.  One loop carries
+    the state x_s from block start to block start, and every state is x_s + D_j x_s, one batched
+    product (a two-level prefix product: Blelloch, CMU-CS-90-190, 1990).
+    """
+    N = delta.shape[-1]
+    constant = delta.ndim == 2
+    L = min(steps, _block_length(delta, n))
+    blocks = -(-steps // L)
+    D = np.zeros((L if constant else blocks * L, N, N))  # zero padding steps are I
+    D[: len(D) if constant else steps] = delta
+    D = np.ascontiguousarray(D.reshape(-1, L, N, N).swapaxes(0, 1))  # D[j] of every block
+    for Dp, Dj in zip(D, D[1:]):
+        Dj += Dj @ Dp
+        Dj += Dp
+    starts = np.empty((blocks, N, x.size // N))
+    y = starts[0] = x.reshape(N, -1)
+    for E, start in zip(np.broadcast_to(D[-1], (blocks, N, N)), starts[1:]):
+        y = np.add(y, E @ y, out=start)
+    fill = starts + D @ starts  # (L, blocks, N, r)
+    return fill.swapaxes(0, 1).reshape((-1,) + x.shape)[:steps]
 
 
 # ---------------------------------------------------------------------------

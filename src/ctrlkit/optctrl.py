@@ -324,7 +324,7 @@ def _signs(phi):
 
 def _dot(a, b):
     """<a, b> of two float sequences, summed left to right."""
-    return sum(ai * bi for ai, bi in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _crossed(s0, s1):

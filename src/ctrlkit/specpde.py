@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DimensionError, Grid, GridError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
+from .numcore import _step_scan
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -490,7 +491,9 @@ def damping_decay_experiment(
 
     Simulates dZ/dt = M Z from a = (1, ..., 1), b = 0, with M the Galerkin
     matrix of the damped wave (damping operator B_jk = (2/L) int_omega sin
-    sin), steps with the exact matrix exponential of M, fits log E(t) by
+    sin), steps with the exact matrix exponential of M (numcore's blocked
+    step scan with Delta = expm(h M) - I, in blocks of 6 steps for the
+    corpus spec, whose ||expm(h M)||_1 is 1.18), fits log E(t) by
     least squares for delta, and reports C1 = max_t E(t) e^(delta t) / E(0).
     The observability value is the conservative integral
     int_0^T ||B^(1/2) dt phi||^2 dt.
@@ -505,11 +508,8 @@ def damping_decay_experiment(
     M[N:, :N] = np.diag(-om)
     S = _sin_product_integrals(damping or IntervalUnion([]), basis, N)
     M[N:, N:] = -(2.0 / basis.L) * S
-    step = expm(grid.h * M)
-    Z = np.empty((len(times), 2 * N))
-    Z[0] = np.concatenate([y0.a, y0.b])
-    for i in range(len(times) - 1):
-        Z[i + 1] = step @ Z[i]
+    z0 = np.concatenate([y0.a, y0.b])
+    Z = np.vstack([z0, _step_scan(expm(grid.h * M) - np.eye(2 * N), z0, grid.steps)])
     energy = 0.5 * np.sum(Z**2, axis=1)
     if damping is not None and damping.intervals:
         logs = np.log(energy)

@@ -32,12 +32,14 @@ from ctrlkit import (
     lq_cost,
     lq_feedback,
     numerical_rank,
+    pole_place,
     riccati_solve,
     simpson_grid,
     simulate_closed_loop,
 )
 from ctrlkit import problems as pr
-from ctrlkit.numcore import Chebyshev, chebyshev, fd_jacobian, rk4_linear_sweep, rk4_sweep
+from ctrlkit.numcore import Chebyshev, _block_length, chebyshev, fd_jacobian, rk4_linear_sweep, rk4_sweep
+from ctrlkit.specpde import _semilinear_rhs, semilinear_matrices, semilinear_steps
 
 
 class TestExpm:
@@ -227,7 +229,7 @@ class TestBlockedLinearSweep:
     def rate(t):  # ||h M||_1 <= 1/16 at h = 1: blocks of 16 steps
         return 0.0625 * (0.75 + 0.25 * np.sin(t))
 
-    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b"])
+    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b", "stiff"])
     @pytest.mark.parametrize(
         "step",
         [23, 32, 263, 288],
@@ -238,21 +240,28 @@ class TestBlockedLinearSweep:
         # sums stay below the state, so the first state past the largest
         # float is the first non-finite one of either sweep.  x0 puts it at
         # `step`: the growth from 1 is g_k, and x0 g_step-1 < max < x0 g_step.
+        # "stiff" adds a mode x' = -2 x (from 1, so its stages stay finite):
+        # ||h M||_1 = 2 gave blocks of 1 step, ||I + Delta||_1 < e^(1/16) gives 16.
         grid = Grid(320.0, 320)
-        a = (lambda t: 0.0625 + 0.0 * t) if kind == "constant" else self.rate
+        a = (lambda t: 0.0625 + 0.0 * t) if kind in ("constant", "stiff") else self.rate
         b = (lambda t: 1.0 + 0.5 * np.cos(t)) if kind == "varying_b" else (lambda t: 0.0 * t)
         g = rk4_sweep(lambda t, x: a(t) * x, grid, [1.0])[:, 0]
-        x0 = np.finfo(float).max / math.sqrt(g[step - 1] * g[step])
-        if kind == "constant":
+        x0 = [np.finfo(float).max / math.sqrt(g[step - 1] * g[step])]
+        if kind == "stiff":
+            rates, x0 = np.array([-2.0, 0.0625]), [1.0] + x0
+            M = np.broadcast_to(np.diag(rates), (641, 2, 2))
+            assert _block_length(_rk4_delta(grid.h * M[0])) == 16
+            a = lambda t: rates  # noqa: E731
+        elif kind == "constant":
             M = np.broadcast_to([[0.0625]], (641, 1, 1))
         else:
             M = a(grid.stages)[:, None, None]
         bs = b(grid.stages)[:, None] if kind == "varying_b" else None
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationBlowup) as plain:
-                rk4_sweep(lambda t, x: a(t) * x + b(t), grid, [x0])
+                rk4_sweep(lambda t, x: a(t) * x + b(t), grid, x0)
             with pytest.raises(IntegrationBlowup) as linear:
-                rk4_linear_sweep(M, bs, grid, [x0])
+                rk4_linear_sweep(M, bs, grid, x0)
         assert plain.value.time == linear.value.time == float(step)
 
     @pytest.mark.parametrize("steady", [True, False], ids=["broadcast", "stacked"])
@@ -269,21 +278,60 @@ class TestBlockedLinearSweep:
                 rk4_linear_sweep(M if steady else np.array(M), None, grid, [1e-300])
         assert plain.value.time == linear.value.time == 27.0
 
-    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b"])
+    def test_stages_near_the_largest_float_overflow_only_in_rk4_sweep(self):
+        # The one case where the blow-up times differ: over h = 1, x' = 1e6 x has
+        # the stage k4 near 2.5e23 x, past the largest float from x = 1e285,
+        # while the step result 4.17e22 x is finite.
+        grid = Grid(1.0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationBlowup) as plain:
+                rk4_sweep(lambda t, x: 1e6 * x, grid, [1e285])
+        assert plain.value.time == 1.0
+        end = rk4_linear_sweep(np.broadcast_to([[1e6]], (3, 1, 1)), None, grid, [1e285])[-1, 0]
+        assert end == pytest.approx(4.16668333e307, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["constant", "varying", "varying_b", "stiff"])
     def test_states_match_rk4_sweep(self, kind):
         # 600 steps: two full chunks of 256 and a partial one, with a partial last block.
         A = np.array([[-0.3, 1.0], [-2.0, -0.1]])
         grid = Grid(6.0, 600)
-        scale = (lambda t: 1.0 + 0.0 * t) if kind == "constant" else (lambda t: 1.0 + 0.5 * np.sin(t))
+        x0 = np.array([1.0, -0.5])
+        if kind == "stiff":  # the corpus semilinear plant on its 2527-step grid, in blocks of 16
+            A, grid = _stiff_plant()
+            x0 = np.concatenate([[0.0], [0.003, 0.002, -0.004, 0.005, -0.003, 0.002, -0.001, 0.001]])
+            assert _block_length(_rk4_delta(grid.h * A)) == 16
+        steady = kind in ("constant", "stiff")
+        scale = (lambda t: 1.0 + 0.0 * t) if steady else (lambda t: 1.0 + 0.5 * np.sin(t))
         b = (lambda t: np.stack([np.cos(t), np.ones_like(t)], axis=-1)) if kind == "varying_b" else None
-        if kind == "constant":
-            M = np.broadcast_to(A, (1201, 2, 2))
+        if steady:
+            M = np.broadcast_to(A, (2 * grid.steps + 1,) + A.shape)
         else:
             M = scale(grid.stages)[:, None, None] * A
-        x0 = np.array([1.0, -0.5])
         swept = rk4_linear_sweep(M, None if b is None else b(grid.stages), grid, x0)
         plain = rk4_sweep(lambda t, x: scale(t) * (A @ x) + (0.0 if b is None else b(t)), grid, x0)
         assert np.max(np.abs(swept - plain)) <= 1e-14 * np.max(np.abs(plain))
+
+
+def _rk4_delta(hM):
+    """Delta = R(h M) - I of one RK4 step, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    eye = np.eye(len(hM))
+    return hM @ (eye + hM @ (eye / 2.0 + hM @ (eye / 6.0 + hM / 24.0)))
+
+
+def _stiff_plant():
+    """M of the corpus semilinear run (L = 1, c = 12, n = 1, N_sim = 8) and its 2527-step grid.
+
+    ||h M||_1 = 2.45 (blocks of 1 step by that norm), but ||I + Delta||_1 = 1.048: the heat
+    flow is stiff and stable.
+    """
+    plant = pr.semilinear_heat(L=1.0, c=12.0, n=1, N_sim=8)
+    A, B = semilinear_matrices(plant)[:2]
+    K = pole_place(LtiSystem(A, B), np.poly(-np.ones(2)))
+    grid = Grid(10.0, semilinear_steps(1.0, 8, 10.0, 2000))
+    M = _semilinear_rhs(plant, np.ravel(K))[1]
+    assert grid.steps == 2527 and np.abs(grid.h * M).sum(axis=0).max() == pytest.approx(2.45, abs=5e-3)
+    assert np.abs(np.eye(len(M)) + _rk4_delta(grid.h * M)).sum(axis=0).max() == pytest.approx(1.048, abs=5e-4)
+    return M, grid
 
 
 class TestSimpsonGrid:

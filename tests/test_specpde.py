@@ -391,6 +391,23 @@ class TestDamping:
         even = damping_decay_experiment(basis, omega, 8.0, samples=400)
         assert np.array_equal(even.times, simpson_grid(8.0, 400)[0].times)
 
+    @pytest.mark.parametrize("omega", [IntervalUnion([[0.2, 0.8]]), None], ids=["damped", "conservative"])
+    def test_energies_match_one_product_per_node(self, omega):
+        # The reference steps the same exact exponential one node at a time.
+        basis, samples = SineBasis(1.0, 16), 2000
+        res = damping_decay_experiment(basis, omega, 8.0, samples)
+        N, om = basis.N, basis.omega
+        M = np.block([[np.zeros((N, N)), np.diag(om)], [np.diag(-om), np.zeros((N, N))]])
+        if omega is not None:
+            M[N:, N:] = -(2.0 / basis.L) * _sin_product_integrals(omega, basis, N)
+        step = expm((8.0 / samples) * M)
+        Z = np.empty((samples + 1, 2 * N))
+        Z[0] = np.concatenate([np.ones(N), np.zeros(N)])
+        for i in range(samples):
+            Z[i + 1] = step @ Z[i]
+        energy = 0.5 * np.sum(Z**2, axis=1)
+        assert np.all(np.abs(res.energy - energy) <= 1e-13 * energy)
+
 
 class TestSinProductIntegrals:
     @pytest.mark.parametrize("L", [1.0, math.pi, 7.3])
