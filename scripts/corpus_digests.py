@@ -21,7 +21,9 @@ diff too.  Then one line `work  library  ...` per time-varying
 `hum_control_finite` call: how many calls it made into the system's A and
 into its B.  Last, one line `work  argv  ...` for `pde damping.json` and
 `pde semilinear.json`: the calls of `numcore._step_scan`, counted per
-(steps, block length L), so a change in the scan's block length shows too.
+(steps, block length L), so a change in the scan's block length shows too,
+and one line `work  pde moment_heat.json  svd_r <count>`: the 80-digit SVDs
+the biorthogonal family ran, 0 while its condition bound decides.
 A refactor shows that no output moved by a `diff` of this script's output
 on the parent commit and on the change.
 """
@@ -38,6 +40,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 
 import ctrlkit as ck  # noqa: E402
@@ -101,6 +104,24 @@ def scan_work(argv):
     finally:
         numcore._step_scan = specpde._step_scan = scan
     return "_step_scan steps,L:calls " + " ".join(f"{s},{L}:{c}" for (s, L), c in sorted(calls.items()))
+
+
+def svd_work(argv):
+    """Calls of mpmath's svd_r in one `ctrl pde` run."""
+    calls = 0
+    svd_r = mpmath.svd_r
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return svd_r(*args, **kwargs)
+
+    mpmath.svd_r = counting
+    try:
+        run(argv, "report")
+    finally:
+        mpmath.svd_r = svd_r
+    return f"svd_r {calls}"
 
 
 def ltv_work(sys_, T, x0, x1, steps):
@@ -237,3 +258,5 @@ for steps in (250, 2000):
 for argv in CLI_CORPUS:
     if argv[:2] in (["pde", "damping.json"], ["pde", "semilinear.json"]):
         print(f"work  {' '.join(argv)}  {scan_work(argv)}")
+    if argv[:2] == ["pde", "moment_heat.json"]:
+        print(f"work  {' '.join(argv)}  {svd_work(argv)}")

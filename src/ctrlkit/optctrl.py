@@ -506,7 +506,10 @@ def pmp_shoot(
     has not halved its residual; the requested grid then starts from the
     coarse iterate.  Otherwise, or when a probe sweep raises
     IntegrationBlowup, it starts from the guess, reusing the guess's sweep
-    when the other grid is the requested one.
+    when the other grid is the requested one.  Either way, the requested
+    grid's first Jacobian, which sweeps the coarse grid, takes the coarse
+    residual at its start (the probe's or the last coarse iterate's) as its
+    base instead of sweeping it again.
 
     A Newton iteration on an s-step grid takes its Jacobian from extremals
     on s // 8 steps, with one more sweep there for the base residual: a
@@ -603,7 +606,7 @@ def pmp_shoot(
                 return z, shot, it + 1  # stalled: leave the budget to the requested grid
         return z, shot, iters
 
-    coarse, shot, used = steps // 8, None, 0
+    coarse, shot, used, fine_base = steps // 8, None, 0, None
     if coarse >= 1:
         other = steps // 64 if steps >= 512 else steps
         try:
@@ -618,11 +621,12 @@ def pmp_shoot(
                 shot = other_shot
             if np.linalg.norm(coarse_shot[0]) >= 4.0 * target:
                 base = other_shot[0] if other < coarse else None
-                z_coarse, _, used = newton(z, coarse_shot, coarse, target, newton_iters, base)
+                z_coarse, coarse_shot, used = newton(z, coarse_shot, coarse, target, newton_iters, base)
                 if z_coarse is not z:  # newton hands back z itself when it took no step
                     z, shot = z_coarse, None
+            fine_base = coarse_shot[0]  # the coarse residual at z: the first fine Jacobian's base
     z, (r, extremal), _ = newton(
-        z, shoot(z, steps) if shot is None else shot, steps, tol, newton_iters - used
+        z, shoot(z, steps) if shot is None else shot, steps, tol, newton_iters - used, fine_base
     )
 
     converged = history[-1] < tol
@@ -633,16 +637,19 @@ def pmp_shoot(
     # Sample the extremal on Python floats: the controls, f and f0 for H, and
     # the smallest |switching function| at each node.
     switching = getattr(p.maximizer, "switching", None)
+    bound = getattr(p.maximizer, "bound", None) if switching is not None else None
     controls, fs, f0s, phi = [], [], [], []
     for t, row in zip(times.tolist(), Z.tolist()):
         x, pv = row[:n], row[n:]
-        u = p.maximizer(t, x, pv, p0)
+        phis = None if switching is None else switching(t, x, pv, p0)
+        # A box maximizer's control is a sign(phi): take it from the one switching call.
+        u = p.maximizer(t, x, pv, p0) if bound is None else [bound * _sign(v) for v in phis]
         controls.append(u)
         fs.append(p.f(t, x, u))
         if p.f0 is not None:
             f0s.append(p.f0(t, x, u))
-        if switching is not None:
-            phi.append(min(map(abs, switching(t, x, pv, p0))))
+        if phis is not None:
+            phi.append(min(map(abs, phis)))
     controls = np.array(controls, dtype=float).reshape(steps + 1, p.control_dim)
     # <p, f> row by row, with the same products as a 1-D `pv @ f` per node.
     hams = (Z[:, None, n:] @ np.array(fs, dtype=float)[:, :, None])[:, 0, 0]

@@ -381,7 +381,7 @@ def moment_method_run():
 
     L, T, K = math.pi, 1.0, 6
     mu = [(j * math.pi / L) ** 2 for j in range(1, K + 1)]
-    C, _ = biorthogonal_family(mu, T, K)
+    C = biorthogonal_family(mu, T, K)
     with mp.workdps(80):
         worst = 0.0
         for k in range(K):

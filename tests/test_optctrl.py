@@ -332,7 +332,7 @@ CORPUS_SHOTS = {
 CORPUS_WORK = {
     "brachistochrone": ({31: 20, 250: 6, 2000: 1}, 5, [250] * 6 + [2000]),
     "di_min_time": ({31: 20, 250: 6, 2000: 1}, 5, [250] * 6 + [2000]),
-    "zermelo": ({31: 1, 250: 5, 2000: 2}, 1, [2000, 2000]),
+    "zermelo": ({31: 1, 250: 4, 2000: 2}, 1, [2000, 2000]),
 }
 
 
@@ -451,9 +451,9 @@ class TestTwoLevelShooting:
     @pytest.mark.parametrize(
         "name, steps, work",
         [
-            ("brachistochrone", 100, {12: 25, 100: 4}),
-            ("di_min_time", 100, {12: 17, 100: 4}),
-            ("brachistochrone", 200, {25: 21, 200: 3}),
+            ("brachistochrone", 100, {12: 24, 100: 4}),
+            ("di_min_time", 100, {12: 16, 100: 4}),
+            ("brachistochrone", 200, {25: 20, 200: 3}),
             ("di_min_time", 200, {25: 21, 200: 2}),
         ],
     )

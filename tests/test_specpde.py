@@ -329,7 +329,7 @@ class TestMomentMethod:
     def test_biorthogonality_residuals(self):
         L, T, K = math.pi, 1.0, 6
         mu = [(j * math.pi / L) ** 2 for j in range(1, K + 1)]
-        C, cond = biorthogonal_family(mu, T, K)
+        C = biorthogonal_family(mu, T, K)
         with mp.workdps(80):
             worst = 0.0
             for k in range(K):
@@ -349,6 +349,58 @@ class TestMomentMethod:
         with pytest.raises(KTooLargeError, match=f"largest feasible K={feasible}$") as info:
             biorthogonal_family([float(k * k) for k in range(1, N + 1)], T, N)
         assert info.value.feasible_K == feasible
+
+    @staticmethod
+    def _svd_condition(K, T):
+        """cond_2 of the K x K Gram matrix from its 80-digit singular values."""
+        with mp.workdps(80):
+            M = mp.matrix(K, K)
+            for i in range(K):
+                for j in range(K):
+                    s = mp.mpf((i + 1) ** 2) + (j + 1) ** 2
+                    M[i, j] = (1 - mp.exp(-s * mp.mpf(T))) / s
+            sv = mp.svd_r(M, compute_uv=False)
+            return float(sv[0] / sv[K - 1]) if sv[K - 1] > 0 else math.inf
+
+    @pytest.mark.parametrize("K", range(2, 11))
+    def test_accepts_what_the_svd_rule_accepts(self, K):
+        # The Frobenius bound decides only where it is below 1e65 (1 - 1e-6);
+        # the decision must be the singular values' cond_2 <= 1e65 everywhere.
+        mus = [float(k * k) for k in range(1, K + 1)]
+        for T in 10.0 ** (-7 + np.arange(15) / 2):
+            cond = self._svd_condition(K, T)
+            if math.isfinite(cond) and cond <= mp.mpf(10) ** 65:
+                assert biorthogonal_family(mus, T, K).rows == K
+            else:
+                with pytest.raises(KTooLargeError, match=re.escape(f"Gram condition {cond:.3e} ")):
+                    biorthogonal_family(mus, T, K)
+
+    @staticmethod
+    def _count_svds(monkeypatch):
+        """Record the size of every matrix handed to mp.svd_r."""
+        calls = []
+        svd_r = mp.svd_r
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.rows)
+            return svd_r(A, *args, **kwargs)
+
+        monkeypatch.setattr(mp, "svd_r", counting)
+        return calls
+
+    def test_corpus_family_runs_no_svd(self, monkeypatch):
+        calls = self._count_svds(monkeypatch)
+        assert biorthogonal_family([1.0, 4.0, 9.0, 16.0], 1.0, 4).rows == 4
+        assert calls == []
+
+    def test_family_inside_the_margin_is_accepted_by_the_svd(self, monkeypatch):
+        K, T = 8, 2.3104062272e-05
+        # cond_2 is 1e65 (1 - 3e-10): feasible, but the Frobenius bound
+        # exceeds 1e65 (1 - 1e-6), so the singular values decide.
+        assert 1e65 * (1 - 1e-6) < self._svd_condition(K, T) <= 1e65
+        calls = self._count_svds(monkeypatch)
+        assert biorthogonal_family([float(k * k) for k in range(1, K + 1)], T, K).rows == K
+        assert calls == [K]
 
     def test_heat_control_four_modes(self):
         L = math.pi
