@@ -13,7 +13,9 @@ splits into Chebyshev pieces), the two wave observation functionals,
 `hum_wave_boundary` and `semilinear_stabilize` with the cubic
 f(y) = 12y - y^3, hashed over the bytes and shapes of every array they
 return.  The odd step counts go through the rounding to an even Simpson
-grid.  Then one readable line `work  argv  ...` per corpus shoot: how many
+grid.  Two `hum_control_finite` lines run the double integrator with B
+times 1e-6 and 1e6: a change of the input's units, which moves no verdict.
+Then one readable line `work  argv  ...` per corpus shoot: how many
 extremals `integrate_extremal` swept on each grid (`steps:count`), how many
 RK4 steps `optctrl._rk4` took in all (switching-time searches included) and
 the report's `newton_iterations`, so a change in shooting work shows in the
@@ -221,6 +223,14 @@ def semilinear_cubic():
 
 
 DOUBLE_INTEGRATOR = (pr.double_integrator(), 1.0, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def double_integrator_b(factor):
+    """DOUBLE_INTEGRATOR with B times `factor`: a change of the input's units."""
+    sys_, *rest = DOUBLE_INTEGRATOR
+    return (ck.LtiSystem(sys_.A, factor * sys_.B), *rest)
+
+
 DUBINS = (pr.dubins_linearized(2.0 * np.pi), 2.0 * np.pi, np.zeros(3), np.array([1.0, 0.0, 0.0]))
 SCALAR_LQ = (ck.LqProblem(ck.LtiSystem([[0.0]], [[1.0]]), [[1.0]], [[1.0]], [[0.0]], 2.0), [1.0])
 DOUBLE_INTEGRATOR_LQ = (
@@ -232,6 +242,8 @@ LIBRARY = [
     ("lq_cost double_integrator steps=2000", lq, *DOUBLE_INTEGRATOR_LQ, 2000),
     ("hum_control_finite double_integrator steps=250", hum, *DOUBLE_INTEGRATOR, 250),
     ("hum_control_finite double_integrator steps=2000", hum, *DOUBLE_INTEGRATOR, 2000),
+    ("hum_control_finite double_integrator B*1e-6 steps=250", hum, *double_integrator_b(1e-6), 250),
+    ("hum_control_finite double_integrator B*1e6 steps=250", hum, *double_integrator_b(1e6), 250),
     ("hum_control_finite dubins steps=250", hum, *DUBINS, 250),
     ("hum_control_finite dubins steps=2000", hum, *DUBINS, 2000),
     ("simulate_closed_loop pendulum pole_place", pendulum),

@@ -26,6 +26,7 @@ from .numcore import (
     numerical_rank,
     rk4_linear_sweep,
     simpson_grid,
+    spectral_rank,
 )
 
 __all__ = [
@@ -171,9 +172,8 @@ def controllable_decomposition(sys: LtiSystem, tol: float = 1e-9):
     Returns (P, A1, A2, A3, B1, r) with P A P^-1 = [[A1, A2], [0, A3]] and
     P B = [[B1], [0]], where r is the controllable rank.
     """
-    K = kalman_matrix(sys.A, sys.B)
-    r = numerical_rank(K, tol)
-    U = np.linalg.svd(K)[0]
+    U, sv, _ = np.linalg.svd(kalman_matrix(sys.A, sys.B))
+    r = spectral_rank(sv, tol)
     # U's columns are orthonormal: the first r span the controllable subspace.
     P = U.T  # P^-1 = U
     Ab = P @ sys.A @ U
@@ -237,23 +237,27 @@ def gramian(sys, T: float) -> GramianReport:
     """Controllability Gramian G_T = int_0^T R(T,t) B(t) B(t)^T R(T,t)^T dt.
 
     LTI: G_T = F22^T F12 from F = expm(T [[-A, BB^T], [0, A^T]]) (Van Loan,
-    IEEE TAC 23(3), 1978), exact.  LTV: Chebyshev collocation, see
-    _ltv_adjoint.  A horizon T outside (0, inf) raises GridError.
+    IEEE TAC 23(3), 1978), exact, for B over a power of two beta near ||B||_1,
+    then times beta^2: expm overscales when BB^T dominates (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31(3), 2009).  LTV: Chebyshev collocation, see
+    _ltv_adjoint.  A horizon T outside (0, inf) raises GridError.  G_T is
+    invertible when C_T = lambda_min > 1e-12 lambda_max (spectral_rank).
     """
     if not 0.0 < T < np.inf:
         raise GridError(f"the Gramian needs 0 < T < inf, got T={T}")
     if isinstance(sys, LtiSystem):
-        n = sys.n
-        F = expm(T * np.block([[-sys.A, sys.B @ sys.B.T], [np.zeros((n, n)), sys.A.T]]))
-        return _report(T, F[n:, n:].T @ F[:n, n:])
+        n, norm = sys.n, np.abs(sys.B).sum(axis=0).max(initial=0.0)
+        beta = np.ldexp(1.0, np.frexp(norm)[1] - 1) if norm else 1.0  # beta <= ||B||_1 < 2 beta
+        B = sys.B / beta
+        F = expm(T * np.block([[-sys.A, B @ B.T], [np.zeros((n, n)), sys.A.T]]))
+        return _report(T, beta**2 * (F[n:, n:].T @ F[:n, n:]))
     return _ltv_adjoint(sys, T)[0]
 
 
 def _report(T, G, **counts) -> GramianReport:
     G = 0.5 * (G + G.T)
     w = np.linalg.eigvalsh(G)
-    C_T = float(w[0])
-    return GramianReport(T, G, C_T, C_T > 1e-12 * max(1.0, float(w[-1])), **counts)
+    return GramianReport(T, G, float(w[0]), spectral_rank(w, 1e-12) == len(w), **counts)
 
 
 def _ltv_adjoint(sys: LtvSystem, T: float):

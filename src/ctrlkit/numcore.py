@@ -3,8 +3,8 @@
 Dense matrix exponential (Pade 13 with scaling and squaring, of one matrix
 or a stack), the uniform grid every fixed-step path runs on (`Grid`),
 classical RK4 integration on it (linear ODEs from batched step matrices),
-dense output between grid nodes, finite-difference Jacobians, SVD-based
-numerical rank, the composite Simpson grid, and Chebyshev interpolation
+dense output between grid nodes, finite-difference Jacobians, the one
+numerical rank rule, the composite Simpson grid, and Chebyshev interpolation
 (nodes, differentiation, quadrature, barycentric evaluation and a tail test).
 Everything here is a pure function of its inputs; all downstream modules
 build on these kernels so that results are bit-reproducible run to run.
@@ -31,6 +31,7 @@ __all__ = [
     "rk4_linear_sweep",
     "fd_jacobian",
     "numerical_rank",
+    "spectral_rank",
     "simpson_grid",
     "Chebyshev",
     "chebyshev",
@@ -394,19 +395,19 @@ def fd_jacobian(fun, x, h, scheme: str = "central", f0=None) -> np.ndarray:
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Number of singular values above rel_tol times the largest one.
+    """spectral_rank of the singular values of M.  Complex matrices keep their imaginary part."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
+    return spectral_rank(np.linalg.svd(M, compute_uv=False) if M.size else (), rel_tol)
 
-    Complex matrices keep their imaginary part.
-    """
+
+def spectral_rank(values, rel_tol: float) -> int:
+    """The rank rule, free of scale, on singular values or a symmetric matrix's eigenvalues: how many
+    exceed rel_tol times the largest; 0 for none or a largest <= 0 (Golub & Van Loan, 4th ed., 5.4.1)."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    M = np.atleast_2d(np.asarray(M, dtype=complex if np.iscomplexobj(M) else float))
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    v = np.asarray(values)
+    top = v.max(initial=0.0)
+    return int(np.count_nonzero(v > rel_tol * top)) if top > 0.0 else 0
 
 
 def simpson_grid(T: float, steps: int):

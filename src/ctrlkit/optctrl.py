@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DenseOutput, DimensionError, IntegrationBlowup, Trajectory, expm
-from .numcore import Grid, fd_jacobian, rk4_linear_sweep, simpson_grid
+from .numcore import Grid, fd_jacobian, rk4_linear_sweep, simpson_grid, spectral_rank
 from .lincontrol import LtiSystem
 
 __all__ = [
@@ -467,11 +467,9 @@ def _terminal_residual(p: OcProblem, t_f, x_f, p_f, p0):
         Fv = np.atleast_1d(np.asarray(p.F(x_f), dtype=float))
         dF = np.atleast_2d(np.asarray(p.F_jacobian(x_f), dtype=float))
         pieces.append(Fv)
-        # Tangent basis of the manifold: null space of the gradient rows.  The
-        # count has an absolute floor, max(1, sigma_0), so it is not numerical_rank.
+        # Tangent basis of the manifold: null space of the gradient rows.
         _, sv, Vt = np.linalg.svd(dF)
-        q = int(np.count_nonzero(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
-        tangent = Vt[q:]
+        tangent = Vt[spectral_rank(sv, 1e-12) :]
         pieces.append(tangent @ (p_f - p0 * gx))
     if p.horizon is None:
         u_f = np.atleast_1d(np.asarray(p.maximizer(t_f, x_f, p_f, p0), dtype=float))

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .numcore import DimensionError, Grid, GridError, expm, rk4_linear_sweep, rk4_sweep, simpson_grid
-from .numcore import _step_scan
+from .numcore import _step_scan, spectral_rank
 from .lincontrol import LtiSystem
 from .stabilize import lyapunov_solve, pole_place
 
@@ -78,7 +78,7 @@ class SineBasis:
     """Dirichlet sine basis of (0, L): modes sin(j pi x / L), j = 1..N.
 
     mu holds the (positive convention) Dirichlet-Laplacian eigenvalues
-    (j pi / L)^2; norm is the L2 normalization factor sqrt(2/L).
+    (j pi / L)^2.
     """
 
     L: float
@@ -100,10 +100,6 @@ class SineBasis:
     def omega(self) -> np.ndarray:
         """Wave angular frequencies j pi / L."""
         return self.j * np.pi / self.L
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(2.0 / self.L)
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,7 @@ def hum_wave_boundary(
     coefficients in closed form, solves G z = y1 - S(T) y0, and samples u(t) = D' S(T-t)' z
     on the `steps` Simpson grid, whose rule gives `control_l2_sq` and the endpoint.  The
     control reaches y1 up to the solve's rounding, so `endpoint_error` is that rule's error.
-    A Gramian condition number above 1e12 raises IllPosedError.
+    A Gramian of numerical rank below 2N at 1e-12 (spectral_rank) raises IllPosedError.
     """
     N = y0.N
     if y1.N != N:
@@ -336,11 +332,8 @@ def hum_wave_boundary(
     w = np.hstack([np.sin(th), np.cos(th)]) * d
     sv = np.linalg.svd(G, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if cond > 1e12:
-        raise IllPosedError(
-            f"wave Gramian condition number {cond:.3e} exceeds 1.0e+12",
-            float(sv[-1]),
-        )
+    if spectral_rank(sv, 1e-12) < len(sv):
+        raise IllPosedError(f"wave Gramian condition number {cond:.3e} exceeds 1.0e+12", float(sv[-1]))
     free = wave_evolve(basis, y0, T)
     S_T_y0 = np.concatenate([free.a, free.b])
     Z1 = np.concatenate([y1.a, y1.b])
@@ -394,6 +387,7 @@ def biorthogonal_family(exponents: Sequence[float], T: float, K: int):
             for j in range(i, K):
                 s = mus[i] + mus[j]
                 M[i, j] = M[j, i] = (1 - mp.exp(-s * Tm)) / s
+        # Not spectral_rank: feasibility is a bound on cond from the working precision.
         limit = mp.mpf(10) ** (dps - 15)
         try:
             C = M**-1  # columns are the biorthogonal coefficient vectors
@@ -603,6 +597,14 @@ class SemilinearResult:
     V: np.ndarray
 
 
+def _semilinear_modes(L: float, count: int):
+    """(j, mu_j, I_j, b_j) of the modes j = 1..count: mu_j = (j pi / L)^2, I_j = int_0^L x e_j dx
+    with e_j = sqrt(2/L) sin(j pi x / L), and b_j = -I_j / L."""
+    j = np.arange(1, count + 1)
+    I = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (j + 1) / (j * np.pi)
+    return j, (j * np.pi / L) ** 2, I, -I / L
+
+
 def semilinear_matrices(plant: SemilinearPlant):
     """The finite-mode model X_n = (u, z_1..z_n): X' = A_n X + B_n v.
 
@@ -612,13 +614,9 @@ def semilinear_matrices(plant: SemilinearPlant):
     """
     L = plant.L
     n = plant.n
-    j = np.arange(1, n + 1)
-    mu = (j * np.pi / L) ** 2
+    _, mu, I, b = _semilinear_modes(L, n)
     lam = plant.f_prime_0 - mu
-    # int_0^L x e_j dx with e_j = sqrt(2/L) sin(j pi x / L).
-    I = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (j + 1) / (j * np.pi)
     a = plant.f_prime_0 / L * I
-    b = -I / L
     A = np.zeros((n + 1, n + 1))
     A[1:, 0] = a
     A[1:, 1:] = np.diag(lam)
@@ -653,10 +651,7 @@ def _semilinear_rhs(plant: SemilinearPlant, Krow: np.ndarray):
     the Simpson projection, so for f(y) = f'(0) y, s' = M s is the same ODE.
     """
     Ns, n, L = plant.N_sim, plant.n, plant.L
-    jj = np.arange(1, Ns + 1)
-    mu = (jj * np.pi / L) ** 2
-    I_all = math.sqrt(2.0 / L) * L**2 * (-1.0) ** (jj + 1) / (jj * np.pi)
-    b_all = -I_all / L
+    jj, mu, _, b_all = _semilinear_modes(L, Ns)
     space, weights = simpson_grid(L, 200)
     xs = space.times
     E = math.sqrt(2.0 / L) * np.sin(np.outer(xs, jj) * np.pi / L)  # e_j on the grid

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numcore import DimensionError, Grid, Trajectory, fd_jacobian, rk4_sweep
+from .numcore import DimensionError, Grid, Trajectory, fd_jacobian, rk4_sweep, spectral_rank
 from .lincontrol import LtiSystem, NotControllableError, kalman_test
 
 __all__ = [
@@ -160,13 +160,14 @@ def pole_place(sys: LtiSystem, target: Sequence[float], tol: float = 1e-9) -> np
         Vh = np.linalg.svd(np.hstack([Qr.T @ A @ Qr - lam * np.eye(r), Qr.T @ B]))[2]
         Zv, Zw = np.split(Vh[r:].conj().T, [r])  # null space, one column per input
         shifted = X.T @ (A @ X + B @ W) - lam * np.eye(X.shape[1])  # T_p - lambda I
+        # Not spectral_rank: a distance from lambda to the placed spectrum, not a rank.
         if X.shape[1] and np.linalg.svd(shifted, compute_uv=False)[-1] > 1e-6 * max(1.0, abs(lam)):
             # x(c) = [Qr, X] [Zv; Y] c: orthonormalize the map, then rank c by
             # the right singular vectors of its part off span(X).
             Y = -np.linalg.solve(shifted, X.T @ (A @ Qr @ Zv + B @ Zw))
             _, sm, Vm = np.linalg.svd(np.vstack([Zv, Y]), full_matrices=False)
-            keep = sm > tol * sm[0]
-            P = Vm[keep].conj().T / sm[keep]
+            q = spectral_rank(sm, tol)
+            P = Vm[:q].conj().T / sm[:q]
             C = P @ np.linalg.svd(Zv @ P)[2].conj().T
         else:
             C = np.linalg.svd(Zv)[2].conj().T  # largest state part: the smallest gain

@@ -170,6 +170,32 @@ class TestDecomposition:
         assert r == 2 and A3.size == 0
 
 
+class TestScaleFree:
+    """Rescaling u rescales B; no verdict of the double integrator may move (spectral_rank)."""
+
+    @pytest.mark.parametrize("s", range(-8, 9))
+    def test_verdicts_and_hum_do_not_depend_on_the_scale_of_b(self, s):
+        di = pr.double_integrator()
+        sys = LtiSystem(di.A, di.B * 10.0**s)
+        assert ck.kalman_test(sys).rank == 2
+        assert ck.hautus_test(sys)[0]
+        rep = ck.gramian(sys, 1.0)
+        assert rep.invertible
+        # The power-of-two prescale of B keeps Van Loan's block exponential exact at any scale.
+        exact = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
+        assert np.max(np.abs(rep.G * 10.0 ** (-2 * s) - exact)) <= 1e-14
+        res = ck.hum_control_finite(sys, 1.0, np.zeros(2), np.array([1.0, 0.0]), 250)
+        assert abs(res.cost * 10.0 ** (2 * s) / 12.0 - 1.0) <= 1e-12
+        assert res.endpoint_error < 1e-12
+
+    def test_gramian_is_invertible_on_its_condition_alone(self):
+        # lambda_min > 1e-12 lambda_max, with no absolute floor for a small G_T.
+        assert lincontrol._report(1.0, np.diag([1e-30, 1e-19])).invertible
+        assert not lincontrol._report(1.0, np.diag([1e-30, 1e-18])).invertible
+        assert not lincontrol._report(1.0, np.diag([-1e-30, 1.0])).invertible
+        assert not lincontrol._report(1.0, np.zeros((2, 2))).invertible
+
+
 class TestGramianAndHum:
     def test_double_integrator_gramian(self):
         sys = pr.double_integrator()

@@ -39,6 +39,7 @@ from ctrlkit import (
 )
 from ctrlkit import problems as pr
 from ctrlkit.numcore import Chebyshev, _block_length, chebyshev, fd_jacobian, rk4_linear_sweep, rk4_sweep
+from ctrlkit.numcore import spectral_rank
 from ctrlkit.specpde import _semilinear_rhs, semilinear_matrices, semilinear_steps
 
 
@@ -573,6 +574,25 @@ class TestNumericalRank:
     def test_complex_matrix_keeps_its_imaginary_part(self):
         # Row 2 is 1j times row 1; dropping the imaginary part gives rank 2.
         assert numerical_rank(np.array([[1, 1j], [1j, -1]])) == 1
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-13, 1.0, 1e13, 1e200])
+    def test_rank_does_not_depend_on_scale(self, scale):
+        M = np.diag([1.0, 1e-6, 1e-12])
+        assert numerical_rank(scale * M) == 2
+        assert spectral_rank(scale * np.array([1.0, 1e-6, 1e-12]), 1e-9) == 2
+
+    def test_eigenvalues_count_a_negative_one_as_zero(self):
+        assert spectral_rank(np.array([-1.0, 1e-13, 1.0]), 1e-12) == 1
+        assert spectral_rank(np.array([-2.0, -1.0]), 1e-12) == 0
+        assert spectral_rank(np.array([-1.0, 0.0]), 1e-12) == 0
+        assert spectral_rank(np.empty(0), 1e-12) == 0
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, -1e-9, math.nan])
+    def test_tolerance_outside_the_unit_interval_raises(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            numerical_rank(np.eye(2), rel_tol)
+        with pytest.raises(ValueError, match="rel_tol must lie in"):
+            spectral_rank(np.ones(2), rel_tol)
 
 
 def _rotation(t):

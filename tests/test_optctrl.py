@@ -256,6 +256,19 @@ class TestZermelo:
         assert abs(h[-1]) < 1e-6
 
 
+    def test_terminal_manifold_rank_does_not_depend_on_the_scale_of_f(self):
+        # F and its gradient times 1e-13 describe the same bank y = 1: one
+        # transversality condition along its tangent, not two.
+        p = pr.zermelo_min_drift()
+        scaled = dataclasses.replace(
+            p, F=lambda x: 1e-13 * p.F(x), F_jacobian=lambda x: 1e-13 * p.F_jacobian(x)
+        )
+        args = (2.0, np.array([0.5, 1.0]), np.array([-0.7, 0.3]), -1.0)
+        r, r_scaled = optctrl._terminal_residual(p, *args), optctrl._terminal_residual(scaled, *args)
+        assert len(r) == len(r_scaled) == 3
+        assert abs(r_scaled[1]) == abs(r[1]) and r_scaled[2] == r[2]
+
+
 class TestDoubleIntegratorMinTime:
     def test_bang_bang_one_switch_and_oracle(self):
         x0 = np.array([1.0, 0.0])
